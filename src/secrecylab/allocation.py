@@ -22,10 +22,19 @@ links are ranked by the variance gap rather than by gain.
 **Fading links with known per-slot state.**  The same root formula applies
 slot by slot with the roles of the noise variances played by the reciprocal
 gains: ``n_delta = 1/b - 1/a`` and ``n_sum = 1/a + 1/b`` for a slot with
-gains ``(a, b)``; power is spent only on slots with ``a > b`` (equivalently
-``a - b > 2 lambda`` once the threshold is folded in).  The threshold is
-calibrated by Monte Carlo so the *average* spent power meets the budget,
-and the ergodic secrecy rate is the sample mean of the per-slot rates.
+gains ``(a, b)``.  Written in ``t = 1/lambda`` with ``g = a - b`` and
+rationalized, the root is free of cancellation:
+
+    P(t) = (t g - 2) / (a + b + sqrt(g^2 + 2 t g a b)),
+
+spent only on slots with ``t g > 2`` (``a - b > 2 lambda``); at ``b = 0`` it
+is ``t/2 - 1/a``.  The threshold is calibrated by Monte Carlo so the
+*average* spent power meets the budget: safeguarded Newton steps on ``t``
+with the analytic slope ``dP/dt = (g - P g a b / R) / (a + b + R)``,
+``R = sqrt(g^2 + 2 t g a b)``, falling back to doubling or bisection when a
+step leaves the bracket.  The calibration-sample mean power must land within
+1 % of the budget, else :class:`~secrecylab.errors.NumericalError` is
+raised.  The ergodic secrecy rate is the sample mean of the per-slot rates.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -45,6 +54,16 @@ from .errors import InvalidInputError, NumericalError
 #: Bisection never runs more than this many interval-halving steps; the
 #: bracket collapses to adjacent floats long before.
 _MAX_BISECT = 200
+
+#: Fading calibration makes at most this many full-sample evaluations.
+_MAX_NEWTON = 200
+
+#: Calibration stops once the mean power is this many ulps from the budget.
+_RESIDUAL_ULPS = 4
+
+#: Documented accuracy of fading calibration: the calibration-sample mean
+#: power is within this fraction of the average budget.
+FADING_BUDGET_REL_TOL = 0.01
 
 
 @dataclass(frozen=True)
@@ -74,12 +93,16 @@ class FadingPolicy:
 
     ``zero_secrecy`` marks the degenerate case where calibration found no
     slot with a positive-rate opportunity; the threshold is then ``inf`` and
-    the policy allocates nothing.
+    the policy allocates nothing.  ``avg_power`` is the mean power the
+    policy spends on its calibration sample and ``iterations`` the number of
+    full-sample evaluations calibration made (both 0 when not calibrated).
     """
 
     lam: float
     channel: FadingWiretapChannel
     zero_secrecy: bool = False
+    avg_power: float = 0.0
+    iterations: int = 0
 
     def __post_init__(self):
         if self.zero_secrecy:
@@ -201,26 +224,30 @@ def awgn_waterfill(channels, budget, tol=1e-9):
                             sum_rate=sum_secrecy_rate(channels, powers))
 
 
+def _slot_power(t, g, s, g2, c):
+    """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
+
+    For slots with ``g = a - b > 0``, given ``s = a + b``, ``g2 = g**2`` and
+    ``c = 2 g a b``, returns ``(p, r)`` with ``r = sqrt(g2 + t c)`` and
+    ``p = max(t g - 2, 0) / (s + r)``: zero exactly when ``t g <= 2``.
+    """
+    r = np.sqrt(g2 + t * c)
+    p = np.maximum(t * g - 2.0, 0.0) / (s + r)
+    return p, r
+
+
+def _slot_terms(a, b):
+    """The per-slot constants ``(g, s, g2, c)`` of :func:`_slot_power`."""
+    g = a - b
+    return g, a + b, g * g, 2.0 * g * a * b
+
+
 def _fading_power_array(lam, a, b):
     """Vectorized per-slot power rule; ``a``/``b`` are gain arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    active = a - b > 2.0 * lam
-    out = np.zeros(np.broadcast(a, b).shape)
-    if not np.any(active):
-        return out
-    aa = a[active]
-    bb = b[active]
-    p = np.empty_like(aa)
-    pos = bb > 0
-    if np.any(pos):
-        n_delta = 1.0 / bb[pos] - 1.0 / aa[pos]
-        n_sum = 1.0 / aa[pos] + 1.0 / bb[pos]
-        p[pos] = 0.5 * (np.sqrt(n_delta * n_delta + 2.0 * n_delta / lam) - n_sum)
-    if np.any(~pos):
-        # Limit of the root formula as the eavesdropper gain vanishes.
-        p[~pos] = 0.5 * (1.0 / lam - 2.0 / aa[~pos])
-    out[active] = np.maximum(p, 0.0)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.zeros(a.shape)
+    on = a > b
+    out[on] = _slot_power(1.0 / lam, *_slot_terms(a[on], b[on]))[0]
     return out
 
 
@@ -236,16 +263,7 @@ def fading_power(policy, state):
     policy : FadingPolicy
     state : ChannelState
     """
-    a, b = state.a_draw, state.b_draw
-    if a <= b:
-        return 0.0
-    if not (a - b > 2.0 * policy.lam):
-        return 0.0
-    if b == 0.0:
-        return max(0.0, 0.5 * (1.0 / policy.lam - 2.0 / a))
-    n_delta = 1.0 / b - 1.0 / a
-    n_sum = 1.0 / a + 1.0 / b
-    return max(0.0, 0.5 * (math.sqrt(n_delta * n_delta + 2.0 * n_delta / policy.lam) - n_sum))
+    return float(_fading_power_array(policy.lam, state.a_draw, state.b_draw))
 
 
 def _draw_states(ch, samples, seed):
@@ -259,11 +277,11 @@ def _draw_states(ch, samples, seed):
 def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     """Find the threshold whose average spent power meets the budget.
 
-    Draws one calibration sample of slot states, then bisects the threshold
-    until the sample-mean power equals ``avg_budget``.  The sample is fixed
-    before the search, so the result is deterministic given the seed and the
-    mean-power function is continuous and strictly decreasing in the
-    threshold wherever it is positive.
+    Draws one calibration sample of slot states and solves
+    ``mean P(t) = avg_budget`` for ``t = 1/lam`` by safeguarded Newton steps
+    with the analytic slope.  The sample is fixed before the search, so the
+    result is deterministic given the seed; the mean power is continuous and
+    strictly increasing in ``t`` wherever it is positive.
 
     Parameters
     ----------
@@ -272,16 +290,29 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
         Target average power, > 0.
     samples : int
         Calibration sample size; at least 10**4 is recommended for the
-        default 1 percent accuracy contract.
+        1 percent accuracy contract to carry over to fresh draws.
     seed : int or numpy.random.SeedSequence
 
     Returns
     -------
     FadingPolicy
-        Calibrated policy.  If no drawn slot has ``a_draw > b_draw`` the
+        Calibrated policy, carrying the calibration-sample mean power
+        (``avg_power``) and the number of full-sample evaluations
+        (``iterations``).  If no drawn slot has ``a_draw > b_draw`` the
         budget is unreachable at any threshold; the returned policy carries
         ``zero_secrecy=True`` and an infinite threshold, and allocates zero
         power everywhere.
+
+    Raises
+    ------
+    InvalidInputError
+        Non-positive budget or sample count.
+    NumericalError
+        The calibration-sample mean power misses ``avg_budget`` by more than
+        :data:`FADING_BUDGET_REL_TOL` (1 %).  This happens for budgets below
+        the mean power of the first slot to activate, which the float grid of
+        the threshold cannot resolve (around 1e-20 for unit-scale gains and
+        1e4 samples), and for budgets so large that ``t`` overflows.
     """
     if not (isinstance(avg_budget, (int, float)) and math.isfinite(avg_budget) and avg_budget > 0):
         raise InvalidInputError(f"avg_budget must be positive and finite, got {avg_budget!r}")
@@ -289,41 +320,62 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
         raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
 
     a, b = _draw_states(ch, samples, seed)
-    if not np.any(a > b):
+    keep = a > b
+    if not np.any(keep):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
+    g, s, g2, c = _slot_terms(a[keep], b[keep])
+    del a, b, keep      # free the draws: the search needs only the slot terms
 
-    def mean_power(lam):
-        return float(_fading_power_array(lam, a, b).mean())
+    def mean_power_and_slope(t):
+        p, r = _slot_power(t, g, s, g2, c)
+        slope = np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
+        return float(p.sum()) / samples, float(slope.sum()) / samples
 
-    hi = 1.0
-    for _ in range(1200):
-        if mean_power(hi) <= avg_budget:
+    # Every slot spends at most t/2, so the mean power at lo is within budget.
+    lo, hi = max(2.0 / float(g.max()), 2.0 * avg_budget), math.inf
+    t = lo
+    for iterations in range(1, _MAX_NEWTON + 1):
+        # Budgets near the float limit overflow t*c; the contract check below
+        # reports them, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, slope = mean_power_and_slope(t)
+        residual = power - avg_budget
+        if iterations == 1 or abs(residual) < abs(best_p - avg_budget):
+            best_t, best_p = t, power
+        if abs(residual) <= _RESIDUAL_ULPS * math.ulp(avg_budget):
             break
-        hi *= 2.0
-    else:
-        raise NumericalError("could not bracket the fading threshold from above")
-    lo = hi
-    for _ in range(1200):
-        lo *= 0.5
-        if mean_power(lo) >= avg_budget:
-            break
-    else:
-        raise NumericalError("could not bracket the fading threshold from below")
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mean_power(mid) >= avg_budget:
-            lo = mid
+        if residual < 0:
+            lo = t
         else:
-            hi = mid
+            hi = t
+        step = t - residual / slope if slope > 0 else math.inf
+        if not lo < step < hi:
+            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if step == lo or step == hi:
+            break
+        t = step
 
-    lam = min((lo, hi), key=lambda v: abs(mean_power(v) - avg_budget))
-    return FadingPolicy(lam=lam, channel=ch)
+    if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
+        raise NumericalError(
+            f"calibrated mean power {best_p:.6g} misses the average budget "
+            f"{avg_budget:.6g} by more than {FADING_BUDGET_REL_TOL:.0%}")
+    return FadingPolicy(lam=1.0 / best_t, channel=ch, avg_power=best_p,
+                        iterations=iterations)
 
 
-def ergodic_secrecy_capacity(ch, policy, samples, seed):
+def _ergodic_estimate(ch, policy, samples, seed):
+    """Rate, standard error and mean spent power, all from one draw of states."""
+    if not (isinstance(samples, int) and samples >= 1):
+        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    a, b = _draw_states(ch, samples, seed)
+    p = _fading_power_array(policy.lam, a, b)
+    rates = np.maximum(0.0, 0.5 * (np.log2(1.0 + p * a) - np.log2(1.0 + p * b)))
+    estimate = float(rates.mean())
+    stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    return estimate, stderr, float(p.mean())
+
+
+def ergodic_secrecy_capacity(ch, policy, samples, seed, *, with_power=False):
     """Monte Carlo estimate of the long-run secrecy rate under a policy.
 
     Draws ``samples`` slot states, applies the policy's per-slot power rule
@@ -336,19 +388,15 @@ def ergodic_secrecy_capacity(ch, policy, samples, seed):
     samples : int
         >= 1.
     seed : int or numpy.random.SeedSequence
+    with_power : bool
+        Also return the mean power the policy spent on the same draws.
 
     Returns
     -------
-    (float, float)
+    (float, float) or (float, float, float)
         Sample-mean rate in bits per channel use and its standard error
         (sample standard deviation over sqrt(samples); 0.0 for a single
-        sample).
+        sample), followed by the sample-mean power when ``with_power``.
     """
-    if not (isinstance(samples, int) and samples >= 1):
-        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
-    a, b = _draw_states(ch, samples, seed)
-    p = _fading_power_array(policy.lam, a, b)
-    rates = np.maximum(0.0, 0.5 * (np.log2(1.0 + p * a) - np.log2(1.0 + p * b)))
-    estimate = float(rates.mean())
-    stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return estimate, stderr
+    estimate = _ergodic_estimate(ch, policy, samples, seed)
+    return estimate if with_power else estimate[:2]

@@ -14,9 +14,9 @@ Seed priority: ``--seed`` beats the ``SECRECY_LAB_SEED`` environment
 variable, which beats the scenario's ``seed`` field (default 0).
 
 Exit codes: 0 success; 2 usage error (bad arguments, missing required
-option); 3 validation error (unreadable or invalid scenario, content
-mismatch, unwritable output); 4 numerical failure (a solver missed its
-tolerance).
+option, negative seed); 3 validation error (unreadable or invalid scenario,
+content mismatch, unwritable output); 4 numerical failure (a solver missed
+its tolerance, such as a fading budget missed by more than 1 %).
 """
 
 import argparse
@@ -67,15 +67,19 @@ def build_parser():
 
 def _resolve_seed(args):
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(
-            f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
+        name, seed = "--seed", args.seed
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return None
+        name = f"${SEED_ENV_VAR}"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise UsageError(f"{name} must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise UsageError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def main(argv=None):

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__
 from .allocation import (
-    _draw_states,
-    _fading_power_array,
+    FADING_BUDGET_REL_TOL,
     awgn_waterfill,
     calibrate_fading_lambda,
     ergodic_secrecy_capacity,
@@ -122,22 +121,20 @@ def _fading_records(scenario, seed, budget, samples, command, estimate):
     for pos, sc in _entries(scenario, "fading", command):
         ch = sc.channel
         policy = calibrate_fading_lambda(ch, budget, samples, substream(seed, pos, 0))
-        outputs = {"lambda": policy.lam, "zero_secrecy": policy.zero_secrecy}
+        outputs = {"lambda": policy.lam, "zero_secrecy": policy.zero_secrecy,
+                   "power": policy.avg_power}
         if estimate:
-            rate, stderr = ergodic_secrecy_capacity(ch, policy, samples,
-                                                    substream(seed, pos, 1))
-            a, b = _draw_states(ch, samples, substream(seed, pos, 1))
-            outputs["rate_bits"] = rate
-            outputs["stderr"] = stderr
-        else:
-            a, b = _draw_states(ch, samples, substream(seed, pos, 0))
-        outputs["power"] = float(_fading_power_array(policy.lam, a, b).mean())
+            rate, stderr, power = ergodic_secrecy_capacity(
+                ch, policy, samples, substream(seed, pos, 1), with_power=True)
+            outputs.update(rate_bits=rate, stderr=stderr, power=power)
+        metadata = _meta(seed, avg_budget_rel_tol=FADING_BUDGET_REL_TOL, samples=samples)
+        metadata.update(calibration_iterations=policy.iterations,
+                        achieved_power=policy.avg_power)
         records.append(ReportRecord(
             experiment=command, channel_id=sc.id,
             inputs={"a": ch.a, "b": ch.b,
                     "sigma_m_sq": ch.sigma_m_sq, "sigma_w_sq": ch.sigma_w_sq},
-            outputs=outputs,
-            metadata=_meta(seed, avg_budget_rel_tol=0.01, samples=samples)))
+            outputs=outputs, metadata=metadata))
     return records
 
 

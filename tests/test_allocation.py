@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecylab import (
     ChannelState,
@@ -11,6 +13,7 @@ from secrecylab import (
     FadingWiretapChannel,
     GaussianWiretapChannel,
     InvalidInputError,
+    NumericalError,
     awgn_waterfill,
     calibrate_fading_lambda,
     ergodic_secrecy_capacity,
@@ -230,7 +233,19 @@ class TestFadingPower:
             vec = _fading_power_array(lam, a, b)
             policy = FadingPolicy(lam=lam, channel=FADING)
             scalar = [fading_power(policy, ChannelState(x, y)) for x, y in zip(a, b)]
-            np.testing.assert_allclose(vec, scalar, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(vec, scalar)
+            # The textbook root 1/2 (sqrt(n_delta^2 + 2 n_delta/lam) - n_sum) at
+            # the reciprocal gains; it cancels near activation, hence the atol.
+            textbook = np.zeros_like(a)
+            for i, (x, y) in enumerate(zip(a, b)):
+                if x - y > 2.0 * lam:
+                    if y == 0.0:
+                        textbook[i] = 0.5 / lam - 1.0 / x
+                    else:
+                        n_delta, n_sum = 1.0 / y - 1.0 / x, 1.0 / x + 1.0 / y
+                        textbook[i] = 0.5 * (math.sqrt(n_delta ** 2 + 2.0 * n_delta / lam)
+                                             - n_sum)
+            np.testing.assert_allclose(vec, textbook, rtol=1e-9, atol=1e-12)
 
 
 class TestCalibration:
@@ -290,6 +305,69 @@ class TestCalibration:
         with pytest.raises(InvalidInputError):
             calibrate_fading_lambda(FADING, 1.0, 0, seed=0)
 
+    def test_reports_achieved_power_and_iterations(self):
+        rng = np.random.default_rng(5)
+        a = rng.exponential(FADING.a, 10_000)
+        b = rng.exponential(FADING.b, 10_000)
+        for budget in (0.1, 1.0, 10.0):
+            policy = calibrate_fading_lambda(FADING, budget, 10_000, seed=5)
+            assert 1 <= policy.iterations <= 20
+            assert policy.avg_power == pytest.approx(
+                _fading_power_array(policy.lam, a, b).mean(), rel=1e-12)
+            assert policy.avg_power == pytest.approx(budget, rel=1e-12)
+        sentinel = calibrate_fading_lambda(
+            FadingWiretapChannel(a=1e-9, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0),
+            1.0, 2_000, seed=0)
+        assert (sentinel.avg_power, sentinel.iterations) == (0.0, 0)
+
+    @pytest.mark.parametrize("gains", [(5.0, 0.5), (1.2, 1.2), (0.9, 2.5)],
+                             ids=["strong", "marginal", "adverse"])
+    @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
+    def test_matches_plain_bisection(self, gains, budget):
+        ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
+        rng = np.random.default_rng(17)
+        a = rng.exponential(ch.a, 10_000)
+        b = rng.exponential(ch.b, 10_000)
+
+        def mean_power(lam):
+            return _fading_power_array(lam, a, b).mean()
+
+        lo, hi = 1e-12, float((a - b).max())    # nothing is active above hi/2
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if mean_power(mid) >= budget:
+                lo = mid
+            else:
+                hi = mid
+        bisected = min((lo, hi), key=lambda v: abs(mean_power(v) - budget))
+        policy = calibrate_fading_lambda(ch, budget, 10_000, seed=17)
+        assert policy.lam == pytest.approx(bisected, rel=1e-9)
+
+    def test_unreachable_budget_raises(self):
+        # Far below the power of the first slot to activate.
+        with pytest.raises(NumericalError, match="1e-120"):
+            calibrate_fading_lambda(FADING, 1e-120, 10_000, seed=0)
+
+    @given(exponent=st.floats(min_value=-30.0, max_value=30.0),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_budget_met_or_raises(self, exponent, seed):
+        budget = 10.0 ** exponent
+        try:
+            policy = calibrate_fading_lambda(FADING, budget, 2_000, seed=seed)
+        except NumericalError:
+            return
+        assert math.isfinite(policy.lam) and policy.lam > 0
+        assert math.isfinite(policy.avg_power)
+        assert abs(policy.avg_power - budget) <= 0.01 * budget
+        rng = np.random.default_rng(seed)
+        a = rng.exponential(FADING.a, 2_000)
+        b = rng.exponential(FADING.b, 2_000)
+        assert _fading_power_array(policy.lam, a, b).mean() == pytest.approx(
+            policy.avg_power, rel=1e-9)
+
 
 class TestErgodicCapacity:
     def test_zero_power_policy_estimates_zero(self):
@@ -310,6 +388,16 @@ class TestErgodicCapacity:
         e1 = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
         e2 = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
         assert e1 == e2
+
+    def test_with_power_reports_mean_power_of_the_same_draws(self):
+        policy = calibrate_fading_lambda(FADING, 1.0, 10_000, seed=2)
+        rate, stderr, power = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9,
+                                                       with_power=True)
+        assert (rate, stderr) == ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
+        rng = np.random.default_rng(9)
+        a = rng.exponential(FADING.a, 10_000)
+        b = rng.exponential(FADING.b, 10_000)
+        assert power == _fading_power_array(policy.lam, a, b).mean()
 
     def test_calibrated_policy_beats_constant_power_baseline(self):
         """Threshold policy vs spend-the-budget-whenever-qualified, paired draws."""

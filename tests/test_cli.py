@@ -146,6 +146,10 @@ class TestCommands:
         assert payload[1]["outputs"]["zero_secrecy"] is True
         assert payload[1]["outputs"]["lambda"] == "inf"
         assert payload[1]["outputs"]["power"] == 0.0
+        # calibration diagnostics ride along in the metadata
+        assert payload[0]["metadata"]["achieved_power"] == payload[0]["outputs"]["power"]
+        assert 1 <= payload[0]["metadata"]["calibration_iterations"] <= 20
+        assert payload[1]["metadata"]["calibration_iterations"] == 0
 
 
 class TestDeterminism:
@@ -213,6 +217,19 @@ class TestSeedPrecedence:
         code, _, err = run_cli(["pair", "--scenario", path], capsys)
         assert code == cli.EXIT_USAGE
 
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, AGENT_TRIO)
+        code, _, err = run_cli(["pair", "--scenario", path, "--seed", "-1"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert "--seed" in err
+
+    def test_negative_env_var_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, AGENT_TRIO)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "-5")
+        code, _, err = run_cli(["pair", "--scenario", path], capsys)
+        assert code == cli.EXIT_USAGE
+        assert cli.SEED_ENV_VAR in err
+
 
 class TestExitCodes:
     def test_missing_budget_is_usage_error(self, tmp_path, capsys):
@@ -261,6 +278,17 @@ class TestExitCodes:
                                capsys)
         assert code == cli.EXIT_NUMERICAL
         assert "solver diverged" in err
+
+    def test_unreachable_fading_budget_is_numerical_error(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "samples": 10000,
+               "channels": [{"type": "fading", "a": 2.0, "b": 1.0,
+                             "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["allocate-fading", "--scenario", path,
+                                  "--budget", "1e-120"], capsys)
+        assert code == cli.EXIT_NUMERICAL
+        assert out == ""
+        assert "1e-120" in err
 
     def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
         path = write(tmp_path, AGENT_TRIO)
