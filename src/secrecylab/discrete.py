@@ -17,7 +17,9 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedSizeError
 
 _NORM_TOL = 1e-12
+_TIE_TOL = 1e-12
 _GRID_CHUNK = 1 << 18
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def _as_prob_matrix(name, m, ndim=2):
@@ -76,6 +78,8 @@ class DiscreteWiretapChannel:
         self.eaves = eaves
         self.main.setflags(write=False)
         self.eaves.setflags(write=False)
+        # h(main row x) - h(eaves row x): the per-input term of the rate kernel.
+        self._entropy_gap = _entropies(main) - _entropies(eaves)
 
     @property
     def num_inputs(self):
@@ -115,14 +119,23 @@ def mutual_information(joint):
     return max(0.0, float(terms.sum()))
 
 
-def _mi_batch(joints):
-    """I(A;B) for a (M, |A|, |B|) stack of joint distributions, in bits."""
-    pa = joints.sum(axis=2)
-    pb = joints.sum(axis=1)
-    prod = pa[:, :, None] * pb[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(joints > 0, np.log2(joints) - np.log2(prod), 0.0)
-    return np.einsum("mab,mab->m", joints, logs)
+def _entropies(p):
+    """Entropy in bits of each row of a 2-D ``p``, with 0 log 0 = 0."""
+    # Zeros take the log of the smallest subnormal (-1074), times 0.
+    logs = np.maximum(p, _TINY)
+    np.log2(logs, out=logs)
+    return -np.einsum("ij,ij->i", p, logs)
+
+
+def _rates(ch, q):
+    """``I(X;Y) - I(X;Z)`` in bits for each row ``q`` of input distributions.
+
+    Uses ``I(X;Y) = H(qM) - q . h_M`` with ``h_M`` the per-input row
+    entropies of the transition matrix, so a batch costs two ``(rows, |Y|)``
+    products and one entropy pass over each.  A point mass on input ``i``
+    reproduces row ``i`` exactly, so its rate is exactly 0.
+    """
+    return _entropies(q @ ch.main) - _entropies(q @ ch.eaves) - q @ ch._entropy_gap
 
 
 def secrecy_rate_discrete(ch, input_pmf):
@@ -140,9 +153,7 @@ def secrecy_rate_discrete(ch, input_pmf):
     if len(p) != ch.num_inputs:
         raise InvalidInputError(
             f"input pmf length {len(p)} does not match alphabet size {ch.num_inputs}")
-    i_y = mutual_information(p[:, None] * ch.main)
-    i_z = mutual_information(p[:, None] * ch.eaves)
-    return float(i_y - i_z)
+    return float(_rates(ch, p[None, :])[0])
 
 
 def _compositions(total, parts):
@@ -180,8 +191,12 @@ def max_secrecy_rate_grid(ch, grid_step):
 
     Enumerates every input distribution whose entries are multiples of
     ``grid_step`` and returns the best rate together with its maximizer.
-    Exact ties resolve to the lexicographically smallest distribution.  The
-    result is never negative: point-mass inputs (rate 0) are grid points.
+    Grid points within 1e-12 of the best rate count as tied (rounding noise
+    separates points that tie exactly, e.g. permutations on a symmetric
+    channel), and ties resolve to the lexicographically smallest
+    distribution.  The result is never negative: every point mass is a grid
+    point and evaluates to exactly 0, so a channel without secrecy capacity
+    gives rate 0.0 at ``(0, ..., 0, 1)``.
 
     Parameters
     ----------
@@ -203,18 +218,26 @@ def max_secrecy_rate_grid(ch, grid_step):
             f"grid_step must lie in [1e-3, 0.1], got {grid_step!r}")
     denom = int(round(1.0 / grid_step))
 
-    best_rate = -np.inf
-    best_q = None
+    best = -np.inf
+    # Points above every earlier point and within the tie tolerance of the
+    # running best, in grid order: the first point within the tolerance of
+    # the final best is always one of them.
+    near = []
     for block in _compositions(denom, nx):
         q = block / denom
-        joint_y = q[:, :, None] * ch.main[None, :, :]
-        joint_z = q[:, :, None] * ch.eaves[None, :, :]
-        rates = _mi_batch(joint_y) - _mi_batch(joint_z)
-        top = int(np.argmax(rates))
-        if rates[top] > best_rate:
-            best_rate = float(rates[top])
-            best_q = q[top]
-    return best_rate, DiscretePmf(best_q)
+        rates = _rates(ch, q)
+        top = rates.max()
+        if top <= best:
+            continue
+        # Only points within the tolerance of the new best can be kept, and
+        # every other point of the chunk lies below all of them.
+        close = np.flatnonzero(rates >= top - _TIE_TOL)
+        vals = rates[close]
+        above = vals > np.maximum.accumulate(np.concatenate(([best], vals[:-1])))
+        best = top
+        near = [c for c in near if c[0] >= best - _TIE_TOL]
+        near += [(rates[i], q[i]) for i in close[above]]
+    return float(best), DiscretePmf(near[0][1])
 
 
 def parallel_sum_rate(chs, inputs):

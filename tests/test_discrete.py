@@ -1,5 +1,6 @@
 """Finite-alphabet secrecy rates against closed forms and brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secrecylab import discrete
 from secrecylab import (
     DiscretePmf,
     DiscreteWiretapChannel,
@@ -31,6 +33,36 @@ def h2(p):
 def random_joint(rng, shape):
     j = rng.random(shape)
     return j / j.sum()
+
+
+def random_stochastic(rng, rows, cols, sharpness=1):
+    m = rng.random((rows, cols)) ** sharpness
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def circulant_channel(rng, n):
+    """Main and eaves matrices invariant under cyclic shifts of the input."""
+    def circ(row):
+        return np.array([np.roll(row / row.sum(), k) for k in range(n)])
+    return DiscreteWiretapChannel(circ(rng.random(n) ** 4), circ(rng.random(n)))
+
+
+def rate_via_mutual_information(ch, p):
+    p = np.asarray(p, dtype=float)
+    return (mutual_information(p[:, None] * ch.main)
+            - mutual_information(p[:, None] * ch.eaves))
+
+
+def grid_bruteforce(ch, denom):
+    """Every grid point in lexicographic order, with its rate by mutual_information."""
+    points = [c for c in itertools.product(range(denom + 1), repeat=ch.num_inputs)
+              if sum(c) == denom]
+    rates = [rate_via_mutual_information(ch, np.array(c) / denom) for c in points]
+    return points, rates
+
+
+def grid_units(pmf, denom):
+    return tuple(int(k) for k in np.rint(pmf.probs * denom))
 
 
 def aggregated_joint_bruteforce(joint_input, eaves1, eaves2, which):
@@ -137,12 +169,26 @@ class TestSecrecyRateDiscrete:
         with pytest.raises(InvalidInputError):
             secrecy_rate_discrete(ch, DiscretePmf([0.2, 0.3, 0.5]))
 
+    def test_matches_mutual_information_path(self):
+        rng = np.random.default_rng(59)
+        for _ in range(300):
+            nx = int(rng.integers(2, 5))
+            ch = DiscreteWiretapChannel(
+                main=random_stochastic(rng, nx, int(rng.integers(2, 6))),
+                eaves=random_stochastic(rng, nx, int(rng.integers(2, 6))))
+            p = rng.random(nx) * (rng.random(nx) < 0.8)  # some zero entries
+            p[0] += 0.1
+            p /= p.sum()
+            got = secrecy_rate_discrete(ch, DiscretePmf(p))
+            assert got == pytest.approx(rate_via_mutual_information(ch, p), abs=1e-12)
+
 
 class TestGridSearch:
     def test_identical_channels_max_is_zero(self):
         ch = DiscreteWiretapChannel(main=bsc(0.15), eaves=bsc(0.15))
-        rate, _argmax = max_secrecy_rate_grid(ch, grid_step=0.01)
-        assert rate == pytest.approx(0.0, abs=1e-12)
+        rate, argmax = max_secrecy_rate_grid(ch, grid_step=0.01)
+        assert rate == 0.0
+        assert argmax.probs.tolist() == [0.0, 1.0]
 
     def test_degraded_bsc_attains_closed_form_at_uniform(self):
         ch = DiscreteWiretapChannel(main=bsc(0.1), eaves=bsc(0.3))
@@ -153,7 +199,7 @@ class TestGridSearch:
     def test_eavesdropper_advantage_floors_at_zero(self):
         ch = DiscreteWiretapChannel(main=bsc(0.3), eaves=bsc(0.1))
         rate, argmax = max_secrecy_rate_grid(ch, grid_step=1e-3)
-        assert rate == pytest.approx(0.0, abs=1e-12)
+        assert rate == 0.0
         # zero is hit at the point masses; lexicographically smallest wins
         np.testing.assert_allclose(argmax.probs, [0.0, 1.0], atol=0.0)
 
@@ -185,6 +231,50 @@ class TestGridSearch:
         assert abs(argmax.probs.sum() - 1.0) < 1e-12
         # grid value is a certified lower bound on the true maximum
         assert rate <= math.log2(3)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("kind", ["random", "circulant"])
+    @pytest.mark.parametrize("nx", [3, 4])
+    def test_matches_first_near_maximum_of_bruteforce(self, nx, kind, chunk, monkeypatch):
+        """Rate and argmax agree with a loop over mutual_information.
+
+        Circulant channels tie exactly under cyclic shifts of the input, so
+        only rounding noise separates their maximizers; a chunk of 7 rows
+        spreads such near-ties over many chunks.
+        """
+        if chunk is not None:
+            monkeypatch.setattr(discrete, "_GRID_CHUNK", chunk)
+        rng = np.random.default_rng(61 + nx)
+        for _ in range(5):
+            if kind == "random":
+                ch = DiscreteWiretapChannel(main=random_stochastic(rng, nx, nx, sharpness=4),
+                                            eaves=random_stochastic(rng, nx, nx))
+            else:
+                ch = circulant_channel(rng, nx)
+            points, rates = grid_bruteforce(ch, 20)
+            best = max(rates)
+            first = next(c for c, r in zip(points, rates) if r >= best - 1e-12)
+            rate, argmax = max_secrecy_rate_grid(ch, grid_step=0.05)
+            assert rate == pytest.approx(best, abs=1e-12)
+            assert grid_units(argmax, 20) == first
+
+    def test_zero_capacity_gives_exact_zero_at_first_point_mass(self):
+        """A main link degraded from the eavesdropper's (M = E W) has capacity 0."""
+        rng = np.random.default_rng(71)
+        channels = []
+        for i in range(100):
+            nx = (2, 3, 4)[i % 3]
+            eaves = random_stochastic(rng, nx, int(rng.integers(2, 6)))
+            w = random_stochastic(rng, eaves.shape[1], int(rng.integers(2, 6)))
+            channels.append(DiscreteWiretapChannel(main=eaves @ w, eaves=eaves))
+        for nx in (2, 3, 4):  # identical links
+            m = random_stochastic(rng, nx, 3)
+            channels.append(DiscreteWiretapChannel(main=m, eaves=m.copy()))
+        for ch in channels:
+            nx = ch.num_inputs
+            rate, argmax = max_secrecy_rate_grid(ch, grid_step=0.05 if nx == 4 else 0.02)
+            assert rate == 0.0
+            assert argmax.probs.tolist() == [0.0] * (nx - 1) + [1.0]
 
     def test_size_and_step_limits(self):
         five = np.full((5, 2), 0.5)
