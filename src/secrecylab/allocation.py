@@ -1,40 +1,35 @@
 """Power allocation that maximizes secrecy rate across parallel links.
 
-Two settings are covered:
-
-**Static AWGN banks.**  The sum secrecy rate
-``sum_i [1/2 log2(1 + P_i/sigma_m_sq_i) - 1/2 log2(1 + P_i/sigma_w_sq_i)]``
-is maximized subject to ``sum_i P_i <= budget``.  Stationarity of the
-Lagrangian gives, per link, ``(P_i + sigma_m_sq)(P_i + sigma_w_sq) =
-n_delta / (2 lambda)`` with ``n_delta = sigma_w_sq - sigma_m_sq``, whose
-positive root is
-
-    P_i(lambda) = 1/2 * (sqrt(n_delta^2 + 2 n_delta / lambda) - n_sum),
-
-``n_sum = sigma_w_sq + sigma_m_sq``.  A link receives power only when its
-eavesdropper is strictly noisier (``n_delta > 0``) and the threshold is low
-enough: ``1/sigma_m_sq - 1/sigma_w_sq > 2 lambda``.  Since each
-``P_i(lambda)`` is continuous and strictly decreasing on its active range,
-the budget equation ``sum_i P_i(lambda) = budget`` is solved by bisection on
-``lambda``; this is a secrecy variant of classical water-filling in which
-links are ranked by the variance gap rather than by gain.
-
-**Fading links with known per-slot state.**  The same root formula applies
-slot by slot with the roles of the noise variances played by the reciprocal
-gains: ``n_delta = 1/b - 1/a`` and ``n_sum = 1/a + 1/b`` for a slot with
-gains ``(a, b)``.  Written in ``t = 1/lambda`` with ``g = a - b`` and
-rationalized, the root is free of cancellation:
+**Fading links with known per-slot state.**  A slot with power gains
+``(a, b)`` spends, at threshold ``lambda``, with ``t = 1/lambda`` and
+``g = a - b``, the cancellation-free root
 
     P(t) = (t g - 2) / (a + b + sqrt(g^2 + 2 t g a b)),
 
-spent only on slots with ``t g > 2`` (``a - b > 2 lambda``); at ``b = 0`` it
-is ``t/2 - 1/a``.  The threshold is calibrated by Monte Carlo so the
-*average* spent power meets the budget: safeguarded Newton steps on ``t``
-with the analytic slope ``dP/dt = (g - P g a b / R) / (a + b + R)``,
-``R = sqrt(g^2 + 2 t g a b)``, falling back to doubling or bisection when a
-step leaves the bracket.  The calibration-sample mean power must land within
-1 % of the budget, else :class:`~secrecylab.errors.NumericalError` is
-raised.  The ergodic secrecy rate is the sample mean of the per-slot rates.
+only when ``t g > 2`` (``a - b > 2 lambda``); at ``b = 0`` it is
+``t/2 - 1/a``.  The threshold is calibrated by Monte Carlo so that the
+calibration-sample mean power lands within 1 % of the average budget, else
+:class:`~secrecylab.errors.NumericalError` is raised.  The ergodic secrecy
+rate is the sample mean of the per-slot rates.
+
+**Static AWGN banks.**  The sum secrecy rate
+``sum_i [1/2 log2(1 + P_i/sigma_m_sq_i) - 1/2 log2(1 + P_i/sigma_w_sq_i)]``
+is maximized subject to ``sum_i P_i <= budget``.  A link is a slot with
+gains ``(1/sigma_m_sq, 1/sigma_w_sq)``; there the root above is the
+rationalized textbook root ``1/2 (sqrt(n_delta^2 + 2 n_delta/lambda) -
+n_sum)``, ``n_delta = sigma_w_sq - sigma_m_sq``, ``n_sum = sigma_w_sq +
+sigma_m_sq``.  A link receives power only when ``1/sigma_m_sq -
+1/sigma_w_sq > 2 lambda``: a secrecy variant of water-filling that ranks
+links by the variance gap rather than by gain.
+
+**One threshold solver serves both.**  ``sum P(t) / n = target`` over ``n``
+slots (the calibration sample, or the bank's links with target
+``budget/n``) is continuous and strictly increasing wherever it is
+positive.  It is solved by safeguarded Newton steps on ``t`` with the
+analytic slope ``dP/dt = (g - P g a b / R) / (a + b + R)``, ``R = sqrt(g^2
++ 2 t g a b)``, falling back to doubling or bisection when a step leaves the
+bracket.  Calibration stops within 4 ulps of the budget; the water-fill runs
+until the bracket collapses.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -45,17 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    FadingWiretapChannel,
-    gaussian_secrecy_rate,
-)
+from .channels import FadingWiretapChannel, _secrecy_rate
 from .errors import InvalidInputError, NumericalError
 
-#: Bisection never runs more than this many interval-halving steps; the
-#: bracket collapses to adjacent floats long before.
-_MAX_BISECT = 200
-
-#: Fading calibration makes at most this many full-sample evaluations.
+#: The threshold solver makes at most this many evaluations of the mean power.
 _MAX_NEWTON = 200
 
 #: Calibration stops once the mean power is this many ulps from the budget.
@@ -80,11 +68,14 @@ class AllocationResult:
         evaluated; 0.0 when no link is eligible and nothing is allocated.
     sum_rate : float
         Achieved sum secrecy rate in bits per channel use.
+    rates : numpy.ndarray
+        Per-link secrecy rate at ``powers``, same order as the input bank.
     """
 
     powers: np.ndarray
     lam: float
     sum_rate: float
+    rates: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -111,6 +102,13 @@ class FadingPolicy:
             raise InvalidInputError(f"lam must be positive and finite, got {self.lam!r}")
 
 
+def _bank_gains(channels):
+    """Slot gains ``(1/sigma_m_sq, 1/sigma_w_sq)`` of an AWGN bank, one per link."""
+    a = np.array([1.0 / ch.sigma_m_sq for ch in channels])
+    b = np.array([1.0 / ch.sigma_w_sq for ch in channels])
+    return a, b
+
+
 def power_at_lambda(ch, lam):
     """Optimal power for one AWGN link at a given threshold.
 
@@ -126,14 +124,7 @@ def power_at_lambda(ch, lam):
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
         raise InvalidInputError(f"lam must be positive and finite, got {lam!r}")
-    n_delta = ch.sigma_w_sq - ch.sigma_m_sq
-    if n_delta <= 0:
-        return 0.0
-    if 1.0 / ch.sigma_m_sq - 1.0 / ch.sigma_w_sq <= 2.0 * lam:
-        return 0.0
-    n_sum = ch.sigma_w_sq + ch.sigma_m_sq
-    p = 0.5 * (math.sqrt(n_delta * n_delta + 2.0 * n_delta / lam) - n_sum)
-    return max(0.0, p)
+    return float(_fading_power_array(lam, 1.0 / ch.sigma_m_sq, 1.0 / ch.sigma_w_sq))
 
 
 def sum_secrecy_rate(channels, powers):
@@ -148,15 +139,19 @@ def sum_secrecy_rate(channels, powers):
     if len(channels) != len(powers):
         raise InvalidInputError(
             f"length mismatch: {len(channels)} channels vs {len(powers)} powers")
-    return sum(gaussian_secrecy_rate(p, ch) for p, ch in zip(powers, channels))
+    powers = np.asarray(powers, dtype=float)
+    if not np.all(np.isfinite(powers) & (powers >= 0)):
+        raise InvalidInputError("powers must be non-negative finite numbers")
+    return float(_secrecy_rate(powers, *_bank_gains(channels)).sum())
 
 
 def awgn_waterfill(channels, budget, tol=1e-9):
     """Split a power budget across parallel AWGN links for maximum secrecy.
 
-    Bisects the threshold ``lam`` until ``sum_i power_at_lambda(ch_i, lam)``
-    meets the budget.  When no link has a strictly noisier eavesdropper the
-    budget is unusable and an all-zero allocation is returned.
+    Solves for the threshold ``lam`` at which the links' optimal powers sum
+    to the budget, running the search until its bracket collapses.  When no
+    link has a strictly noisier eavesdropper the budget is unusable and an
+    all-zero allocation is returned.
 
     Parameters
     ----------
@@ -166,8 +161,8 @@ def awgn_waterfill(channels, budget, tol=1e-9):
         Total power to distribute, > 0.
     tol : float
         Maximum allowed |allocated - budget| when at least one link is
-        eligible.  Bisection runs to bracket collapse, which lands far
-        inside the default 1e-9.
+        eligible.  Bracket collapse meets the default 1e-9 for budgets
+        below 2**23, whose float spacing is finer than that.
 
     Returns
     -------
@@ -178,50 +173,28 @@ def awgn_waterfill(channels, budget, tol=1e-9):
     InvalidInputError
         Empty bank or non-positive budget.
     NumericalError
-        Bisection could not meet ``tol`` (practically only reachable with
-        tol below float resolution).
+        The allocation misses the budget by more than ``tol`` (budgets whose
+        float spacing exceeds it, or tol below float resolution).
     """
     if len(channels) == 0:
         raise InvalidInputError("channel list must not be empty")
     if not (isinstance(budget, (int, float)) and math.isfinite(budget) and budget > 0):
         raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
 
-    eligible = [ch for ch in channels if ch.sigma_w_sq > ch.sigma_m_sq]
-    if not eligible:
-        powers = np.zeros(len(channels))
-        return AllocationResult(powers=powers, lam=0.0, sum_rate=0.0)
-
-    def total(lam):
-        return sum(power_at_lambda(ch, lam) for ch in channels)
-
-    # Above lam_hi every activation inequality fails, so total(lam_hi) == 0.
-    lam_hi = max(0.5 * (1.0 / ch.sigma_m_sq - 1.0 / ch.sigma_w_sq) for ch in eligible)
-    lam_lo = lam_hi
-    for _ in range(1200):
-        lam_lo *= 0.5
-        if total(lam_lo) >= budget:
-            break
-    else:
-        raise NumericalError("could not bracket the threshold from below")
-
-    lo, hi = lam_lo, lam_hi
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if total(mid) >= budget:
-            lo = mid
-        else:
-            hi = mid
-
-    lam = min((lo, hi), key=lambda v: abs(total(v) - budget))
-    powers = np.array([power_at_lambda(ch, lam) for ch in channels])
+    a, b = _bank_gains(channels)
+    powers = np.zeros(len(channels))
+    on = a > b
+    if not np.any(on):
+        return AllocationResult(powers=powers, lam=0.0, sum_rate=0.0, rates=powers.copy())
+    terms = _slot_terms(a[on], b[on])
+    t = _solve_threshold(terms, len(channels), budget / len(channels), 0.0)[0]
+    powers[on] = _slot_power(t, *terms)[0]
     residual = abs(powers.sum() - budget)
-    if residual > tol:
+    if not residual <= tol:
         raise NumericalError(
             f"budget residual {residual:.3e} exceeds tolerance {tol:.3e}")
-    return AllocationResult(powers=powers, lam=lam,
-                            sum_rate=sum_secrecy_rate(channels, powers))
+    rates = _secrecy_rate(powers, a, b)
+    return AllocationResult(powers=powers, lam=1.0 / t, sum_rate=float(rates.sum()), rates=rates)
 
 
 def _slot_power(t, g, s, g2, c):
@@ -264,6 +237,48 @@ def fading_power(policy, state):
     state : ChannelState
     """
     return float(_fading_power_array(policy.lam, state.a_draw, state.b_draw))
+
+
+def _solve_threshold(terms, n, target, residual_tol):
+    """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
+
+    ``terms`` are the :func:`_slot_terms` of the slots with ``a > b``; the
+    others spend nothing.  Stops once the mean power is within
+    ``residual_tol`` of the target, when the bracket collapses, or after
+    :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean power, evaluations)``
+    for the evaluated ``t`` whose mean power came closest to the target.
+    """
+    g, s, g2, c = terms
+
+    def mean_power_and_slope(t):
+        p, r = _slot_power(t, g, s, g2, c)
+        slope = np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
+        return float(p.sum()) / n, float(slope.sum()) / n
+
+    # Every slot spends at most t/2, so the mean power at lo is within target.
+    lo, hi = max(2.0 / float(g.max()), 2.0 * target), math.inf
+    t = lo
+    for iterations in range(1, _MAX_NEWTON + 1):
+        # Targets near the float limit overflow t*c; the callers' residual
+        # checks report them, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, slope = mean_power_and_slope(t)
+        residual = power - target
+        if iterations == 1 or abs(residual) < abs(best_p - target):
+            best_t, best_p = t, power
+        if abs(residual) <= residual_tol:
+            break
+        if residual < 0:
+            lo = t
+        else:
+            hi = t
+        step = t - residual / slope if slope > 0 else math.inf
+        if not lo < step < hi:
+            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if step == lo or step == hi:
+            break
+        t = step
+    return best_t, best_p, iterations
 
 
 def _draw_states(ch, samples, seed):
@@ -323,37 +338,10 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     keep = a > b
     if not np.any(keep):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
-    g, s, g2, c = _slot_terms(a[keep], b[keep])
+    terms = _slot_terms(a[keep], b[keep])
     del a, b, keep      # free the draws: the search needs only the slot terms
-
-    def mean_power_and_slope(t):
-        p, r = _slot_power(t, g, s, g2, c)
-        slope = np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
-        return float(p.sum()) / samples, float(slope.sum()) / samples
-
-    # Every slot spends at most t/2, so the mean power at lo is within budget.
-    lo, hi = max(2.0 / float(g.max()), 2.0 * avg_budget), math.inf
-    t = lo
-    for iterations in range(1, _MAX_NEWTON + 1):
-        # Budgets near the float limit overflow t*c; the contract check below
-        # reports them, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            power, slope = mean_power_and_slope(t)
-        residual = power - avg_budget
-        if iterations == 1 or abs(residual) < abs(best_p - avg_budget):
-            best_t, best_p = t, power
-        if abs(residual) <= _RESIDUAL_ULPS * math.ulp(avg_budget):
-            break
-        if residual < 0:
-            lo = t
-        else:
-            hi = t
-        step = t - residual / slope if slope > 0 else math.inf
-        if not lo < step < hi:
-            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        if step == lo or step == hi:
-            break
-        t = step
+    best_t, best_p, iterations = _solve_threshold(
+        terms, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget))
 
     if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
         raise NumericalError(
@@ -369,7 +357,7 @@ def _ergodic_estimate(ch, policy, samples, seed):
         raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
     a, b = _draw_states(ch, samples, seed)
     p = _fading_power_array(policy.lam, a, b)
-    rates = np.maximum(0.0, 0.5 * (np.log2(1.0 + p * a) - np.log2(1.0 + p * b)))
+    rates = _secrecy_rate(p, a, b)
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return estimate, stderr, float(p.mean())

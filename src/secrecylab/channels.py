@@ -10,13 +10,16 @@ data types used everywhere else plus the single-link secrecy-rate formulas:
   classification used by the cooperation machinery.
 
 All rates are in bits per channel use (base-2 logarithms) and negative
-secrecy rates clamp to zero, matching the capacity interpretation.
-Everything here is a pure function of its arguments and safe to call
-concurrently.
+secrecy rates clamp to zero, matching the capacity interpretation.  Both
+rates are one elementwise kernel in power gains (an AWGN link has gains
+``1/sigma_m_sq, 1/sigma_w_sq``).  Everything here is a pure function of its
+arguments and safe to call concurrently.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -105,6 +108,20 @@ class AgentChannel:
         _check_positive("eaves_snr", self.eaves_snr)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _secrecy_rate(p, a, b):
+    """Elementwise ``max(0, 1/2 log2((1 + p a) / (1 + p b)))`` for gains ``a, b``.
+
+    Where ``p a`` or ``p b`` overflows, the rate is taken in the equivalent
+    form ``1/2 (log2(a + 1/p) - log2(b + 1/p))``, which stays finite.
+    """
+    rate = 0.5 * np.log2((1.0 + np.multiply(p, a)) / (1.0 + np.multiply(p, b)))
+    if not np.isfinite(rate).all():
+        q = 1.0 / p
+        rate = np.where(np.isfinite(rate), rate, 0.5 * (np.log2(a + q) - np.log2(b + q)))
+    return np.maximum(rate, 0.0)
+
+
 def gaussian_secrecy_rate(power, ch):
     """Secrecy rate of one AWGN wiretap link at a given transmit power.
 
@@ -125,10 +142,7 @@ def gaussian_secrecy_rate(power, ch):
         Secrecy rate in bits per channel use, >= 0.
     """
     _check_nonnegative("power", power)
-    if power == 0:
-        return 0.0
-    ratio = (1.0 + power / ch.sigma_m_sq) / (1.0 + power / ch.sigma_w_sq)
-    return max(0.0, 0.5 * math.log2(ratio))
+    return float(_secrecy_rate(power, 1.0 / ch.sigma_m_sq, 1.0 / ch.sigma_w_sq))
 
 
 def instantaneous_fading_secrecy_rate(power, state):
@@ -145,11 +159,7 @@ def instantaneous_fading_secrecy_rate(power, state):
     state : ChannelState
     """
     _check_nonnegative("power", power)
-    if power == 0:
-        return 0.0
-    rate = 0.5 * (math.log2(1.0 + power * state.a_draw)
-                  - math.log2(1.0 + power * state.b_draw))
-    return max(0.0, rate)
+    return float(_secrecy_rate(power, state.a_draw, state.b_draw))
 
 
 def is_qualified(ch):

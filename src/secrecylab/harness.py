@@ -98,13 +98,12 @@ def _run_allocate(scenario, seed, budget):
     bank = [sc.channel for _pos, sc in entries]
     result = awgn_waterfill(bank, budget, tol=BUDGET_TOL)
     records = []
-    for (_pos, sc), power in zip(entries, result.powers):
+    for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
         ch = sc.channel
         records.append(ReportRecord(
             experiment="allocate", channel_id=sc.id,
             inputs={"sigma_m_sq": ch.sigma_m_sq, "sigma_w_sq": ch.sigma_w_sq},
-            outputs={"power": float(power),
-                     "rate_bits": gaussian_secrecy_rate(float(power), ch)},
+            outputs={"power": power, "rate_bits": rate},
             metadata=_meta(seed, budget_tol=BUDGET_TOL)))
     records.append(ReportRecord(
         experiment="allocate", channel_id="summary",

@@ -156,6 +156,75 @@ class TestWaterfill:
         with pytest.raises(InvalidInputError):
             awgn_waterfill([GaussianWiretapChannel(1.0, 2.0)], budget=-3.0)
 
+    def test_reports_per_link_rates(self):
+        rng = np.random.default_rng(19)
+        bank = random_bank(rng, n=8)
+        bank[0] = GaussianWiretapChannel(1.0, 3.0)
+        result = awgn_waterfill(bank, budget=6.0)
+        assert result.rates.tolist() == [gaussian_secrecy_rate(p, ch)
+                                         for p, ch in zip(result.powers.tolist(), bank)]
+        assert result.sum_rate == sum_secrecy_rate(bank, result.powers)
+        empty = awgn_waterfill([GaussianWiretapChannel(2.0, 1.0)], budget=1.0)
+        np.testing.assert_array_equal(empty.rates, [0.0])
+
+    @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
+    def test_matches_plain_bisection(self, budget):
+        """Bisection on lam over the textbook root, written out here."""
+        def textbook_powers(bank, lam):
+            out = []
+            for ch in bank:
+                n_delta = ch.sigma_w_sq - ch.sigma_m_sq
+                if n_delta > 0 and 1.0 / ch.sigma_m_sq - 1.0 / ch.sigma_w_sq > 2.0 * lam:
+                    n_sum = ch.sigma_w_sq + ch.sigma_m_sq
+                    out.append(0.5 * (math.sqrt(n_delta ** 2 + 2.0 * n_delta / lam) - n_sum))
+                else:
+                    out.append(0.0)
+            return np.array(out)
+
+        rng = np.random.default_rng(29)
+        checked = 0
+        while checked < 30:
+            bank = random_bank(rng, n=int(rng.integers(1, 7)), lo=0.2, hi=5.0)
+            if not any(ch.sigma_w_sq > ch.sigma_m_sq for ch in bank):
+                continue
+            hi = max(0.5 * (1.0 / ch.sigma_m_sq - 1.0 / ch.sigma_w_sq) for ch in bank)
+            lo = hi
+            while textbook_powers(bank, lo).sum() < budget:
+                lo *= 0.5
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
+                if textbook_powers(bank, mid).sum() >= budget:
+                    lo = mid
+                else:
+                    hi = mid
+            lam = min((lo, hi), key=lambda v: abs(textbook_powers(bank, v).sum() - budget))
+            result = awgn_waterfill(bank, budget)
+            assert result.lam == pytest.approx(lam, rel=1e-12)
+            np.testing.assert_allclose(result.powers, textbook_powers(bank, lam),
+                                       rtol=1e-9, atol=1e-12)
+            checked += 1
+
+    @given(exponent=st.floats(min_value=-30.0, max_value=30.0),
+           links=st.integers(min_value=1, max_value=5),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_budget_met_or_raises(self, exponent, links, seed):
+        budget = 10.0 ** exponent
+        bank = random_bank(np.random.default_rng(seed), n=links, lo=0.2, hi=5.0)
+        try:
+            result = awgn_waterfill(bank, budget)
+        except NumericalError:
+            return
+        assert np.all(np.isfinite(result.powers)) and np.all(result.powers >= 0.0)
+        assert math.isfinite(result.lam) and math.isfinite(result.sum_rate)
+        assert np.all(np.isfinite(result.rates))
+        if any(ch.sigma_w_sq > ch.sigma_m_sq for ch in bank):
+            residual = abs(result.powers.sum() - budget)
+            if not residual <= 1e-9:
+                pytest.fail(f"budget residual {residual!r} exceeds 1e-9")
+
 
 class TestSumSecrecyRate:
     def test_zero_powers(self):
@@ -182,6 +251,11 @@ class TestSumSecrecyRate:
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
             sum_secrecy_rate([GaussianWiretapChannel(1.0, 2.0)], [1.0, 2.0])
+
+    def test_rejects_invalid_powers(self):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                sum_secrecy_rate([GaussianWiretapChannel(1.0, 2.0)], [bad])
 
 
 FADING = FadingWiretapChannel(a=2.0, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)

@@ -18,6 +18,7 @@ from secrecylab import (
     is_qualified,
     to_agent_channel,
 )
+from secrecylab.channels import _secrecy_rate
 
 finite_positive = st.floats(min_value=1e-3, max_value=1e3,
                             allow_nan=False, allow_infinity=False)
@@ -106,6 +107,46 @@ class TestInstantaneousFadingRate:
     def test_negative_power_rejected(self):
         with pytest.raises(InvalidInputError):
             instantaneous_fading_secrecy_rate(-0.5, ChannelState(1.0, 1.0))
+
+
+class TestRateKernel:
+    """The one elementwise rate kernel behind both scalar rate formulas."""
+
+    HALF_LOG2_10 = 0.5 * math.log2(10.0)
+
+    def test_overflowing_snr_keeps_the_true_rate(self):
+        # p * a overflows to inf; the rate is 1/2 log2(a/b) in the limit.
+        ch = GaussianWiretapChannel(sigma_m_sq=1e-10, sigma_w_sq=1e-9)
+        assert abs(gaussian_secrecy_rate(1e300, ch) - self.HALF_LOG2_10) <= 1e-12
+        rate = instantaneous_fading_secrecy_rate(1e300, ChannelState(1e10, 1e9))
+        assert abs(rate - self.HALF_LOG2_10) <= 1e-12
+        vec = _secrecy_rate(np.array([1e300, 1.0]), np.array([1e10, 3.0]),
+                            np.array([1e9, 1.0]))
+        assert np.all(np.abs(vec - [self.HALF_LOG2_10, 0.5]) <= 1e-12)
+
+    def test_overflow_without_eavesdropper_gain_stays_finite(self):
+        rate = instantaneous_fading_secrecy_rate(1e300, ChannelState(1e10, 0.0))
+        assert rate == pytest.approx(0.5 * (math.log2(1e10) + math.log2(1e300)), rel=1e-15)
+
+    def test_overflow_with_eavesdropper_ahead_clamps_to_zero(self):
+        assert instantaneous_fading_secrecy_rate(1e300, ChannelState(1e9, 1e10)) == 0.0
+        assert instantaneous_fading_secrecy_rate(1e300, ChannelState(1e10, 1e10)) == 0.0
+
+    def test_scalar_wrappers_equal_the_vector_kernel(self):
+        rng = np.random.default_rng(12)
+        p = 10.0 ** rng.uniform(-20, 300, 400)
+        p[:5] = 0.0
+        a = 10.0 ** rng.uniform(-10, 10, 400)
+        b = 10.0 ** rng.uniform(-10, 10, 400)
+        b[5:10] = 0.0
+        vec = _secrecy_rate(p, a, b)
+        assert np.all(np.isfinite(vec)) and np.all(vec >= 0.0)
+        fading = [instantaneous_fading_secrecy_rate(x, ChannelState(y, z))
+                  for x, y, z in zip(p, a, b)]
+        np.testing.assert_array_equal(vec, fading)
+        gaussian = [gaussian_secrecy_rate(x, GaussianWiretapChannel(1.0 / y, 1.0 / z))
+                    for x, y, z in zip(p[10:], a[10:], b[10:])]
+        np.testing.assert_allclose(vec[10:], gaussian, rtol=1e-12, atol=1e-15)
 
 
 class TestQualification:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -65,6 +66,15 @@ class TestCommands:
         assert code == 0
         rows = csv_rows(out)
         assert [float(r["rate_bits"]) for r in rows] == pytest.approx([0.5, 0.5])
+
+    def test_rate_survives_overflowing_snr(self, tmp_path, capsys):
+        doc = {"schema_version": 1,
+               "channels": [{"type": "gaussian", "sigma_m_sq": 1e-10, "sigma_w_sq": 1e-9}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["rate", "--scenario", path, "--budget", "1e300"], capsys)
+        assert (code, err) == (0, "")
+        [row] = csv_rows(out)
+        assert float(row["rate_bits"]) == pytest.approx(0.5 * math.log2(10.0), abs=1e-11)
 
     def test_pair_reproduces_hand_traced_pairing(self, tmp_path, capsys):
         path = write(tmp_path, AGENT_TRIO)
