@@ -56,6 +56,7 @@ from .cooperation import (
     max_matching_oracle,
     pick_probability_monte_carlo,
     pr_picking_k,
+    qualified_rate,
 )
 from .errors import (
     InvalidInputError,

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import FadingWiretapChannel, _secrecy_rate
+from .channels import FadingWiretapChannel, _check_count, _check_positive, _secrecy_rate
 from .errors import InvalidInputError, NumericalError
 
 #: The threshold solver makes at most this many evaluations of the mean power.
@@ -52,6 +52,10 @@ _RESIDUAL_ULPS = 4
 #: Documented accuracy of fading calibration: the calibration-sample mean
 #: power is within this fraction of the average budget.
 FADING_BUDGET_REL_TOL = 0.01
+
+#: Default accuracy of the AWGN water-fill: the allocated powers sum to the
+#: budget within this absolute tolerance.
+AWGN_BUDGET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ class FadingPolicy:
     def __post_init__(self):
         if self.zero_secrecy:
             return
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
-            raise InvalidInputError(f"lam must be positive and finite, got {self.lam!r}")
+        _check_positive("lam", self.lam)
 
 
 def _bank_gains(channels):
@@ -122,8 +125,7 @@ def power_at_lambda(ch, lam):
     lam : float
         Threshold, > 0.
     """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam > 0):
-        raise InvalidInputError(f"lam must be positive and finite, got {lam!r}")
+    _check_positive("lam", lam)
     return float(_fading_power_array(lam, 1.0 / ch.sigma_m_sq, 1.0 / ch.sigma_w_sq))
 
 
@@ -145,7 +147,7 @@ def sum_secrecy_rate(channels, powers):
     return float(_secrecy_rate(powers, *_bank_gains(channels)).sum())
 
 
-def awgn_waterfill(channels, budget, tol=1e-9):
+def awgn_waterfill(channels, budget, tol=AWGN_BUDGET_TOL):
     """Split a power budget across parallel AWGN links for maximum secrecy.
 
     Solves for the threshold ``lam`` at which the links' optimal powers sum
@@ -178,8 +180,7 @@ def awgn_waterfill(channels, budget, tol=1e-9):
     """
     if len(channels) == 0:
         raise InvalidInputError("channel list must not be empty")
-    if not (isinstance(budget, (int, float)) and math.isfinite(budget) and budget > 0):
-        raise InvalidInputError(f"budget must be positive and finite, got {budget!r}")
+    _check_positive("budget", budget)
 
     a, b = _bank_gains(channels)
     powers = np.zeros(len(channels))
@@ -329,10 +330,8 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
         the threshold cannot resolve (around 1e-20 for unit-scale gains and
         1e4 samples), and for budgets so large that ``t`` overflows.
     """
-    if not (isinstance(avg_budget, (int, float)) and math.isfinite(avg_budget) and avg_budget > 0):
-        raise InvalidInputError(f"avg_budget must be positive and finite, got {avg_budget!r}")
-    if not (isinstance(samples, int) and samples >= 1):
-        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    _check_positive("avg_budget", avg_budget)
+    _check_count("samples", samples)
 
     a, b = _draw_states(ch, samples, seed)
     keep = a > b
@@ -353,8 +352,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
 
 def _ergodic_estimate(ch, policy, samples, seed):
     """Rate, standard error and mean spent power, all from one draw of states."""
-    if not (isinstance(samples, int) and samples >= 1):
-        raise InvalidInputError(f"samples must be a positive integer, got {samples!r}")
+    _check_count("samples", samples)
     a, b = _draw_states(ch, samples, seed)
     p = _fading_power_array(policy.lam, a, b)
     rates = _secrecy_rate(p, a, b)

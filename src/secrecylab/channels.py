@@ -29,6 +29,19 @@ def _check_positive(name, value):
         raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _check_count(name, value):
+    if not (isinstance(value, int) and value >= 1):
+        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_variance(name, value):
+    _check_positive(name, value)
+    if 1.0 / value == math.inf:
+        raise InvalidInputError(
+            f"{name} must be at least about 5.56e-309 so that its reciprocal is finite, "
+            f"got {value!r}")
+
+
 def _check_nonnegative(name, value):
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
         raise InvalidInputError(f"{name} must be a non-negative finite number, got {value!r}")
@@ -44,14 +57,18 @@ class GaussianWiretapChannel:
         Noise variance on the main (legitimate) channel, linear power units.
     sigma_w_sq : float
         Noise variance on the eavesdropper channel, linear power units.
+
+    Both variances must be large enough (about 5.56e-309 or more) that the
+    power gains ``1/sigma_m_sq, 1/sigma_w_sq`` the rate and power kernels
+    use are finite.
     """
 
     sigma_m_sq: float
     sigma_w_sq: float
 
     def __post_init__(self):
-        _check_positive("sigma_m_sq", self.sigma_m_sq)
-        _check_positive("sigma_w_sq", self.sigma_w_sq)
+        _check_variance("sigma_m_sq", self.sigma_m_sq)
+        _check_variance("sigma_w_sq", self.sigma_w_sq)
 
 
 @dataclass(frozen=True)

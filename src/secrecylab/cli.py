@@ -24,7 +24,7 @@ import os
 import sys
 
 from .errors import NumericalError, ScenarioError, UsageError
-from .harness import COMMANDS, run
+from .harness import COMMANDS, DEFAULT_GRID_STEP, DEFAULT_SAMPLES, run
 from .scenario import load_scenario, emit
 
 EXIT_OK = 0
@@ -50,14 +50,14 @@ def build_parser():
     parser.add_argument("--seed", type=int, metavar="N",
                         help=f"run seed; overrides ${SEED_ENV_VAR} and the scenario seed")
     parser.add_argument("--samples", type=int, metavar="N",
-                        help="Monte Carlo sample count (default 100000)")
+                        help=f"Monte Carlo sample count (default {DEFAULT_SAMPLES})")
     parser.add_argument("--budget", type=float, metavar="X",
                         help="total power budget: allocate enforces sum(P_i) == X "
                              "across the bank, fading commands target the average "
                              "spent power, rate applies X to each channel")
     parser.add_argument("--grid-step", type=float, metavar="X", dest="grid_step",
                         help="input-simplex resolution for discrete-capacity "
-                             "(default 1e-3)")
+                             f"(default {DEFAULT_GRID_STEP:g})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report format (default csv)")
     parser.add_argument("--out", metavar="PATH", default="-",

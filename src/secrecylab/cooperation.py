@@ -202,6 +202,32 @@ def max_matching_oracle(disqualified):
     return best[-1]
 
 
+def qualified_rate(ch):
+    """Secret rate and secrecy efficiency of an agent who needs no help.
+
+    The rate is ``log2(1+A) - log2(1+E)`` bits; the efficiency is the
+    fraction of the link's eavesdropper-free capacity that survives as that
+    rate, ``rate / log2(1+A)``.
+
+    Parameters
+    ----------
+    ch : AgentChannel
+        Must be qualified (``main_snr > eaves_snr``, strictly).
+
+    Returns
+    -------
+    (float, float)
+        ``(rate, efficiency)``.
+    """
+    if not ch.main_snr > ch.eaves_snr:
+        raise InvalidInputError(
+            f"agent {ch.id} is not qualified: main_snr {ch.main_snr} <= "
+            f"eaves_snr {ch.eaves_snr}")
+    cap = math.log2(1.0 + ch.main_snr)
+    rate = cap - math.log2(1.0 + ch.eaves_snr)
+    return rate, rate / cap
+
+
 def efficiency_qualified(ch):
     """Secrecy efficiency of an agent who needs no help.
 
@@ -214,12 +240,7 @@ def efficiency_qualified(ch):
     ch : AgentChannel
         Must be qualified (``main_snr > eaves_snr``, strictly).
     """
-    if not ch.main_snr > ch.eaves_snr:
-        raise InvalidInputError(
-            f"agent {ch.id} is not qualified: main_snr {ch.main_snr} <= "
-            f"eaves_snr {ch.eaves_snr}")
-    cap = math.log2(1.0 + ch.main_snr)
-    return (cap - math.log2(1.0 + ch.eaves_snr)) / cap
+    return qualified_rate(ch)[1]
 
 
 def efficiency_pair(helped, helper):

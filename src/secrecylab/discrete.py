@@ -23,7 +23,10 @@ _TINY = np.finfo(float).smallest_subnormal
 
 
 def _as_prob_matrix(name, m, ndim=2):
-    m = np.array(m, dtype=float)  # copy: stored matrices are frozen read-only
+    try:
+        m = np.array(m, dtype=float)  # copy: stored matrices are frozen read-only
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
     if m.ndim != ndim:
         raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):

@@ -8,13 +8,13 @@ channel from the run seed via ``numpy.random.SeedSequence`` spawn keys
 perturbs the draws of existing channels.
 """
 
-import math
 from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .allocation import (
+    AWGN_BUDGET_TOL,
     FADING_BUDGET_REL_TOL,
     awgn_waterfill,
     calibrate_fading_lambda,
@@ -23,21 +23,20 @@ from .allocation import (
 from .channels import gaussian_secrecy_rate
 from .cooperation import (
     classify,
-    efficiency_qualified,
     feasible_set,
     greedy_pairing,
     pr_picking_k,
+    qualified_rate,
 )
 from .discrete import max_secrecy_rate_grid
 from .errors import ScenarioValidationError, UsageError
-from .scenario import SCHEMA_VERSION, ReportRecord, load_scenario
+from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, ReportRecord, load_scenario
 
 COMMANDS = ("rate", "allocate", "allocate-fading", "ergodic", "pair",
             "discrete-capacity", "pick-prob", "fig4")
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID_STEP = 1e-3
-BUDGET_TOL = 1e-9
 
 
 def substream(seed, *key):
@@ -78,39 +77,52 @@ def _entries(scenario, kind, command):
     return entries
 
 
+def _agent_bank(scenario, command):
+    bank = [agent for _pos, agent in scenario.agent_bank()]
+    if not bank:
+        raise ScenarioValidationError(
+            f"command '{command}' needs 'agent-snr' or 'fading' channels")
+    return bank
+
+
+def _link_record(experiment, sc, outputs, metadata):
+    """A row about one scenario link; its inputs are the link's scenario fields."""
+    _cls, _check, fields = CHANNEL_SCHEMA[sc.kind]
+    return ReportRecord(experiment=experiment, channel_id=sc.id,
+                        inputs={key: getattr(sc.channel, key) for key in fields},
+                        outputs=outputs, metadata=metadata)
+
+
+def _agent_record(experiment, agent, seed, outputs):
+    """A row about one agent; its inputs are the agent's SNR pair."""
+    return ReportRecord(experiment=experiment, channel_id=agent.id,
+                        inputs={"A": agent.main_snr, "E": agent.eaves_snr},
+                        outputs=outputs, metadata=_meta(seed))
+
+
 def _run_rate(scenario, seed, budget):
-    power = _require_budget("rate", budget)
+    power = float(_require_budget("rate", budget))
     records = []
     for _pos, sc in _entries(scenario, "gaussian", "rate"):
-        ch = sc.channel
-        records.append(ReportRecord(
-            experiment="rate", channel_id=sc.id,
-            inputs={"sigma_m_sq": ch.sigma_m_sq, "sigma_w_sq": ch.sigma_w_sq},
-            outputs={"power": float(power),
-                     "rate_bits": gaussian_secrecy_rate(power, ch)},
-            metadata=_meta(seed)))
+        outputs = {"power": power, "rate_bits": gaussian_secrecy_rate(power, sc.channel)}
+        records.append(_link_record("rate", sc, outputs, _meta(seed)))
     return records
 
 
 def _run_allocate(scenario, seed, budget):
     budget = _require_budget("allocate", budget)
     entries = _entries(scenario, "gaussian", "allocate")
-    bank = [sc.channel for _pos, sc in entries]
-    result = awgn_waterfill(bank, budget, tol=BUDGET_TOL)
+    result = awgn_waterfill([sc.channel for _pos, sc in entries], budget, tol=AWGN_BUDGET_TOL)
     records = []
     for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
-        ch = sc.channel
-        records.append(ReportRecord(
-            experiment="allocate", channel_id=sc.id,
-            inputs={"sigma_m_sq": ch.sigma_m_sq, "sigma_w_sq": ch.sigma_w_sq},
-            outputs={"power": power, "rate_bits": rate},
-            metadata=_meta(seed, budget_tol=BUDGET_TOL)))
+        records.append(_link_record("allocate", sc, {"power": power, "rate_bits": rate},
+                                    _meta(seed, budget_tol=AWGN_BUDGET_TOL)))
     records.append(ReportRecord(
         experiment="allocate", channel_id="summary",
         outputs={"power": float(result.powers.sum()),
                  "rate_bits": result.sum_rate,
                  "lambda": result.lam},
-        metadata=_meta(seed, budget_tol=BUDGET_TOL)))
+        metadata=_meta(seed, budget_tol=AWGN_BUDGET_TOL)))
     return records
 
 
@@ -129,57 +141,30 @@ def _fading_records(scenario, seed, budget, samples, command, estimate):
         metadata = _meta(seed, avg_budget_rel_tol=FADING_BUDGET_REL_TOL, samples=samples)
         metadata.update(calibration_iterations=policy.iterations,
                         achieved_power=policy.avg_power)
-        records.append(ReportRecord(
-            experiment=command, channel_id=sc.id,
-            inputs={"a": ch.a, "b": ch.b,
-                    "sigma_m_sq": ch.sigma_m_sq, "sigma_w_sq": ch.sigma_w_sq},
-            outputs=outputs, metadata=metadata))
+        records.append(_link_record(command, sc, outputs, metadata))
     return records
 
 
 def _run_pair(scenario, seed, experiment):
-    bank_entries = scenario.agent_bank()
-    if not bank_entries:
-        raise ScenarioValidationError(
-            f"command '{experiment}' needs 'agent-snr' or 'fading' channels")
-    bank = [agent for _pos, agent in bank_entries]
+    bank = _agent_bank(scenario, experiment)
     qualified, disqualified = classify(bank)
     plan = greedy_pairing(disqualified)
-    qualified_ids = {agent.id for agent in qualified}
-    helped_ids = {helped for helped, _helper in plan.pairs}
-    helper_ids = {helper for _helped, helper in plan.pairs}
+    roles = {agent.id: "qualified" for agent in qualified}
+    for helped, helper in plan.pairs:
+        roles[helped], roles[helper] = "helped", "helper"
 
     records = []
     for agent in bank:
-        if agent.id in qualified_ids:
-            role = "qualified"
-            outputs = {
-                "qualified": True,
-                "role": role,
-                "rate_bits": math.log2(1 + agent.main_snr) - math.log2(1 + agent.eaves_snr),
-                "efficiency": efficiency_qualified(agent),
-            }
-        else:
-            if agent.id in helped_ids:
-                role = "helped"
-            elif agent.id in helper_ids:
-                role = "helper"
-            else:
-                role = "unpaired"
-            outputs = {"qualified": False, "role": role}
-        records.append(ReportRecord(
-            experiment=experiment, channel_id=agent.id,
-            inputs={"A": agent.main_snr, "E": agent.eaves_snr},
-            outputs=outputs, metadata=_meta(seed)))
+        role = roles.get(agent.id, "unpaired")
+        outputs = {"qualified": role == "qualified", "role": role}
+        if role == "qualified":
+            outputs["rate_bits"], outputs["efficiency"] = qualified_rate(agent)
+        records.append(_agent_record(experiment, agent, seed, outputs))
 
     by_id = {agent.id: agent for agent in bank}
-    for helped, helper in plan.pairs:
-        records.append(ReportRecord(
-            experiment=experiment, channel_id=helped,
-            inputs={"A": by_id[helped].main_snr, "E": by_id[helped].eaves_snr},
-            outputs={"pair_with": helper,
-                     "efficiency": plan.efficiencies[(helped, helper)]},
-            metadata=_meta(seed)))
+    for pair in plan.pairs:
+        records.append(_agent_record(experiment, by_id[pair[0]], seed, {
+            "pair_with": pair[1], "efficiency": plan.efficiencies[pair]}))
     return records
 
 
@@ -195,22 +180,11 @@ def _run_discrete(scenario, seed, grid_step):
 
 
 def _run_pick_prob(scenario, seed):
-    bank_entries = scenario.agent_bank()
-    if not bank_entries:
-        raise ScenarioValidationError(
-            "command 'pick-prob' needs 'agent-snr' or 'fading' channels")
-    bank = [agent for _pos, agent in bank_entries]
-    _qualified, disqualified = classify(bank)
+    _qualified, disqualified = classify(_agent_bank(scenario, "pick-prob"))
     sets = [feasible_set(agent.id, disqualified) for agent in disqualified]
-
-    records = []
-    for agent, fs in zip(disqualified, sets):
-        records.append(ReportRecord(
-            experiment="pick-prob", channel_id=agent.id,
-            inputs={"A": agent.main_snr, "E": agent.eaves_snr},
-            outputs={"feasible_set_size": len(fs),
-                     "feasible_members": list(fs.members)},
-            metadata=_meta(seed)))
+    records = [_agent_record("pick-prob", agent, seed, {
+                   "feasible_set_size": len(fs), "feasible_members": list(fs.members)})
+               for agent, fs in zip(disqualified, sets)]
 
     contested = next((i for i, fs in enumerate(sets) if len(fs) == 1), None)
     summary_outputs = {"pick_probability": None}

@@ -35,7 +35,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .channels import AgentChannel, FadingWiretapChannel, GaussianWiretapChannel
+from .channels import (
+    AgentChannel,
+    FadingWiretapChannel,
+    GaussianWiretapChannel,
+    to_agent_channel,
+)
 from .discrete import DiscreteWiretapChannel
 from .errors import InvalidInputError, ScenarioSyntaxError, ScenarioValidationError
 
@@ -46,12 +51,6 @@ CSV_COLUMNS = ("experiment", "channel_id", "A", "E", "power", "rate_bits",
                "pair_with", "efficiency", "seed")
 
 _TOP_LEVEL_KEYS = {"schema_version", "seed", "budget", "samples", "channels"}
-_CHANNEL_KEYS = {
-    "gaussian": {"type", "id", "sigma_m_sq", "sigma_w_sq"},
-    "fading": {"type", "id", "a", "b", "sigma_m_sq", "sigma_w_sq"},
-    "agent-snr": {"type", "id", "main_snr", "eaves_snr"},
-    "discrete": {"type", "id", "main", "eaves"},
-}
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,6 @@ class Scenario:
         Covers ``agent-snr`` entries directly and ``fading`` entries through
         their noise-normalized SNRs.
         """
-        from .channels import to_agent_channel
-
         bank = []
         for pos, sc in enumerate(self.channels):
             if sc.kind == "agent-snr":
@@ -113,51 +110,53 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _require_number(ctx, entry, key, positive=True):
-    if key not in entry:
-        raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
-    v = entry[key]
+def _require_number(ctx, key, v):
     if not _is_number(v) or not math.isfinite(v):
         raise ScenarioValidationError(
             f"{ctx}.{key}: expected a finite number, got {v!r}")
-    if positive and v <= 0:
+    if v <= 0:
         raise ScenarioValidationError(
             f"{ctx}.{key}: expected a positive value, got {v!r}")
     return float(v)
 
 
-def _build_channel(ctx, entry):
+def _as_given(ctx, key, v):
+    return v
+
+
+#: Each channel ``type``: the class it builds, the check each required field
+#: passes (``_as_given`` leaves the check to the class), and the required
+#: fields in the class's argument order.  An entry may also carry ``type``
+#: and ``id``; an ``agent-snr`` channel takes its id as its first argument.
+CHANNEL_SCHEMA = {
+    "gaussian": (GaussianWiretapChannel, _require_number, ("sigma_m_sq", "sigma_w_sq")),
+    "fading": (FadingWiretapChannel, _require_number, ("a", "b", "sigma_m_sq", "sigma_w_sq")),
+    "agent-snr": (AgentChannel, _require_number, ("main_snr", "eaves_snr")),
+    "discrete": (DiscreteWiretapChannel, _as_given, ("main", "eaves")),
+}
+_ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, _, fields) in CHANNEL_SCHEMA.items()}
+
+
+def _channel_args(ctx, entry):
+    """An entry's type, the class it builds and its checked field values."""
+    if not isinstance(entry, dict):
+        raise ScenarioValidationError(f"{ctx}: expected an object")
     kind = entry.get("type")
-    if kind not in _CHANNEL_KEYS:
+    if kind not in CHANNEL_SCHEMA:
         raise ScenarioValidationError(
             f"{ctx}.type: unknown channel type {kind!r}; expected one of "
-            f"{sorted(_CHANNEL_KEYS)}")
-    unknown = set(entry) - _CHANNEL_KEYS[kind]
-    if unknown:
+            f"{sorted(CHANNEL_SCHEMA)}")
+    if not _ALLOWED_KEYS[kind].issuperset(entry):
+        unknown = sorted(set(entry) - _ALLOWED_KEYS[kind])
         raise ScenarioValidationError(
-            f"{ctx}: unknown field(s) {sorted(unknown)} for type {kind!r}")
-    try:
-        if kind == "gaussian":
-            return GaussianWiretapChannel(
-                sigma_m_sq=_require_number(ctx, entry, "sigma_m_sq"),
-                sigma_w_sq=_require_number(ctx, entry, "sigma_w_sq"))
-        if kind == "fading":
-            return FadingWiretapChannel(
-                a=_require_number(ctx, entry, "a"),
-                b=_require_number(ctx, entry, "b"),
-                sigma_m_sq=_require_number(ctx, entry, "sigma_m_sq"),
-                sigma_w_sq=_require_number(ctx, entry, "sigma_w_sq"))
-        if kind == "agent-snr":
-            return AgentChannel(
-                id=0,  # replaced after id resolution
-                main_snr=_require_number(ctx, entry, "main_snr"),
-                eaves_snr=_require_number(ctx, entry, "eaves_snr"))
-        for key in ("main", "eaves"):
-            if key not in entry:
-                raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
-        return DiscreteWiretapChannel(main=entry["main"], eaves=entry["eaves"])
-    except InvalidInputError as exc:
-        raise ScenarioValidationError(f"{ctx}: {exc}") from exc
+            f"{ctx}: unknown field(s) {unknown} for type {kind!r}")
+    cls, check, fields = CHANNEL_SCHEMA[kind]
+    args = []
+    for key in fields:
+        if key not in entry:
+            raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
+        args.append(check(ctx, key, entry[key]))
+    return kind, cls, args
 
 
 def parse_scenario(doc, source="<scenario>"):
@@ -204,19 +203,18 @@ def parse_scenario(doc, source="<scenario>"):
     seen_ids = set()
     for pos, entry in enumerate(raw_channels):
         ctx = f"{source}.channels[{pos}]"
-        if not isinstance(entry, dict):
-            raise ScenarioValidationError(f"{ctx}: expected an object")
-        built = _build_channel(ctx, entry)
+        kind, cls, args = _channel_args(ctx, entry)
         cid = entry.get("id", pos + 1)
+        try:
+            built = cls(cid, *args) if cls is AgentChannel else cls(*args)
+        except InvalidInputError as exc:
+            raise ScenarioValidationError(f"{ctx}: {exc}") from exc
         if not isinstance(cid, int) or isinstance(cid, bool):
             raise ScenarioValidationError(f"{ctx}.id: expected an integer, got {cid!r}")
         if cid in seen_ids:
             raise ScenarioValidationError(f"{ctx}.id: duplicate channel id {cid}")
         seen_ids.add(cid)
-        if isinstance(built, AgentChannel):
-            built = AgentChannel(id=cid, main_snr=built.main_snr,
-                                 eaves_snr=built.eaves_snr)
-        channels.append(ScenarioChannel(kind=entry["type"], id=cid, channel=built))
+        channels.append(ScenarioChannel(kind=kind, id=cid, channel=built))
 
     return Scenario(channels=tuple(channels), seed=seed, budget=budget,
                     samples=samples)

@@ -300,6 +300,29 @@ class TestExitCodes:
         assert out == ""
         assert "1e-120" in err
 
+    @pytest.mark.parametrize("sigma_w_sq", [1.0, 1e-320])
+    def test_subnormal_variance_is_validation_error(self, tmp_path, capsys, sigma_w_sq):
+        """A variance whose reciprocal overflows is rejected, not reported as inf/nan."""
+        doc = {"schema_version": 1,
+               "channels": [{"type": "gaussian", "sigma_m_sq": 1e-320,
+                             "sigma_w_sq": sigma_w_sq}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["rate", "--scenario", path, "--budget", "1",
+                                  "--format", "json"], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "channels[0]" in err and "sigma_m_sq" in err
+
+    def test_smallest_normal_variances_give_a_finite_rate(self, tmp_path, capsys):
+        doc = {"schema_version": 1,
+               "channels": [{"type": "gaussian", "sigma_m_sq": 1e-308, "sigma_w_sq": 1.0}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["rate", "--scenario", path, "--budget", "1"], capsys)
+        assert (code, err) == (0, "")
+        [row] = csv_rows(out)
+        expected = 0.5 * (math.log2(1.0 + 1e308) - 1.0)
+        assert float(row["rate_bits"]) == pytest.approx(expected, rel=1e-11)
+
     def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
         path = write(tmp_path, AGENT_TRIO)
         code, _, _ = run_cli(["pair", "--scenario", path,

@@ -1,5 +1,7 @@
 """Classification, greedy helper pairing, matching oracle, efficiencies."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from secrecylab import (
     max_matching_oracle,
     pick_probability_monte_carlo,
     pr_picking_k,
+    qualified_rate,
 )
 
 
@@ -241,10 +244,19 @@ class TestEfficiencies:
         assert eff == pytest.approx(0.0, abs=1e-9)
 
     def test_disqualified_agent_rejected(self):
-        with pytest.raises(InvalidInputError):
-            efficiency_qualified(AgentChannel(id=1, main_snr=1.0, eaves_snr=1.0))
-        with pytest.raises(InvalidInputError):
-            efficiency_qualified(AgentChannel(id=1, main_snr=1.0, eaves_snr=2.0))
+        for fn in (efficiency_qualified, qualified_rate):
+            with pytest.raises(InvalidInputError):
+                fn(AgentChannel(id=1, main_snr=1.0, eaves_snr=1.0))
+            with pytest.raises(InvalidInputError):
+                fn(AgentChannel(id=1, main_snr=1.0, eaves_snr=2.0))
+
+    def test_qualified_rate_and_efficiency_share_one_formula(self):
+        rng = np.random.default_rng(83)
+        for a, e in rng.uniform(0.01, 50.0, size=(200, 2)).tolist():
+            agent = AgentChannel(id=1, main_snr=max(a, e) * 1.5, eaves_snr=min(a, e))
+            rate, eff = qualified_rate(agent)
+            assert rate == math.log2(1 + agent.main_snr) - math.log2(1 + agent.eaves_snr)
+            assert eff == efficiency_qualified(agent) == rate / math.log2(1 + agent.main_snr)
 
     def test_pair_hand_values(self):
         helped = AgentChannel(id=1, main_snr=1.0, eaves_snr=2.0)

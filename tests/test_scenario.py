@@ -110,6 +110,75 @@ class TestLoadScenario:
             load_scenario(write_scenario(tmp_path, doc))
 
 
+#: One valid entry per channel type.
+VALID_ENTRIES = {
+    "gaussian": {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": 3.0},
+    "fading": {"type": "fading", "a": 2.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0},
+    "agent-snr": {"type": "agent-snr", "main_snr": 1.0, "eaves_snr": 2.5},
+    "discrete": {"type": "discrete", "main": [[0.9, 0.1], [0.1, 0.9]],
+                 "eaves": [[0.7, 0.3], [0.3, 0.7]]},
+}
+
+MISSING = object()
+
+
+def bad_fields():
+    """(type, field, bad value, expected message) for each required field."""
+    def case(kind, key, value, message):
+        label = "missing" if value is MISSING else repr(value)
+        return pytest.param(kind, key, value, message, id=f"{kind}.{key}={label}")
+
+    for kind, entry in VALID_ENTRIES.items():
+        for key in sorted(set(entry) - {"type"}):
+            field = rf"channels\[1\]\.{key}: "
+            yield case(kind, key, MISSING, field + "missing required field")
+            if kind == "discrete":
+                continue
+            for value in ("1.0", True, None, float("inf"), float("nan")):
+                yield case(kind, key, value, field + "expected a finite number")
+            for value in (0.0, -2.5):
+                yield case(kind, key, value, field + "expected a positive value")
+    for key in ("main", "eaves"):
+        field = rf"channels\[1\]: {key} "
+        for value in ([["x", 1.0], [0.1, 0.9]], [[{}, 1.0], [0.1, 0.9]], [[0.9, 0.1], [1.0]]):
+            yield case("discrete", key, value, field + "must be a rectangular array of numbers")
+        yield case("discrete", key, [[-0.3, 1.3], [0.3, 0.7]], field + "contains negative entries")
+
+
+class TestChannelFields:
+    """Every channel type's bad fields raise errors naming channels[i] and the field."""
+
+    @staticmethod
+    def load_second(tmp_path, entry):
+        doc = {"schema_version": 1, "channels": [VALID_ENTRIES["gaussian"], entry]}
+        return load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("kind", sorted(VALID_ENTRIES))
+    def test_valid_entry_loads(self, tmp_path, kind):
+        scenario = self.load_second(tmp_path, VALID_ENTRIES[kind])
+        assert (scenario.channels[1].kind, scenario.channels[1].id) == (kind, 2)
+
+    @pytest.mark.parametrize("kind, key, value, message", list(bad_fields()))
+    def test_bad_field(self, tmp_path, kind, key, value, message):
+        entry = {k: v for k, v in VALID_ENTRIES[kind].items() if k != key}
+        if value is not MISSING:
+            entry[key] = value
+        with pytest.raises(ScenarioValidationError, match=message):
+            self.load_second(tmp_path, entry)
+
+    @pytest.mark.parametrize("kind", sorted(VALID_ENTRIES))
+    def test_unknown_type(self, tmp_path, kind):
+        entry = dict(VALID_ENTRIES[kind], type=kind.upper())
+        with pytest.raises(ScenarioValidationError,
+                           match=r"channels\[1\]\.type: unknown channel type"):
+            self.load_second(tmp_path, entry)
+
+    @pytest.mark.parametrize("kind", sorted(VALID_ENTRIES))
+    def test_unknown_field(self, tmp_path, kind):
+        with pytest.raises(ScenarioValidationError, match=r"channels\[1\]: .*'extra'"):
+            self.load_second(tmp_path, dict(VALID_ENTRIES[kind], extra=1.0))
+
+
 class TestBundledScenario:
     def test_fig4_scenario_parses_and_classifies(self):
         scenario = load_scenario(bundled_scenario_path("fig4.scenario"))
