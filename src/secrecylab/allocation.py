@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import FadingWiretapChannel, _check_count, _check_positive, _secrecy_rate
-from .errors import InvalidInputError, NumericalError
+from .channels import FadingWiretapChannel, _secrecy_rate
+from .errors import InvalidInputError, NumericalError, _check_count, _check_positive
 
 #: The threshold solver makes at most this many evaluations of the mean power.
 _MAX_NEWTON = 200
@@ -53,8 +53,8 @@ _RESIDUAL_ULPS = 4
 #: power is within this fraction of the average budget.
 FADING_BUDGET_REL_TOL = 0.01
 
-#: Default accuracy of the AWGN water-fill: the allocated powers sum to the
-#: budget within this absolute tolerance.
+#: Accuracy of the AWGN water-fill: the allocated powers sum to the budget
+#: within this absolute tolerance.
 AWGN_BUDGET_TOL = 1e-9
 
 
@@ -147,13 +147,16 @@ def sum_secrecy_rate(channels, powers):
     return float(_secrecy_rate(powers, *_bank_gains(channels)).sum())
 
 
-def awgn_waterfill(channels, budget, tol=AWGN_BUDGET_TOL):
+def awgn_waterfill(channels, budget):
     """Split a power budget across parallel AWGN links for maximum secrecy.
 
     Solves for the threshold ``lam`` at which the links' optimal powers sum
-    to the budget, running the search until its bracket collapses.  When no
-    link has a strictly noisier eavesdropper the budget is unusable and an
-    all-zero allocation is returned.
+    to the budget, running the search until its bracket collapses.  When at
+    least one link is eligible, the powers sum to the budget within
+    :data:`AWGN_BUDGET_TOL` (1e-9); bracket collapse meets it for budgets
+    below 2**23, whose float spacing is finer than that.  When no link has a
+    strictly noisier eavesdropper the budget is unusable and an all-zero
+    allocation is returned.
 
     Parameters
     ----------
@@ -161,10 +164,6 @@ def awgn_waterfill(channels, budget, tol=AWGN_BUDGET_TOL):
         At least one link.
     budget : float
         Total power to distribute, > 0.
-    tol : float
-        Maximum allowed |allocated - budget| when at least one link is
-        eligible.  Bracket collapse meets the default 1e-9 for budgets
-        below 2**23, whose float spacing is finer than that.
 
     Returns
     -------
@@ -175,8 +174,8 @@ def awgn_waterfill(channels, budget, tol=AWGN_BUDGET_TOL):
     InvalidInputError
         Empty bank or non-positive budget.
     NumericalError
-        The allocation misses the budget by more than ``tol`` (budgets whose
-        float spacing exceeds it, or tol below float resolution).
+        The allocation misses the budget by more than
+        :data:`AWGN_BUDGET_TOL` (budgets whose float spacing exceeds it).
     """
     if len(channels) == 0:
         raise InvalidInputError("channel list must not be empty")
@@ -191,9 +190,9 @@ def awgn_waterfill(channels, budget, tol=AWGN_BUDGET_TOL):
     t = _solve_threshold(terms, len(channels), budget / len(channels), 0.0)[0]
     powers[on] = _slot_power(t, *terms)[0]
     residual = abs(powers.sum() - budget)
-    if not residual <= tol:
+    if not residual <= AWGN_BUDGET_TOL:
         raise NumericalError(
-            f"budget residual {residual:.3e} exceeds tolerance {tol:.3e}")
+            f"budget residual {residual:.3e} exceeds tolerance {AWGN_BUDGET_TOL:.3e}")
     rates = _secrecy_rate(powers, a, b)
     return AllocationResult(powers=powers, lam=1.0 / t, sum_rate=float(rates.sum()), rates=rates)
 

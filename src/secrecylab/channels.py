@@ -21,30 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _check_nonnegative, _check_positive
 
 
-def _check_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
-
-
-def _check_count(name, value):
-    if not (isinstance(value, int) and value >= 1):
-        raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
-
-
-def _check_variance(name, value):
-    _check_positive(name, value)
-    if 1.0 / value == math.inf:
+def _check_gain(field, formula, gain):
+    """A link's power gain, derived from ``field``, must be a positive finite float."""
+    if not 0.0 < gain < math.inf:
         raise InvalidInputError(
-            f"{name} must be at least about 5.56e-309 so that its reciprocal is finite, "
-            f"got {value!r}")
-
-
-def _check_nonnegative(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
-        raise InvalidInputError(f"{name} must be a non-negative finite number, got {value!r}")
+            f"{field}: expected a positive finite power gain {formula}, got {gain!r}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +51,10 @@ class GaussianWiretapChannel:
     sigma_w_sq: float
 
     def __post_init__(self):
-        _check_variance("sigma_m_sq", self.sigma_m_sq)
-        _check_variance("sigma_w_sq", self.sigma_w_sq)
+        _check_positive("sigma_m_sq", self.sigma_m_sq)
+        _check_positive("sigma_w_sq", self.sigma_w_sq)
+        _check_gain("sigma_m_sq", "1/sigma_m_sq", 1.0 / self.sigma_m_sq)
+        _check_gain("sigma_w_sq", "1/sigma_w_sq", 1.0 / self.sigma_w_sq)
 
 
 @dataclass(frozen=True)
@@ -81,7 +67,8 @@ class FadingWiretapChannel:
     distributed power).  The per-slot rate and power formulas treat the drawn
     gains as effective, noise-normalized SNR factors; ``sigma_m_sq`` and
     ``sigma_w_sq`` enter only the static qualification test
-    (:func:`is_qualified`, :func:`to_agent_channel`).
+    (:func:`is_qualified`, :func:`to_agent_channel`), whose power gains
+    ``a/sigma_m_sq, b/sigma_w_sq`` must be positive finite floats.
     """
 
     a: float
@@ -94,6 +81,8 @@ class FadingWiretapChannel:
         _check_positive("b", self.b)
         _check_positive("sigma_m_sq", self.sigma_m_sq)
         _check_positive("sigma_w_sq", self.sigma_w_sq)
+        _check_gain("sigma_m_sq", "a/sigma_m_sq", self.a / self.sigma_m_sq)
+        _check_gain("sigma_w_sq", "b/sigma_w_sq", self.b / self.sigma_w_sq)
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,21 @@ pick-prob, fig4.  ``fig4`` runs the bundled nine-agent cooperation scenario
 scenario is given.
 
 Seed priority: ``--seed`` beats the ``SECRECY_LAB_SEED`` environment
-variable, which beats the scenario's ``seed`` field (default 0).
+variable, which beats the scenario's ``seed`` field (default 0).  Each is a
+64-bit unsigned integer.
 
 Exit codes: 0 success; 2 usage error (bad arguments, missing required
-option, negative seed); 3 validation error (unreadable or invalid scenario,
-content mismatch, unwritable output); 4 numerical failure (a solver missed
-its tolerance, such as a fading budget missed by more than 1 %).
+option, a seed outside [0, 2**64)); 3 validation error (unreadable or
+invalid scenario, content mismatch, unwritable output); 4 numerical failure
+(a solver missed its tolerance, such as a fading budget missed by more than
+1 %).
 """
 
 import argparse
 import os
 import sys
 
-from .errors import NumericalError, ScenarioError, UsageError
+from .errors import InvalidInputError, NumericalError, ScenarioError, UsageError, _check_seed
 from .harness import COMMANDS, DEFAULT_GRID_STEP, DEFAULT_SAMPLES, run
 from .scenario import load_scenario, emit
 
@@ -66,20 +68,19 @@ def build_parser():
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        name, seed = "--seed", args.seed
-    else:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, seed = f"${SEED_ENV_VAR}", os.environ.get(SEED_ENV_VAR)
+        if seed is None:
             return None
-        name = f"${SEED_ENV_VAR}"
         try:
-            seed = int(env)
+            seed = int(seed)
         except ValueError:
-            raise UsageError(f"{name} must be an integer, got {env!r}") from None
-    if seed < 0:
-        raise UsageError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
+            pass  # not an integer: the seed check rejects it by name
+    try:
+        return _check_seed(name, seed)
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def main(argv=None):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidPairError, UnsupportedSizeError
+from .errors import InvalidInputError, InvalidPairError, UnsupportedSizeError, _check_count
 
 #: Exhaustive matching uses a bitmask table of size 2**k.
 _MAX_ORACLE_AGENTS = 12
@@ -202,6 +202,11 @@ def max_matching_oracle(disqualified):
     return best[-1]
 
 
+def _capacity(snr):
+    """``log2(1 + snr)`` in bits, through ``log1p`` so that a tiny SNR keeps its value."""
+    return math.log1p(snr) / math.log(2.0)
+
+
 def qualified_rate(ch):
     """Secret rate and secrecy efficiency of an agent who needs no help.
 
@@ -223,8 +228,8 @@ def qualified_rate(ch):
         raise InvalidInputError(
             f"agent {ch.id} is not qualified: main_snr {ch.main_snr} <= "
             f"eaves_snr {ch.eaves_snr}")
-    cap = math.log2(1.0 + ch.main_snr)
-    rate = cap - math.log2(1.0 + ch.eaves_snr)
+    cap = _capacity(ch.main_snr)
+    rate = cap - _capacity(ch.eaves_snr)
     return rate, rate / cap
 
 
@@ -261,9 +266,8 @@ def efficiency_pair(helped, helper):
             f"pair ({helped.id}, {helper.id}) violates the jamming margin: "
             f"need helper main_snr > helped eaves_snr > helped main_snr, got "
             f"{helper.main_snr} / {helped.eaves_snr} / {helped.main_snr}")
-    c_helped = math.log2(1.0 + helped.main_snr)
-    c_helper = math.log2(1.0 + helper.main_snr)
-    return c_helped / (c_helped + c_helper)
+    c_helped = _capacity(helped.main_snr)
+    return c_helped / (c_helped + _capacity(helper.main_snr))
 
 
 def pr_picking_k(set_sizes):
@@ -284,8 +288,7 @@ def pr_picking_k(set_sizes):
     sizes = list(set_sizes)
     miss = 1.0
     for s in sizes:
-        if not (isinstance(s, (int, np.integer)) and s >= 1):
-            raise InvalidInputError(f"set sizes must be integers >= 1, got {s!r}")
+        _check_count("set size", s)
         miss *= (s - 1) / s
     if not sizes:
         return 0.0
@@ -311,8 +314,7 @@ def pick_probability_monte_carlo(sets, target_id, trials, seed):
         >= 1.
     seed : int or numpy.random.SeedSequence
     """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise InvalidInputError(f"trials must be a positive integer, got {trials!r}")
+    _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(trials):

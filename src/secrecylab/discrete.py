@@ -24,16 +24,27 @@ _TINY = np.finfo(float).smallest_subnormal
 
 def _as_prob_matrix(name, m, ndim=2):
     try:
+        if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(m, dtype=object).flat):
+            raise TypeError("booleans are not numbers")
         m = np.array(m, dtype=float)  # copy: stored matrices are frozen read-only
     except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be a rectangular array of numbers") from None
+        raise InvalidInputError(f"{name}: must be a rectangular array of numbers") from None
     if m.ndim != ndim:
-        raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {m.shape}")
+        raise InvalidInputError(f"{name}: must be {ndim}-dimensional, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
+        raise InvalidInputError(f"{name}: contains non-finite entries")
     if np.any(m < 0):
-        raise InvalidInputError(f"{name} contains negative entries")
+        raise InvalidInputError(f"{name}: contains negative entries")
     return m
+
+
+def _as_distribution(name, p, ndim=2):
+    """A probability array, as :func:`_as_prob_matrix`, whose entries sum to 1."""
+    p = _as_prob_matrix(name, p, ndim)
+    if abs(p.sum() - 1.0) > _NORM_TOL:
+        raise InvalidInputError(
+            f"{name}: must sum to 1 within {_NORM_TOL}, got sum {p.sum()!r}")
+    return p
 
 
 class DiscretePmf:
@@ -43,11 +54,7 @@ class DiscretePmf:
     """
 
     def __init__(self, probs):
-        probs = _as_prob_matrix("probs", probs, ndim=1)
-        if abs(probs.sum() - 1.0) > _NORM_TOL:
-            raise InvalidInputError(
-                f"probs must sum to 1 within {_NORM_TOL}, got sum {probs.sum()!r}")
-        self.probs = probs
+        self.probs = _as_distribution("probs", probs, ndim=1)
         self.probs.setflags(write=False)
 
     def __len__(self):
@@ -70,13 +77,13 @@ class DiscreteWiretapChannel:
         eaves = _as_prob_matrix("eaves", eaves)
         if main.shape[0] != eaves.shape[0]:
             raise InvalidInputError(
-                f"main and eaves must share the input alphabet: "
-                f"{main.shape[0]} vs {eaves.shape[0]} rows")
+                f"eaves: must share the input alphabet of main: "
+                f"{eaves.shape[0]} vs {main.shape[0]} rows")
         for name, m in (("main", main), ("eaves", eaves)):
             bad = np.abs(m.sum(axis=1) - 1.0) > _NORM_TOL
             if np.any(bad):
                 raise InvalidInputError(
-                    f"{name} row {int(np.argmax(bad))} does not sum to 1 within {_NORM_TOL}")
+                    f"{name}: row {int(np.argmax(bad))} does not sum to 1 within {_NORM_TOL}")
         self.main = main
         self.eaves = eaves
         self.main.setflags(write=False)
@@ -110,10 +117,7 @@ def mutual_information(joint):
         I(A;B) >= 0; zero (within rounding) iff the joint factorizes into
         its marginals.
     """
-    j = _as_prob_matrix("joint", joint)
-    if abs(j.sum() - 1.0) > _NORM_TOL:
-        raise InvalidInputError(
-            f"joint must sum to 1 within {_NORM_TOL}, got sum {j.sum()!r}")
+    j = _as_distribution("joint", joint)
     pa = j.sum(axis=1)
     pb = j.sum(axis=0)
     mask = j > 0
@@ -272,10 +276,7 @@ def aggregated_eavesdropper_rate(ch1, ch2, joint_input, which):
     """
     if which not in (0, 1):
         raise InvalidInputError(f"which must be 0 or 1, got {which!r}")
-    joint = _as_prob_matrix("joint_input", joint_input)
-    if abs(joint.sum() - 1.0) > _NORM_TOL:
-        raise InvalidInputError(
-            f"joint_input must sum to 1 within {_NORM_TOL}, got sum {joint.sum()!r}")
+    joint = _as_distribution("joint_input", joint_input)
     if joint.shape != (ch1.num_inputs, ch2.num_inputs):
         raise InvalidInputError(
             f"joint_input shape {joint.shape} does not match alphabets "

@@ -87,16 +87,16 @@ def _agent_bank(scenario, command):
 
 def _link_record(experiment, sc, outputs, metadata):
     """A row about one scenario link; its inputs are the link's scenario fields."""
-    _cls, _check, fields = CHANNEL_SCHEMA[sc.kind]
+    _cls, fields = CHANNEL_SCHEMA[sc.kind]
     return ReportRecord(experiment=experiment, channel_id=sc.id,
-                        inputs={key: getattr(sc.channel, key) for key in fields},
+                        inputs={key: float(getattr(sc.channel, key)) for key in fields},
                         outputs=outputs, metadata=metadata)
 
 
 def _agent_record(experiment, agent, seed, outputs):
     """A row about one agent; its inputs are the agent's SNR pair."""
     return ReportRecord(experiment=experiment, channel_id=agent.id,
-                        inputs={"A": agent.main_snr, "E": agent.eaves_snr},
+                        inputs={"A": float(agent.main_snr), "E": float(agent.eaves_snr)},
                         outputs=outputs, metadata=_meta(seed))
 
 
@@ -112,7 +112,7 @@ def _run_rate(scenario, seed, budget):
 def _run_allocate(scenario, seed, budget):
     budget = _require_budget("allocate", budget)
     entries = _entries(scenario, "gaussian", "allocate")
-    result = awgn_waterfill([sc.channel for _pos, sc in entries], budget, tol=AWGN_BUDGET_TOL)
+    result = awgn_waterfill([sc.channel for _pos, sc in entries], budget)
     records = []
     for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
         records.append(_link_record("allocate", sc, {"power": power, "rate_bits": rate},

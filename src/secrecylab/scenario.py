@@ -42,7 +42,14 @@ from .channels import (
     to_agent_channel,
 )
 from .discrete import DiscreteWiretapChannel
-from .errors import InvalidInputError, ScenarioSyntaxError, ScenarioValidationError
+from .errors import (
+    InvalidInputError,
+    ScenarioSyntaxError,
+    ScenarioValidationError,
+    _check_count,
+    _check_positive,
+    _check_seed,
+)
 
 SCHEMA_VERSION = 1
 
@@ -106,39 +113,21 @@ class ReportRecord:
     metadata: dict = field(default_factory=dict)
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _require_number(ctx, key, v):
-    if not _is_number(v) or not math.isfinite(v):
-        raise ScenarioValidationError(
-            f"{ctx}.{key}: expected a finite number, got {v!r}")
-    if v <= 0:
-        raise ScenarioValidationError(
-            f"{ctx}.{key}: expected a positive value, got {v!r}")
-    return float(v)
-
-
-def _as_given(ctx, key, v):
-    return v
-
-
-#: Each channel ``type``: the class it builds, the check each required field
-#: passes (``_as_given`` leaves the check to the class), and the required
-#: fields in the class's argument order.  An entry may also carry ``type``
-#: and ``id``; an ``agent-snr`` channel takes its id as its first argument.
+#: Each channel ``type``: the class it builds and its required fields in the
+#: class's argument order.  The class checks the field values.  An entry may
+#: also carry ``type`` and ``id``; an ``agent-snr`` channel takes its id as
+#: its first argument.
 CHANNEL_SCHEMA = {
-    "gaussian": (GaussianWiretapChannel, _require_number, ("sigma_m_sq", "sigma_w_sq")),
-    "fading": (FadingWiretapChannel, _require_number, ("a", "b", "sigma_m_sq", "sigma_w_sq")),
-    "agent-snr": (AgentChannel, _require_number, ("main_snr", "eaves_snr")),
-    "discrete": (DiscreteWiretapChannel, _as_given, ("main", "eaves")),
+    "gaussian": (GaussianWiretapChannel, ("sigma_m_sq", "sigma_w_sq")),
+    "fading": (FadingWiretapChannel, ("a", "b", "sigma_m_sq", "sigma_w_sq")),
+    "agent-snr": (AgentChannel, ("main_snr", "eaves_snr")),
+    "discrete": (DiscreteWiretapChannel, ("main", "eaves")),
 }
-_ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, _, fields) in CHANNEL_SCHEMA.items()}
+_ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, fields) in CHANNEL_SCHEMA.items()}
 
 
 def _channel_args(ctx, entry):
-    """An entry's type, the class it builds and its checked field values."""
+    """An entry's type, the class it builds and its field values."""
     if not isinstance(entry, dict):
         raise ScenarioValidationError(f"{ctx}: expected an object")
     kind = entry.get("type")
@@ -150,13 +139,11 @@ def _channel_args(ctx, entry):
         unknown = sorted(set(entry) - _ALLOWED_KEYS[kind])
         raise ScenarioValidationError(
             f"{ctx}: unknown field(s) {unknown} for type {kind!r}")
-    cls, check, fields = CHANNEL_SCHEMA[kind]
-    args = []
+    cls, fields = CHANNEL_SCHEMA[kind]
     for key in fields:
         if key not in entry:
             raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
-        args.append(check(ctx, key, entry[key]))
-    return kind, cls, args
+    return kind, cls, [entry[key] for key in fields]
 
 
 def parse_scenario(doc, source="<scenario>"):
@@ -176,23 +163,15 @@ def parse_scenario(doc, source="<scenario>"):
         raise ScenarioValidationError(
             f"{source}.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
 
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2 ** 64:
-        raise ScenarioValidationError(
-            f"{source}.seed: expected a 64-bit unsigned integer, got {seed!r}")
-
-    budget = doc.get("budget")
-    if budget is not None:
-        if not _is_number(budget) or not math.isfinite(budget) or budget <= 0:
-            raise ScenarioValidationError(
-                f"{source}.budget: expected a positive finite number, got {budget!r}")
-        budget = float(budget)
-
-    samples = doc.get("samples")
-    if samples is not None:
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
-            raise ScenarioValidationError(
-                f"{source}.samples: expected a positive integer, got {samples!r}")
+    seed, budget, samples = doc.get("seed", 0), doc.get("budget"), doc.get("samples")
+    try:
+        _check_seed("seed", seed)
+        if budget is not None:
+            budget = _check_positive("budget", budget)
+        if samples is not None:
+            _check_count("samples", samples)
+    except InvalidInputError as exc:
+        raise ScenarioValidationError(f"{source}.{exc}") from exc
 
     raw_channels = doc.get("channels")
     if not isinstance(raw_channels, list) or not raw_channels:
@@ -208,7 +187,7 @@ def parse_scenario(doc, source="<scenario>"):
         try:
             built = cls(cid, *args) if cls is AgentChannel else cls(*args)
         except InvalidInputError as exc:
-            raise ScenarioValidationError(f"{ctx}: {exc}") from exc
+            raise ScenarioValidationError(f"{ctx}.{exc}") from exc
         if not isinstance(cid, int) or isinstance(cid, bool):
             raise ScenarioValidationError(f"{ctx}.id: expected an integer, got {cid!r}")
         if cid in seen_ids:

@@ -42,6 +42,39 @@ class TestTypes:
             with pytest.raises(InvalidInputError):
                 FadingWiretapChannel(**kwargs)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda: GaussianWiretapChannel(True, 3.0), "sigma_m_sq"),
+        (lambda: FadingWiretapChannel(1.0, True, 1.0, 1.0), "b"),
+        (lambda: AgentChannel(1, True, 2.0), "main_snr"),
+        (lambda: AgentChannel(1, 1.0, False), "eaves_snr"),
+        (lambda: ChannelState(0.5, True), "b_draw"),
+    ])
+    def test_booleans_are_not_numbers(self, build, field):
+        message = rf"^{field}: expected a finite number, got (True|False)$"
+        with pytest.raises(InvalidInputError, match=message):
+            build()
+
+    @pytest.mark.parametrize("fields, name, gain", [
+        ({"a": 1e10, "sigma_m_sq": 1e-300}, "sigma_m_sq", "inf"),
+        ({"a": 1e-200, "sigma_m_sq": 1e200}, "sigma_m_sq", "0.0"),
+        ({"b": 1e300, "sigma_w_sq": 1e-300}, "sigma_w_sq", "inf"),
+        ({"b": 1e-300, "sigma_w_sq": 1e300}, "sigma_w_sq", "0.0"),
+    ])
+    def test_fading_power_gains_must_be_positive_finite(self, fields, name, gain):
+        kwargs = dict({"a": 1.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}, **fields)
+        with pytest.raises(InvalidInputError, match=rf"^{name}: .*power gain .*got {gain}"):
+            FadingWiretapChannel(**kwargs)
+
+    def test_smallest_fading_gains_still_load(self):
+        ch = FadingWiretapChannel(a=1e-300, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        assert to_agent_channel(ch, 1).main_snr == 1e-300
+        assert to_agent_channel(FadingWiretapChannel(5e-324, 1.0, 1.0, 1.0), 1).main_snr > 0
+
+    def test_gaussian_variance_with_overflowing_gain_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^sigma_w_sq: .*power gain .*got inf"):
+            GaussianWiretapChannel(sigma_m_sq=1.0, sigma_w_sq=1e-320)
+        GaussianWiretapChannel(sigma_m_sq=1e-308, sigma_w_sq=1.0)
+
     def test_state_allows_zero_gain(self):
         state = ChannelState(a_draw=0.0, b_draw=0.0)
         assert state.a_draw == 0.0

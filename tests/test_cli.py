@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecylab import cli
 from secrecylab.errors import NumericalError
@@ -75,6 +80,19 @@ class TestCommands:
         assert (code, err) == (0, "")
         [row] = csv_rows(out)
         assert float(row["rate_bits"]) == pytest.approx(0.5 * math.log2(10.0), abs=1e-11)
+
+    @pytest.mark.parametrize("main_snr", [1e-20, 1e-10])
+    def test_pair_keeps_the_rate_of_tiny_snrs(self, tmp_path, capsys, main_snr):
+        """``log2(1 + A)`` rounds to 0 or loses digits below ~1e-8; ``log1p`` does not."""
+        eaves_snr = 1e-30
+        doc = {"schema_version": 1,
+               "channels": [{"type": "agent-snr", "main_snr": main_snr, "eaves_snr": eaves_snr}]}
+        code, out, err = run_cli(["pair", "--scenario", write(tmp_path, doc),
+                                  "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        exact = (math.log1p(main_snr) - math.log1p(eaves_snr)) / math.log(2)
+        [record] = json.loads(out)
+        assert record["outputs"]["rate_bits"] == float(f"{exact:.12g}")
 
     def test_pair_reproduces_hand_traced_pairing(self, tmp_path, capsys):
         path = write(tmp_path, AGENT_TRIO)
@@ -240,6 +258,22 @@ class TestSeedPrecedence:
         assert code == cli.EXIT_USAGE
         assert cli.SEED_ENV_VAR in err
 
+    def test_seed_flag_beyond_64_bits_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, AGENT_TRIO)
+        code, out, err = run_cli(["pair", "--scenario", path, "--seed", str(2 ** 64)], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "--seed: expected a 64-bit unsigned integer" in err
+        code, out, _ = run_cli(["pair", "--scenario", path, "--seed", str(2 ** 64 - 1)], capsys)
+        assert code == 0
+        assert csv_rows(out)[0]["seed"] == str(2 ** 64 - 1)
+
+    def test_env_seed_beyond_64_bits_is_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, AGENT_TRIO)
+        monkeypatch.setenv(cli.SEED_ENV_VAR, str(2 ** 64))
+        code, _, err = run_cli(["pair", "--scenario", path], capsys)
+        assert code == cli.EXIT_USAGE
+        assert f"${cli.SEED_ENV_VAR}: expected a 64-bit unsigned integer" in err
+
 
 class TestExitCodes:
     def test_missing_budget_is_usage_error(self, tmp_path, capsys):
@@ -323,12 +357,114 @@ class TestExitCodes:
         expected = 0.5 * (math.log2(1.0 + 1e308) - 1.0)
         assert float(row["rate_bits"]) == pytest.approx(expected, rel=1e-11)
 
+    @pytest.mark.parametrize("a, sigma_m_sq", [(1e10, 1e-300), (1e-200, 1e200)])
+    @pytest.mark.parametrize("command", ["pair", "pick-prob", "allocate-fading"])
+    def test_fading_gain_out_of_float_range_names_the_channel(self, tmp_path, capsys,
+                                                              command, a, sigma_m_sq):
+        """a/sigma_m_sq overflowing to inf or underflowing to 0 is a field error."""
+        doc = {"schema_version": 1,
+               "channels": [{"type": "fading", "a": a, "b": 1.0,
+                             "sigma_m_sq": sigma_m_sq, "sigma_w_sq": 1.0}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli([command, "--scenario", path, "--budget", "1",
+                                  "--samples", "1000"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert "channels[0].sigma_m_sq: " in err and "power gain" in err
+
+    def test_smallest_fading_gain_gives_the_zero_secrecy_sentinel(self, tmp_path, capsys):
+        doc = {"schema_version": 1,
+               "channels": [{"type": "fading", "a": 1e-300, "b": 1.0,
+                             "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["allocate-fading", "--scenario", path, "--budget", "1",
+                                  "--samples", "1000", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        [record] = json.loads(out)
+        assert record["outputs"]["zero_secrecy"] is True
+        assert record["outputs"]["lambda"] == "inf"
+
+    @pytest.mark.parametrize("main", [[[True, False], [False, True]],
+                                      [[True, 0.0], [0.5, 0.5]]])
+    def test_booleans_in_a_discrete_matrix_are_a_validation_error(self, tmp_path, capsys, main):
+        doc = {"schema_version": 1,
+               "channels": [{"type": "discrete", "main": main,
+                             "eaves": [[0.7, 0.3], [0.3, 0.7]]}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["discrete-capacity", "--scenario", path,
+                                  "--grid-step", "0.1"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert "channels[0].main: must be a rectangular array of numbers" in err
+
+    def test_integer_beyond_the_float_range_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.scenario"
+        path.write_text('{"schema_version": 1, "channels": [{"type": "gaussian", '
+                        f'"sigma_m_sq": {10 ** 400}, "sigma_w_sq": 3.0}}]}}')
+        code, out, err = run_cli(["rate", "--scenario", str(path), "--budget", "1"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert "channels[0].sigma_m_sq: expected a finite number" in err
+
     def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
         path = write(tmp_path, AGENT_TRIO)
         code, _, _ = run_cli(["pair", "--scenario", path,
                               "--out", str(tmp_path / "no" / "dir" / "x.csv")],
                              capsys)
         assert code == cli.EXIT_VALIDATION
+
+
+#: Every positive float from the smallest subnormal up to 1.7e308, log-uniformly.
+WIDE = st.floats(math.log(5e-324), math.log(1.7e308)).map(lambda x: max(math.exp(x), 5e-324))
+GAUSSIAN = st.fixed_dictionaries({"type": st.just("gaussian"),
+                                  "sigma_m_sq": WIDE, "sigma_w_sq": WIDE})
+AGENT = st.fixed_dictionaries({"type": st.just("agent-snr"),
+                               "main_snr": WIDE, "eaves_snr": WIDE})
+FADING = st.fixed_dictionaries({"type": st.just("fading"), "a": WIDE, "b": WIDE,
+                                "sigma_m_sq": WIDE, "sigma_w_sq": WIDE})
+
+
+def numbers(obj):
+    """Every number and every string in a decoded JSON report."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for item in obj for x in numbers(item)]
+    return [obj] if isinstance(obj, (int, float, str)) and not isinstance(obj, bool) else []
+
+
+class TestAnyAcceptedInput:
+    """Through ``cli.main``, any scenario gives finite numbers or a typed exit code.
+
+    Runs in-process with redirected streams, because hypothesis rejects
+    function-scoped fixtures such as ``tmp_path`` and ``capsys``.
+    """
+
+    @staticmethod
+    def check(command, channels, *flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.scenario")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"schema_version": 1, "channels": channels}, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, "--scenario", path, *flags, "--format", "json"])
+        assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL), err.getvalue()
+        if code == cli.EXIT_OK:
+            for x in numbers(json.loads(out.getvalue())):
+                assert x not in ("inf", "-inf", "nan")
+                assert isinstance(x, str) or math.isfinite(x)
+        elif code == cli.EXIT_VALIDATION:
+            assert "channels[" in err.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["rate", "allocate"]),
+           st.lists(GAUSSIAN, min_size=1, max_size=4), WIDE)
+    def test_gaussian_commands(self, command, channels, budget):
+        self.check(command, channels, "--budget", repr(budget))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["pair", "pick-prob"]),
+           st.lists(st.one_of(AGENT, FADING), min_size=1, max_size=4))
+    def test_agent_commands(self, command, channels):
+        self.check(command, channels)
 
 
 def test_module_entry_point_runs():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from secrecylab import (
     AgentChannel,
+    FeasibleSet,
     InvalidInputError,
     InvalidPairError,
     UnsupportedSizeError,
@@ -255,8 +256,22 @@ class TestEfficiencies:
         for a, e in rng.uniform(0.01, 50.0, size=(200, 2)).tolist():
             agent = AgentChannel(id=1, main_snr=max(a, e) * 1.5, eaves_snr=min(a, e))
             rate, eff = qualified_rate(agent)
-            assert rate == math.log2(1 + agent.main_snr) - math.log2(1 + agent.eaves_snr)
-            assert eff == efficiency_qualified(agent) == rate / math.log2(1 + agent.main_snr)
+            cap = math.log1p(agent.main_snr) / math.log(2)
+            assert rate == cap - math.log1p(agent.eaves_snr) / math.log(2)
+            assert eff == efficiency_qualified(agent) == rate / cap
+
+    @pytest.mark.parametrize("main_snr, eaves_snr", [(1e-10, 1e-30), (1e-20, 1e-30),
+                                                     (1e-300, 5e-324)])
+    def test_tiny_snrs_keep_their_rate(self, main_snr, eaves_snr):
+        """``log2(1 + x)`` is exactly 0 below ~1.1e-16; the rate must not be."""
+        agent = AgentChannel(id=1, main_snr=main_snr, eaves_snr=eaves_snr)
+        rate, eff = qualified_rate(agent)
+        exact = (math.log1p(agent.main_snr) - math.log1p(agent.eaves_snr)) / math.log(2)
+        assert rate == pytest.approx(exact, rel=1e-12, abs=0.0) and rate > 0
+        assert eff == pytest.approx(1.0, rel=1e-9)
+        helped = AgentChannel(id=2, main_snr=main_snr, eaves_snr=1.0)
+        helper = AgentChannel(id=3, main_snr=2.0, eaves_snr=3.0)
+        assert 0.0 < efficiency_pair(helped, helper) < 0.5
 
     def test_pair_hand_values(self):
         helped = AgentChannel(id=1, main_snr=1.0, eaves_snr=2.0)
@@ -311,6 +326,18 @@ class TestPickProbability:
             pr_picking_k([3, 0])
         with pytest.raises(InvalidInputError):
             pr_picking_k([2.5])
+
+    def test_sizes_are_integers_not_booleans(self):
+        assert pr_picking_k([np.int64(4), np.int32(2), 2]) == 0.8125
+        with pytest.raises(InvalidInputError, match=r"^set size: expected a positive integer"):
+            pr_picking_k([3, True])
+
+    def test_trials_must_be_a_positive_integer(self):
+        sets = [FeasibleSet(agent_id=1, members=(2,))]
+        assert pick_probability_monte_carlo(sets, 2, np.int64(3), seed=0) == 1.0
+        for trials in (True, 0, 2.0):
+            with pytest.raises(InvalidInputError, match=r"^trials: expected a positive integer"):
+                pick_probability_monte_carlo(sets, 2, trials, seed=0)
 
     def test_monte_carlo_of_sequential_process(self):
         """Branch enumeration for agents 1-3 targeting helper 5: agent 1

@@ -88,6 +88,32 @@ class TestLoadScenario:
             with pytest.raises(ScenarioValidationError, match="seed"):
                 load_scenario(write_scenario(tmp_path, doc))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", True, "expected a 64-bit unsigned integer, got True"),
+        ("budget", True, "expected a finite number, got True"),
+        ("budget", 10 ** 400, "expected a finite number"),
+        ("budget", 0, "expected a positive value, got 0"),
+        ("samples", True, "expected a positive integer, got True"),
+        ("samples", 2.0, "expected a positive integer, got 2.0"),
+    ], ids=["seed-bool", "budget-bool", "budget-huge-int", "budget-zero", "samples-bool",
+            "samples-float"])
+    def test_bad_top_level_number_names_the_field(self, tmp_path, key, value, message):
+        path = write_scenario(tmp_path, dict(MINIMAL, **{key: value}))
+        with pytest.raises(ScenarioValidationError, match=rf"\.{key}: {message}"):
+            load_scenario(path)
+
+    def test_integer_fields_report_as_floats(self, tmp_path):
+        from secrecylab import run
+
+        doc = {"schema_version": 1, "budget": 2,
+               "channels": [{"type": "gaussian", "sigma_m_sq": 1, "sigma_w_sq": 3},
+                            {"type": "agent-snr", "main_snr": 4, "eaves_snr": 1}]}
+        scenario = load_scenario(write_scenario(tmp_path, doc))
+        assert scenario.budget == 2.0 and type(scenario.budget) is float
+        text = render(run("rate", scenario) + run("pair", scenario), "json")
+        for field in ('"sigma_m_sq": 1.0', '"sigma_w_sq": 3.0', '"A": 4.0', '"E": 1.0'):
+            assert field in text
+
     def test_empty_channel_list_rejected(self, tmp_path):
         doc = {"schema_version": 1, "channels": []}
         with pytest.raises(ScenarioValidationError, match="channels"):
@@ -139,7 +165,7 @@ def bad_fields():
             for value in (0.0, -2.5):
                 yield case(kind, key, value, field + "expected a positive value")
     for key in ("main", "eaves"):
-        field = rf"channels\[1\]: {key} "
+        field = rf"channels\[1\]\.{key}: "
         for value in ([["x", 1.0], [0.1, 0.9]], [[{}, 1.0], [0.1, 0.9]], [[0.9, 0.1], [1.0]]):
             yield case("discrete", key, value, field + "must be a rectangular array of numbers")
         yield case("discrete", key, [[-0.3, 1.3], [0.3, 0.7]], field + "contains negative entries")
