@@ -197,6 +197,9 @@ def awgn_waterfill(channels, budget):
     return AllocationResult(powers=powers, lam=1.0 / t, sum_rate=float(rates.sum()), rates=rates)
 
 
+# Gains or thresholds near the float limit overflow the slot kernels below;
+# the callers' residual checks report the result, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _slot_power(t, g, s, g2, c):
     """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
 
@@ -209,6 +212,13 @@ def _slot_power(t, g, s, g2, c):
     return p, r
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _slot_slope(p, r, g, s, c):
+    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, r)``; 0 where ``p = 0``."""
+    return np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _slot_terms(a, b):
     """The per-slot constants ``(g, s, g2, c)`` of :func:`_slot_power`."""
     g = a - b
@@ -252,17 +262,14 @@ def _solve_threshold(terms, n, target, residual_tol):
 
     def mean_power_and_slope(t):
         p, r = _slot_power(t, g, s, g2, c)
-        slope = np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
+        slope = _slot_slope(p, r, g, s, c)
         return float(p.sum()) / n, float(slope.sum()) / n
 
     # Every slot spends at most t/2, so the mean power at lo is within target.
     lo, hi = max(2.0 / float(g.max()), 2.0 * target), math.inf
     t = lo
     for iterations in range(1, _MAX_NEWTON + 1):
-        # Targets near the float limit overflow t*c; the callers' residual
-        # checks report them, so numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            power, slope = mean_power_and_slope(t)
+        power, slope = mean_power_and_slope(t)
         residual = power - target
         if iterations == 1 or abs(residual) < abs(best_p - target):
             best_t, best_p = t, power
@@ -357,7 +364,11 @@ def _ergodic_estimate(ch, policy, samples, seed):
     rates = _secrecy_rate(p, a, b)
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return estimate, stderr, float(p.mean())
+    power = float(p.mean())
+    if not math.isfinite(estimate + stderr + power):
+        raise NumericalError(f"ergodic estimate is not finite: rate {estimate!r}, "
+                             f"standard error {stderr!r}, mean power {power!r}")
+    return estimate, stderr, power
 
 
 def ergodic_secrecy_capacity(ch, policy, samples, seed, *, with_power=False):

@@ -119,12 +119,14 @@ def _secrecy_rate(p, a, b):
     """Elementwise ``max(0, 1/2 log2((1 + p a) / (1 + p b)))`` for gains ``a, b``.
 
     Where ``p a`` or ``p b`` overflows, the rate is taken in the equivalent
-    form ``1/2 (log2(a + 1/p) - log2(b + 1/p))``, which stays finite.
+    form ``1/2 (log2(a + 1/p) - log2(b + 1/p))``, which stays finite.  At
+    ``p = 0`` the rate is 0, also for an infinite gain.
     """
     rate = 0.5 * np.log2((1.0 + np.multiply(p, a)) / (1.0 + np.multiply(p, b)))
     if not np.isfinite(rate).all():
         q = 1.0 / p
-        rate = np.where(np.isfinite(rate), rate, 0.5 * (np.log2(a + q) - np.log2(b + q)))
+        rate = np.where(np.isfinite(rate), rate,
+                        np.where(p > 0, 0.5 * (np.log2(a + q) - np.log2(b + q)), 0.0))
     return np.maximum(rate, 0.0)
 
 

@@ -16,16 +16,16 @@ variable, which beats the scenario's ``seed`` field (default 0).  Each is a
 
 Exit codes: 0 success; 2 usage error (bad arguments, missing required
 option, a seed outside [0, 2**64)); 3 validation error (unreadable or
-invalid scenario, content mismatch, unwritable output); 4 numerical failure
-(a solver missed its tolerance, such as a fading budget missed by more than
-1 %).
+invalid scenario, content mismatch, a budget that is not positive and
+finite, unwritable output); 4 numerical failure (a solver missed its
+tolerance, such as a fading budget missed by more than 1 %).
 """
 
 import argparse
 import os
 import sys
 
-from .errors import InvalidInputError, NumericalError, ScenarioError, UsageError, _check_seed
+from .errors import InvalidInputError, NumericalError, UsageError, _check_seed
 from .harness import COMMANDS, DEFAULT_GRID_STEP, DEFAULT_SAMPLES, run
 from .scenario import load_scenario, emit
 
@@ -95,15 +95,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -2,6 +2,9 @@
 
 Each command consumes a :class:`~secrecylab.scenario.Scenario` plus a few
 options and returns a list of :class:`~secrecylab.scenario.ReportRecord`.
+One table, ``_TABLE``, declares every command once: its runner, the
+channels it reads and whether it spends a budget.  :func:`run` resolves the
+options and checks those preconditions for all commands in one place.
 Runs are deterministic: Monte Carlo commands derive one child stream per
 channel from the run seed via ``numpy.random.SeedSequence`` spawn keys
 ``(channel_position, stage)``, so appending a channel to a scenario never
@@ -9,6 +12,7 @@ perturbs the draws of existing channels.
 """
 
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,11 +33,8 @@ from .cooperation import (
     qualified_rate,
 )
 from .discrete import max_secrecy_rate_grid
-from .errors import ScenarioValidationError, UsageError
+from .errors import ScenarioValidationError, UsageError, _check_positive
 from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, ReportRecord, load_scenario
-
-COMMANDS = ("rate", "allocate", "allocate-fading", "ergodic", "pair",
-            "discrete-capacity", "pick-prob", "fig4")
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID_STEP = 1e-3
@@ -62,81 +63,55 @@ def _meta(seed, **extra):
     return md
 
 
-def _require_budget(command, budget):
-    if budget is None:
-        raise UsageError(f"command '{command}' requires a budget "
-                         f"(--budget or a scenario-level budget field)")
-    return budget
-
-
-def _entries(scenario, kind, command):
-    entries = scenario.of_kind(kind)
-    if not entries:
-        raise ScenarioValidationError(
-            f"command '{command}' needs at least one '{kind}' channel in the scenario")
-    return entries
-
-
-def _agent_bank(scenario, command):
-    bank = [agent for _pos, agent in scenario.agent_bank()]
-    if not bank:
-        raise ScenarioValidationError(
-            f"command '{command}' needs 'agent-snr' or 'fading' channels")
-    return bank
-
-
-def _link_record(experiment, sc, outputs, metadata):
+def _link_record(command, sc, outputs, metadata):
     """A row about one scenario link; its inputs are the link's scenario fields."""
     _cls, fields = CHANNEL_SCHEMA[sc.kind]
-    return ReportRecord(experiment=experiment, channel_id=sc.id,
+    return ReportRecord(experiment=command, channel_id=sc.id,
                         inputs={key: float(getattr(sc.channel, key)) for key in fields},
                         outputs=outputs, metadata=metadata)
 
 
-def _agent_record(experiment, agent, seed, outputs):
+def _agent_record(command, agent, seed, outputs):
     """A row about one agent; its inputs are the agent's SNR pair."""
-    return ReportRecord(experiment=experiment, channel_id=agent.id,
+    return ReportRecord(experiment=command, channel_id=agent.id,
                         inputs={"A": float(agent.main_snr), "E": float(agent.eaves_snr)},
                         outputs=outputs, metadata=_meta(seed))
 
 
-def _run_rate(scenario, seed, budget):
-    power = float(_require_budget("rate", budget))
+def _run_rate(command, entries, options):
     records = []
-    for _pos, sc in _entries(scenario, "gaussian", "rate"):
-        outputs = {"power": power, "rate_bits": gaussian_secrecy_rate(power, sc.channel)}
-        records.append(_link_record("rate", sc, outputs, _meta(seed)))
+    for _pos, sc in entries:
+        outputs = {"power": options.budget,
+                   "rate_bits": gaussian_secrecy_rate(options.budget, sc.channel)}
+        records.append(_link_record(command, sc, outputs, _meta(options.seed)))
     return records
 
 
-def _run_allocate(scenario, seed, budget):
-    budget = _require_budget("allocate", budget)
-    entries = _entries(scenario, "gaussian", "allocate")
-    result = awgn_waterfill([sc.channel for _pos, sc in entries], budget)
+def _run_allocate(command, entries, options):
+    result = awgn_waterfill([sc.channel for _pos, sc in entries], options.budget)
     records = []
     for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
-        records.append(_link_record("allocate", sc, {"power": power, "rate_bits": rate},
-                                    _meta(seed, budget_tol=AWGN_BUDGET_TOL)))
+        records.append(_link_record(command, sc, {"power": power, "rate_bits": rate},
+                                    _meta(options.seed, budget_tol=AWGN_BUDGET_TOL)))
     records.append(ReportRecord(
-        experiment="allocate", channel_id="summary",
+        experiment=command, channel_id="summary",
         outputs={"power": float(result.powers.sum()),
                  "rate_bits": result.sum_rate,
                  "lambda": result.lam},
-        metadata=_meta(seed, budget_tol=AWGN_BUDGET_TOL)))
+        metadata=_meta(options.seed, budget_tol=AWGN_BUDGET_TOL)))
     return records
 
 
-def _fading_records(scenario, seed, budget, samples, command, estimate):
-    budget = _require_budget(command, budget)
+def _run_fading(command, entries, options):
+    seed, budget, samples = options.seed, options.budget, options.samples
     records = []
-    for pos, sc in _entries(scenario, "fading", command):
-        ch = sc.channel
-        policy = calibrate_fading_lambda(ch, budget, samples, substream(seed, pos, 0))
+    for pos, sc in entries:
+        policy = calibrate_fading_lambda(sc.channel, budget, samples, substream(seed, pos, 0))
         outputs = {"lambda": policy.lam, "zero_secrecy": policy.zero_secrecy,
                    "power": policy.avg_power}
-        if estimate:
+        if command == "ergodic":
             rate, stderr, power = ergodic_secrecy_capacity(
-                ch, policy, samples, substream(seed, pos, 1), with_power=True)
+                sc.channel, policy, samples, substream(seed, pos, 1), with_power=True)
             outputs.update(rate_bits=rate, stderr=stderr, power=power)
         metadata = _meta(seed, avg_budget_rel_tol=FADING_BUDGET_REL_TOL, samples=samples)
         metadata.update(calibration_iterations=policy.iterations,
@@ -145,44 +120,43 @@ def _fading_records(scenario, seed, budget, samples, command, estimate):
     return records
 
 
-def _run_pair(scenario, seed, experiment):
-    bank = _agent_bank(scenario, experiment)
-    qualified, disqualified = classify(bank)
+def _run_pair(command, entries, options):
+    qualified, disqualified = classify([agent for _pos, agent in entries])
     plan = greedy_pairing(disqualified)
     roles = {agent.id: "qualified" for agent in qualified}
     for helped, helper in plan.pairs:
         roles[helped], roles[helper] = "helped", "helper"
 
     records = []
-    for agent in bank:
+    for _pos, agent in entries:
         role = roles.get(agent.id, "unpaired")
         outputs = {"qualified": role == "qualified", "role": role}
         if role == "qualified":
             outputs["rate_bits"], outputs["efficiency"] = qualified_rate(agent)
-        records.append(_agent_record(experiment, agent, seed, outputs))
+        records.append(_agent_record(command, agent, options.seed, outputs))
 
-    by_id = {agent.id: agent for agent in bank}
+    by_id = {agent.id: agent for agent in disqualified}
     for pair in plan.pairs:
-        records.append(_agent_record(experiment, by_id[pair[0]], seed, {
+        records.append(_agent_record(command, by_id[pair[0]], options.seed, {
             "pair_with": pair[1], "efficiency": plan.efficiencies[pair]}))
     return records
 
 
-def _run_discrete(scenario, seed, grid_step):
+def _run_discrete(command, entries, options):
     records = []
-    for _pos, sc in _entries(scenario, "discrete", "discrete-capacity"):
-        rate, argmax = max_secrecy_rate_grid(sc.channel, grid_step)
+    for _pos, sc in entries:
+        rate, argmax = max_secrecy_rate_grid(sc.channel, options.grid_step)
         records.append(ReportRecord(
-            experiment="discrete-capacity", channel_id=sc.id,
+            experiment=command, channel_id=sc.id,
             outputs={"rate_bits": rate, "argmax_pmf": argmax.probs.tolist()},
-            metadata=_meta(seed, grid_step=grid_step)))
+            metadata=_meta(options.seed, grid_step=options.grid_step)))
     return records
 
 
-def _run_pick_prob(scenario, seed):
-    _qualified, disqualified = classify(_agent_bank(scenario, "pick-prob"))
+def _run_pick_prob(command, entries, options):
+    _qualified, disqualified = classify([agent for _pos, agent in entries])
     sets = [feasible_set(agent.id, disqualified) for agent in disqualified]
-    records = [_agent_record("pick-prob", agent, seed, {
+    records = [_agent_record(command, agent, options.seed, {
                    "feasible_set_size": len(fs), "feasible_members": list(fs.members)})
                for agent, fs in zip(disqualified, sets)]
 
@@ -198,13 +172,41 @@ def _run_pick_prob(scenario, seed):
             "prefix_sizes": prefix_sizes,
         }
     records.append(ReportRecord(
-        experiment="pick-prob", channel_id="summary",
-        outputs=summary_outputs, metadata=_meta(seed)))
+        experiment=command, channel_id="summary",
+        outputs=summary_outputs, metadata=_meta(options.seed)))
     return records
+
+
+#: The agent view of a scenario, ``agent-snr`` entries plus ``fading`` ones,
+#: named as the commands that read it need it.
+_AGENTS = "'agent-snr' or 'fading' channels"
+
+#: Each command: its runner, the channels it reads (a channel type or
+#: :data:`_AGENTS`) and whether it spends a budget.  The runner is called as
+#: ``runner(command, entries, options)``: ``entries`` are the ``(position,
+#: channel)`` pairs read, as :meth:`Scenario.of_kind` or
+#: :meth:`Scenario.agent_bank` give them, and ``options`` the resolved seed,
+#: budget, samples and grid step.
+_TABLE = {
+    "rate": (_run_rate, "gaussian", True),
+    "allocate": (_run_allocate, "gaussian", True),
+    "allocate-fading": (_run_fading, "fading", True),
+    "ergodic": (_run_fading, "fading", True),
+    "pair": (_run_pair, _AGENTS, False),
+    "discrete-capacity": (_run_discrete, "discrete", False),
+    "pick-prob": (_run_pick_prob, _AGENTS, False),
+    "fig4": (_run_pair, _AGENTS, False),
+}
+
+COMMANDS = tuple(_TABLE)
 
 
 def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=None):
     """Execute one command against a scenario.
+
+    Checks the preconditions in this order: a scenario, then a positive
+    finite budget for the commands that spend one, then at least one
+    channel of the kind the command reads.
 
     Parameters
     ----------
@@ -223,30 +225,25 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     """
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    runner, reads, spends_budget = _TABLE[command]
     if command == "fig4" and scenario is None:
         scenario = load_scenario(bundled_scenario_path("fig4.scenario"))
     if scenario is None:
         raise UsageError(f"command '{command}' requires --scenario")
 
-    seed = scenario.seed if seed is None else seed
-    budget = scenario.budget if budget is None else budget
-    samples = (scenario.samples or DEFAULT_SAMPLES) if samples is None else samples
-    grid_step = DEFAULT_GRID_STEP if grid_step is None else grid_step
+    options = SimpleNamespace(
+        seed=scenario.seed if seed is None else seed,
+        budget=scenario.budget if budget is None else budget,
+        samples=(scenario.samples or DEFAULT_SAMPLES) if samples is None else samples,
+        grid_step=DEFAULT_GRID_STEP if grid_step is None else grid_step)
+    if spends_budget:
+        if options.budget is None:
+            raise UsageError(f"command '{command}' requires a budget "
+                             f"(--budget or a scenario-level budget field)")
+        options.budget = _check_positive("budget", options.budget)
 
-    if command == "rate":
-        return _run_rate(scenario, seed, budget)
-    if command == "allocate":
-        return _run_allocate(scenario, seed, budget)
-    if command == "allocate-fading":
-        return _fading_records(scenario, seed, budget, samples,
-                               "allocate-fading", estimate=False)
-    if command == "ergodic":
-        return _fading_records(scenario, seed, budget, samples,
-                               "ergodic", estimate=True)
-    if command == "pair":
-        return _run_pair(scenario, seed, "pair")
-    if command == "fig4":
-        return _run_pair(scenario, seed, "fig4")
-    if command == "discrete-capacity":
-        return _run_discrete(scenario, seed, grid_step)
-    return _run_pick_prob(scenario, seed)
+    entries = scenario.agent_bank() if reads == _AGENTS else scenario.of_kind(reads)
+    if not entries:
+        needs = reads if reads == _AGENTS else f"at least one '{reads}' channel in the scenario"
+        raise ScenarioValidationError(f"command '{command}' needs {needs}")
+    return runner(command, entries, options)

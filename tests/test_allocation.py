@@ -450,6 +450,18 @@ class TestErgodicCapacity:
         assert estimate == 0.0
         assert stderr == 0.0
 
+    def test_zero_power_on_an_infinite_gain_draw_estimates_zero(self):
+        """Draws of a gain near the float limit overflow to inf; 0 * inf must not be nan."""
+        ch = FadingWiretapChannel(a=1.0, b=1.7e308, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        sentinel = FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
+        assert ergodic_secrecy_capacity(ch, sentinel, 1_000, seed=1) == (0.0, 0.0)
+
+    def test_non_finite_estimate_is_a_numerical_error(self):
+        ch = FadingWiretapChannel(a=1.7e308, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        policy = FadingPolicy(lam=1.0, channel=ch)
+        with pytest.raises(NumericalError, match="not finite"):
+            ergodic_secrecy_capacity(ch, policy, 1_000, seed=1)
+
     def test_degenerate_state_reduces_to_instantaneous_formula(self):
         # Point-mass fading at (3, 1) under unit power is the slot formula.
         rate = instantaneous_fading_secrecy_rate(1.0, ChannelState(3.0, 1.0))

@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecylab import cli
+from secrecylab import cli, harness
 from secrecylab.errors import NumericalError
 
 
@@ -49,6 +50,15 @@ AGENT_TRIO = {
         {"type": "agent-snr", "main_snr": 2.0, "eaves_snr": 5.0},
         {"type": "agent-snr", "main_snr": 3.0, "eaves_snr": 6.0},
     ],
+}
+
+#: One valid entry of each channel type.
+ONE_OF_EACH = {
+    "gaussian": {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": 3.0},
+    "fading": {"type": "fading", "a": 2.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0},
+    "agent-snr": {"type": "agent-snr", "main_snr": 1.0, "eaves_snr": 2.5},
+    "discrete": {"type": "discrete", "main": [[0.9, 0.1], [0.1, 0.9]],
+                 "eaves": [[0.7, 0.3], [0.3, 0.7]]},
 }
 
 
@@ -410,6 +420,50 @@ class TestExitCodes:
                              capsys)
         assert code == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["rate", "allocate", "allocate-fading", "ergodic"])
+    def test_non_positive_or_non_finite_budget_names_budget(self, tmp_path, capsys,
+                                                             command, budget):
+        kind = "gaussian" if command in ("rate", "allocate") else "fading"
+        doc = {"schema_version": 1, "channels": [ONE_OF_EACH[kind]]}
+        code, out, err = run_cli([command, "--scenario", write(tmp_path, doc),
+                                  f"--budget={budget}", "--samples", "100"], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert "error: budget: expected a" in err
+
+
+#: The channel types each command reads, and the commands that spend a budget.
+READS = {"rate": {"gaussian"}, "allocate": {"gaussian"},
+         "allocate-fading": {"fading"}, "ergodic": {"fading"},
+         "pair": {"agent-snr", "fading"}, "pick-prob": {"agent-snr", "fading"},
+         "fig4": {"agent-snr", "fading"}, "discrete-capacity": {"discrete"}}
+SPENDS_BUDGET = ("rate", "allocate", "allocate-fading", "ergodic")
+
+
+class TestCommandPreconditions:
+    """Every command's channel and budget preconditions, through ``cli.main``."""
+
+    def test_every_command_is_covered(self):
+        assert set(READS) == set(harness.COMMANDS)
+
+    @pytest.mark.parametrize("command", SPENDS_BUDGET)
+    def test_missing_budget_is_a_usage_error(self, tmp_path, capsys, command):
+        channels = [ONE_OF_EACH[kind] for kind in sorted(READS[command])]
+        path = write(tmp_path, {"schema_version": 1, "channels": channels})
+        code, out, err = run_cli([command, "--scenario", path], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "budget" in err
+
+    @pytest.mark.parametrize("command", harness.COMMANDS)
+    def test_scenario_without_a_channel_it_reads_is_a_validation_error(
+            self, tmp_path, capsys, command):
+        channels = [entry for kind, entry in ONE_OF_EACH.items() if kind not in READS[command]]
+        for entry in channels:
+            path = write(tmp_path, {"schema_version": 1, "channels": [entry]})
+            code, out, err = run_cli([command, "--scenario", path, "--budget", "1"], capsys)
+            assert (code, out) == (cli.EXIT_VALIDATION, ""), entry["type"]
+            assert f"command '{command}' needs" in err
+
 
 #: Every positive float from the smallest subnormal up to 1.7e308, log-uniformly.
 WIDE = st.floats(math.log(5e-324), math.log(1.7e308)).map(lambda x: max(math.exp(x), 5e-324))
@@ -430,11 +484,20 @@ def numbers(obj):
     return [obj] if isinstance(obj, (int, float, str)) and not isinstance(obj, bool) else []
 
 
+def without_zero_secrecy_sentinel(record):
+    """``record`` minus ``outputs.lambda == "inf"`` where ``zero_secrecy`` is set."""
+    outputs = record.get("outputs", {})
+    if outputs.get("zero_secrecy") is True and outputs.get("lambda") == "inf":
+        outputs = {key: value for key, value in outputs.items() if key != "lambda"}
+    return dict(record, outputs=outputs)
+
+
 class TestAnyAcceptedInput:
     """Through ``cli.main``, any scenario gives finite numbers or a typed exit code.
 
     Runs in-process with redirected streams, because hypothesis rejects
-    function-scoped fixtures such as ``tmp_path`` and ``capsys``.
+    function-scoped fixtures such as ``tmp_path`` and ``capsys``.  A numpy
+    ``RuntimeWarning`` would reach the user's stderr, so it fails the check.
     """
 
     @staticmethod
@@ -444,11 +507,13 @@ class TestAnyAcceptedInput:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"schema_version": 1, "channels": channels}, fh)
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
                 code = cli.main([command, "--scenario", path, *flags, "--format", "json"])
         assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL), err.getvalue()
         if code == cli.EXIT_OK:
-            for x in numbers(json.loads(out.getvalue())):
+            records = [without_zero_secrecy_sentinel(r) for r in json.loads(out.getvalue())]
+            for x in numbers(records):
                 assert x not in ("inf", "-inf", "nan")
                 assert isinstance(x, str) or math.isfinite(x)
         elif code == cli.EXIT_VALIDATION:
@@ -465,6 +530,13 @@ class TestAnyAcceptedInput:
            st.lists(st.one_of(AGENT, FADING), min_size=1, max_size=4))
     def test_agent_commands(self, command, channels):
         self.check(command, channels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["allocate-fading", "ergodic"]),
+           st.lists(FADING, min_size=1, max_size=3), WIDE,
+           st.sampled_from([1, 2, 50, 500]))
+    def test_fading_commands(self, command, channels, budget, samples):
+        self.check(command, channels, "--budget", repr(budget), "--samples", str(samples))
 
 
 def test_module_entry_point_runs():
