@@ -4,11 +4,15 @@
 ``(a, b)`` spends, at threshold ``lambda``, with ``t = 1/lambda`` and
 ``g = a - b``, the cancellation-free root
 
-    P(t) = (t g - 2) / (a + b + sqrt(g^2 + 2 t g a b)),
+    P(t) = max(t - u, 0) / (v + sqrt(1 + t k)),
+    u = 2/g,  v = (a + b)/g,  k = 2 b a/g,
 
-only when ``t g > 2`` (``a - b > 2 lambda``); at ``b = 0`` it is
-``t/2 - 1/a``.  The threshold is calibrated by Monte Carlo so that the
-calibration-sample mean power lands within 1 % of the average budget, else
+so only when ``t > u`` (``a - b > 2 lambda``); at ``b = 0`` it is
+``t/2 - 1/a``.  Every term is a ratio to ``g``: none squares a gain or
+multiplies two, so no term overflows before a gain does, and scaling the
+gains by a power of two scales ``P`` by its inverse, exactly.  The
+threshold is calibrated by Monte Carlo so that the calibration-sample mean
+power lands within 1 % of the average budget, else
 :class:`~secrecylab.errors.NumericalError` is raised.  The ergodic secrecy
 rate is the sample mean of the per-slot rates.
 
@@ -26,10 +30,11 @@ links by the variance gap rather than by gain.
 slots (the calibration sample, or the bank's links with target
 ``budget/n``) is continuous and strictly increasing wherever it is
 positive.  It is solved by safeguarded Newton steps on ``t`` with the
-analytic slope ``dP/dt = (g - P g a b / R) / (a + b + R)``, ``R = sqrt(g^2
-+ 2 t g a b)``, falling back to doubling or bisection when a step leaves the
-bracket.  Calibration stops within 4 ulps of the budget; the water-fill runs
-until the bracket collapses.
+analytic slope ``dP/dt = (1 - k P / (2 w)) / (v + w)``, ``w = sqrt(1 + t
+k)``, falling back to doubling or bisection when a step leaves the bracket;
+a bracket wider than a factor of 4 is bisected at its geometric mean.
+Calibration stops within 4 ulps of the budget; the water-fill runs until
+the bracket collapses.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -105,13 +110,6 @@ class FadingPolicy:
         _check_positive("lam", self.lam)
 
 
-def _bank_gains(channels):
-    """Slot gains ``(1/sigma_m_sq, 1/sigma_w_sq)`` of an AWGN bank, one per link."""
-    a = np.array([1.0 / ch.sigma_m_sq for ch in channels])
-    b = np.array([1.0 / ch.sigma_w_sq for ch in channels])
-    return a, b
-
-
 def power_at_lambda(ch, lam):
     """Optimal power for one AWGN link at a given threshold.
 
@@ -126,7 +124,7 @@ def power_at_lambda(ch, lam):
         Threshold, > 0.
     """
     _check_positive("lam", lam)
-    return float(_fading_power_array(lam, 1.0 / ch.sigma_m_sq, 1.0 / ch.sigma_w_sq))
+    return float(_fading_power_array(lam, *ch.gains))
 
 
 def sum_secrecy_rate(channels, powers):
@@ -144,7 +142,8 @@ def sum_secrecy_rate(channels, powers):
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers) & (powers >= 0)):
         raise InvalidInputError("powers must be non-negative finite numbers")
-    return float(_secrecy_rate(powers, *_bank_gains(channels)).sum())
+    a, b = np.reshape([ch.gains for ch in channels], (-1, 2)).T
+    return float(_secrecy_rate(powers, a, b).sum())
 
 
 def awgn_waterfill(channels, budget):
@@ -181,7 +180,7 @@ def awgn_waterfill(channels, budget):
         raise InvalidInputError("channel list must not be empty")
     _check_positive("budget", budget)
 
-    a, b = _bank_gains(channels)
+    a, b = map(np.array, zip(*[ch.gains for ch in channels]))
     powers = np.zeros(len(channels))
     on = a > b
     if not np.any(on):
@@ -197,32 +196,39 @@ def awgn_waterfill(channels, budget):
     return AllocationResult(powers=powers, lam=1.0 / t, sum_rate=float(rates.sum()), rates=rates)
 
 
-# Gains or thresholds near the float limit overflow the slot kernels below;
-# the callers' residual checks report the result, so numpy need not warn.
+# Thresholds near the float limit, and gain draws that overflowed, overflow
+# the slot kernels below; the callers' residual checks report the result,
+# so numpy need not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_power(t, g, s, g2, c):
+def _slot_power(t, u, v, k):
     """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
 
-    For slots with ``g = a - b > 0``, given ``s = a + b``, ``g2 = g**2`` and
-    ``c = 2 g a b``, returns ``(p, r)`` with ``r = sqrt(g2 + t c)`` and
-    ``p = max(t g - 2, 0) / (s + r)``: zero exactly when ``t g <= 2``.
+    For slots with ``g = a - b > 0``, given ``u = 2/g``, ``v = (a + b)/g``
+    and ``k = 2 b a/g``, returns ``(p, w)`` with ``w = sqrt(1 + t k)`` and
+    ``p = max(t - u, 0) / (v + w)``: zero exactly when ``t <= u``.
     """
-    r = np.sqrt(g2 + t * c)
-    p = np.maximum(t * g - 2.0, 0.0) / (s + r)
-    return p, r
+    w = np.sqrt(1.0 + t * k)
+    p = np.maximum(t - u, 0.0) / (v + w)
+    return p, w
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_slope(p, r, g, s, c):
-    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, r)``; 0 where ``p = 0``."""
-    return np.where(p > 0.0, (g - 0.5 * c * p / r) / (s + r), 0.0)
+def _slot_slope(p, w, v, k):
+    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w)``; 0 where ``p = 0``."""
+    return np.where(p > 0.0, (1.0 - 0.5 * k * p / w) / (v + w), 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _slot_terms(a, b):
-    """The per-slot constants ``(g, s, g2, c)`` of :func:`_slot_power`."""
+    """The per-slot constants ``(u, v, k)`` of :func:`_slot_power`, for ``a > b``.
+
+    Each is a ratio to ``g = a - b``, so no term squares a gain or multiplies
+    two of them.  ``u`` takes over ``g``'s buffer, which keeps the peak
+    memory of a large calibration sample down.
+    """
     g = a - b
-    return g, a + b, g * g, 2.0 * g * a * b
+    v, k = (a + b) / g, 2.0 * b * (a / g)
+    return np.divide(2.0, g, out=g), v, k
 
 
 def _fading_power_array(lam, a, b):
@@ -258,15 +264,14 @@ def _solve_threshold(terms, n, target, residual_tol):
     :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean power, evaluations)``
     for the evaluated ``t`` whose mean power came closest to the target.
     """
-    g, s, g2, c = terms
+    u, v, k = terms
 
     def mean_power_and_slope(t):
-        p, r = _slot_power(t, g, s, g2, c)
-        slope = _slot_slope(p, r, g, s, c)
-        return float(p.sum()) / n, float(slope.sum()) / n
+        p, w = _slot_power(t, u, v, k)
+        return float(p.sum()) / n, float(_slot_slope(p, w, v, k).sum()) / n
 
     # Every slot spends at most t/2, so the mean power at lo is within target.
-    lo, hi = max(2.0 / float(g.max()), 2.0 * target), math.inf
+    lo, hi = max(float(u.min()), 2.0 * target), math.inf
     t = lo
     for iterations in range(1, _MAX_NEWTON + 1):
         power, slope = mean_power_and_slope(t)
@@ -281,11 +286,22 @@ def _solve_threshold(terms, n, target, residual_tol):
             hi = t
         step = t - residual / slope if slope > 0 else math.inf
         if not lo < step < hi:
-            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            step = 2.0 * lo if hi == math.inf else _midpoint(lo, hi)
         if step == lo or step == hi:
             break
         t = step
     return best_t, best_p, iterations
+
+
+def _midpoint(lo, hi):
+    """Bisection point of ``0 < lo < hi``: geometric on a wide bracket.
+
+    A Newton step can overshoot by many orders of magnitude; the geometric
+    mean halves the bracket's exponent range, where the arithmetic one would
+    take a step per factor of two.  Both scale exactly with ``lo`` and
+    ``hi``.
+    """
+    return lo * math.sqrt(hi / lo) if hi > 4.0 * lo else 0.5 * (lo + hi)
 
 
 def _draw_states(ch, samples, seed):

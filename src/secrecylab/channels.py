@@ -17,7 +17,7 @@ arguments and safe to call concurrently.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,18 +43,20 @@ class GaussianWiretapChannel:
         Noise variance on the eavesdropper channel, linear power units.
 
     Both variances must be large enough (about 5.56e-309 or more) that the
-    power gains ``1/sigma_m_sq, 1/sigma_w_sq`` the rate and power kernels
-    use are finite.
+    power gains ``gains = (1/sigma_m_sq, 1/sigma_w_sq)``, which the rate and
+    power kernels use, are finite.
     """
 
     sigma_m_sq: float
     sigma_w_sq: float
+    gains: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_positive("sigma_m_sq", self.sigma_m_sq)
         _check_positive("sigma_w_sq", self.sigma_w_sq)
-        _check_gain("sigma_m_sq", "1/sigma_m_sq", 1.0 / self.sigma_m_sq)
-        _check_gain("sigma_w_sq", "1/sigma_w_sq", 1.0 / self.sigma_w_sq)
+        object.__setattr__(self, "gains", (1.0 / self.sigma_m_sq, 1.0 / self.sigma_w_sq))
+        _check_gain("sigma_m_sq", "1/sigma_m_sq", self.gains[0])
+        _check_gain("sigma_w_sq", "1/sigma_w_sq", self.gains[1])
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,7 @@ def gaussian_secrecy_rate(power, ch):
         Secrecy rate in bits per channel use, >= 0.
     """
     _check_nonnegative("power", power)
-    return float(_secrecy_rate(power, 1.0 / ch.sigma_m_sq, 1.0 / ch.sigma_w_sq))
+    return float(_secrecy_rate(power, *ch.gains))
 
 
 def instantaneous_fading_secrecy_rate(power, state):

@@ -17,8 +17,9 @@ variable, which beats the scenario's ``seed`` field (default 0).  Each is a
 Exit codes: 0 success; 2 usage error (bad arguments, missing required
 option, a seed outside [0, 2**64)); 3 validation error (unreadable or
 invalid scenario, content mismatch, a budget that is not positive and
-finite, unwritable output); 4 numerical failure (a solver missed its
-tolerance, such as a fading budget missed by more than 1 %).
+finite, a sample count below 1, a grid step outside [1e-3, 0.1], unwritable
+output); 4 numerical failure (a solver missed its tolerance, such as a
+fading budget missed by more than 1 %).
 """
 
 import argparse

@@ -285,13 +285,10 @@ def pr_picking_k(set_sizes):
         Each >= 1.  An empty sequence returns 0; any size-1 set forces the
         pick, returning 1.
     """
-    sizes = list(set_sizes)
     miss = 1.0
-    for s in sizes:
+    for s in set_sizes:
         _check_count("set size", s)
         miss *= (s - 1) / s
-    if not sizes:
-        return 0.0
     return 1.0 - miss
 
 

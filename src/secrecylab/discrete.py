@@ -14,11 +14,14 @@ limitation otherwise.  Entropy terms use ``0 * log 0 = 0`` and base-2 logs.
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedSizeError
+from .errors import InvalidInputError, UnsupportedSizeError, _check_grid_step
 
 _NORM_TOL = 1e-12
 _TIE_TOL = 1e-12
-_GRID_CHUNK = 1 << 18
+#: Grid points per rate-kernel call.  At 2**15 rows each ``(rows, 4)`` working
+#: array is 1 MB and stays in cache; at 2**18 a 4-input search at step 0.002
+#: took 2.5 s instead of 1.7 s on a 2-vCPU Xeon, with one OpenBLAS thread or two.
+_GRID_CHUNK = 1 << 15
 _TINY = np.finfo(float).smallest_subnormal
 
 
@@ -220,9 +223,7 @@ def max_secrecy_rate_grid(ch, grid_step):
     if nx > 4:
         raise UnsupportedSizeError(
             f"grid search supports input alphabets up to 4, got {nx}")
-    if not 1e-3 <= grid_step <= 0.1:
-        raise InvalidInputError(
-            f"grid_step must lie in [1e-3, 0.1], got {grid_step!r}")
+    _check_grid_step("grid_step", grid_step)
     denom = int(round(1.0 / grid_step))
 
     best = -np.inf

@@ -2,11 +2,11 @@
 
 All validation failures derive from :class:`ValueError` so callers that do
 not care about the fine-grained category can catch the builtin.  Each rule
-about a single argument value (a number, a count, a seed) is written once,
-here, and raises :class:`InvalidInputError` with a message that starts with
-the value's name (``"<name>: expected ..."``), so a caller can prefix where
-the value came from.  Booleans are never numbers.  This module imports
-nothing else from the package, nor numpy.
+about a single argument value (a number, a count, a seed, a grid step) is
+written once, here, and raises :class:`InvalidInputError` with a message
+that starts with the value's name (``"<name>: expected ..."``), so a caller
+can prefix where the value came from.  Booleans are never numbers.  This
+module imports nothing else from the package, nor numpy.
 """
 
 import sys
@@ -70,9 +70,10 @@ def _check_nonnegative(name, value):
 
 
 def _check_count(name, value):
-    """``value`` must be an integer >= 1 (numpy integers too), not a bool."""
+    """``value`` unchanged; it must be an integer >= 1 (numpy integers too), not a bool."""
     if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= 1):
         raise InvalidInputError(f"{name}: expected a positive integer, got {value!r}")
+    return value
 
 
 def _check_seed(name, value):
@@ -81,3 +82,11 @@ def _check_seed(name, value):
             and 0 <= value < 2 ** 64):
         raise InvalidInputError(f"{name}: expected a 64-bit unsigned integer, got {value!r}")
     return value
+
+
+def _check_grid_step(name, value):
+    """``value`` as a float; it must lie in ``[1e-3, 0.1]``, the supported simplex steps."""
+    number = _finite_float(name, value)
+    if not 1e-3 <= number <= 0.1:
+        raise InvalidInputError(f"{name}: expected a value in [1e-3, 0.1], got {value!r}")
+    return number

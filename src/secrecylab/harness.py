@@ -33,7 +33,13 @@ from .cooperation import (
     qualified_rate,
 )
 from .discrete import max_secrecy_rate_grid
-from .errors import ScenarioValidationError, UsageError, _check_positive
+from .errors import (
+    ScenarioValidationError,
+    UsageError,
+    _check_count,
+    _check_grid_step,
+    _check_positive,
+)
 from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, ReportRecord, load_scenario
 
 DEFAULT_SAMPLES = 100_000
@@ -204,9 +210,11 @@ COMMANDS = tuple(_TABLE)
 def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=None):
     """Execute one command against a scenario.
 
-    Checks the preconditions in this order: a scenario, then a positive
-    finite budget for the commands that spend one, then at least one
-    channel of the kind the command reads.
+    Checks the preconditions in this order: a scenario, then each option
+    given here (a positive finite budget, a positive sample count, a grid
+    step in ``[1e-3, 0.1]``) whichever command runs, then a budget for the
+    commands that spend one, then at least one channel of the kind the
+    command reads.
 
     Parameters
     ----------
@@ -233,14 +241,14 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
 
     options = SimpleNamespace(
         seed=scenario.seed if seed is None else seed,
-        budget=scenario.budget if budget is None else budget,
-        samples=(scenario.samples or DEFAULT_SAMPLES) if samples is None else samples,
-        grid_step=DEFAULT_GRID_STEP if grid_step is None else grid_step)
-    if spends_budget:
-        if options.budget is None:
-            raise UsageError(f"command '{command}' requires a budget "
-                             f"(--budget or a scenario-level budget field)")
-        options.budget = _check_positive("budget", options.budget)
+        budget=scenario.budget if budget is None else _check_positive("budget", budget),
+        samples=((scenario.samples or DEFAULT_SAMPLES) if samples is None
+                 else _check_count("samples", samples)),
+        grid_step=(DEFAULT_GRID_STEP if grid_step is None
+                   else _check_grid_step("grid_step", grid_step)))
+    if spends_budget and options.budget is None:
+        raise UsageError(f"command '{command}' requires a budget "
+                         f"(--budget or a scenario-level budget field)")
 
     entries = scenario.agent_bank() if reads == _AGENTS else scenario.of_kind(reads)
     if not entries:

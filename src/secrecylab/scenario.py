@@ -276,16 +276,7 @@ def render(records, format):
             writer.writerow(_record_to_csv_row(rec))
         return buf.getvalue()
     if format == "json":
-        payload = [
-            {
-                "experiment": rec.experiment,
-                "channel_id": rec.channel_id,
-                "inputs": _round_floats(rec.inputs),
-                "outputs": _round_floats(rec.outputs),
-                "metadata": _round_floats(rec.metadata),
-            }
-            for rec in records
-        ]
+        payload = [_round_floats(vars(rec)) for rec in records]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     raise InvalidInputError(f"unknown report format {format!r}")
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from secrecylab import (
@@ -23,7 +23,7 @@ from secrecylab import (
     power_at_lambda,
     sum_secrecy_rate,
 )
-from secrecylab.allocation import _fading_power_array
+from secrecylab.allocation import AWGN_BUDGET_TOL, _fading_power_array, _slot_terms
 
 
 def random_bank(rng, n=3, lo=0.5, hi=5.0):
@@ -320,6 +320,81 @@ class TestFadingPower:
                         textbook[i] = 0.5 * (math.sqrt(n_delta ** 2 + 2.0 * n_delta / lam)
                                              - n_sum)
             np.testing.assert_allclose(vec, textbook, rtol=1e-9, atol=1e-12)
+
+
+def shifts(up, down, lo=-1000, hi=1000):
+    """The ``j`` in ``[lo, hi]`` that keep each nonzero ``x * 2**j`` (``x`` in
+    ``up``) and ``x * 2**-j`` (``x`` in ``down``) a normal, finite float."""
+    for x in np.abs(np.asarray(up, dtype=float)):
+        if x:
+            e = math.frexp(x)[1]
+            lo, hi = max(lo, -1021 - e), min(hi, 1024 - e)
+    for x in np.abs(np.asarray(down, dtype=float)):
+        if x:
+            e = math.frexp(x)[1]
+            lo, hi = max(lo, e - 1024), min(hi, e + 1021)
+    return lo, hi
+
+
+def normal_or_zero(x):
+    x = np.abs(np.asarray(x, dtype=float))
+    return bool(np.all((x == 0.0) | ((x >= 2.0 ** -1022) & np.isfinite(x))))
+
+
+#: Positive floats from 2**-200 to 2**200, log-uniformly.
+MODERATE = st.floats(-200.0, 200.0).map(lambda e: 2.0 ** e)
+
+
+class TestPowerOfTwoScaling:
+    """Scaling every gain by a power of two scales every power by its inverse, bit for bit.
+
+    The slot kernel divides every term by ``g = a - b``, so none squares a
+    gain or multiplies two: wherever each value stays a normal float, the
+    scaled computation is the unscaled one with shifted exponents.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(gains=st.lists(st.tuples(MODERATE, MODERATE), min_size=1, max_size=6),
+           lam=MODERATE, data=st.data())
+    def test_fading_power_rule(self, gains, lam, data):
+        a, b = np.array(gains).T
+        on = a > b
+        u, v, k = _slot_terms(a[on], b[on])
+        lo, hi = shifts(up=[*a, *b, *(a - b)[on], *k, 1.0 / lam], down=[*u, lam])
+        assume(lo <= hi)
+        j = data.draw(st.integers(lo, hi), label="j")
+        unscaled = _fading_power_array(math.ldexp(lam, -j), a, b)
+        scaled = _fading_power_array(lam, np.ldexp(a, j), np.ldexp(b, j))
+        assume(normal_or_zero(unscaled) and normal_or_zero(scaled))
+        np.testing.assert_array_equal(np.ldexp(scaled, j), unscaled)
+
+    @settings(max_examples=300, deadline=None)
+    @given(variances=st.lists(st.tuples(MODERATE, MODERATE), min_size=1, max_size=6),
+           budget=MODERATE, data=st.data())
+    def test_awgn_waterfill(self, variances, budget, data):
+        bank = [GaussianWiretapChannel(m, w) for m, w in variances]
+        a, b = np.array([ch.gains for ch in bank]).T
+        on = a > b
+        assume(np.any(on))
+        try:
+            base = awgn_waterfill(bank, budget)
+        except NumericalError:  # the float grid of t cannot meet the 1e-9 budget residual
+            reject()
+        u, v, k = _slot_terms(a[on], b[on])
+        # The residual scales with the budget, so it bounds j from above.
+        residual = abs(base.powers.sum() - budget)
+        top = math.frexp(AWGN_BUDGET_TOL)[1] - math.frexp(residual)[1] - 1 if residual else 1000
+        lo, hi = shifts(up=[*np.ravel(variances), budget, *base.powers, *u, 1.0 / base.lam],
+                        down=[*a, *b, *(a - b)[on], *k, base.lam], hi=min(1000, top))
+        assume(lo <= hi)
+        j = data.draw(st.integers(lo, hi), label="j")
+        scaled = awgn_waterfill(
+            [GaussianWiretapChannel(math.ldexp(m, j), math.ldexp(w, j)) for m, w in variances],
+            math.ldexp(budget, j))
+        np.testing.assert_array_equal(scaled.powers, np.ldexp(base.powers, j))
+        np.testing.assert_array_equal(scaled.rates, base.rates)
+        assert scaled.lam == math.ldexp(base.lam, -j)
+        assert scaled.sum_rate == base.sum_rate
 
 
 class TestCalibration:

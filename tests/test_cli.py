@@ -465,6 +465,65 @@ class TestCommandPreconditions:
             assert f"command '{command}' needs" in err
 
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--budget", "-1", "budget"), ("--budget", "0", "budget"), ("--budget", "nan", "budget"),
+        ("--samples", "0", "samples"), ("--samples", "-5", "samples"),
+        ("--grid-step", "-1", "grid_step"), ("--grid-step", "7", "grid_step")])
+    @pytest.mark.parametrize("command", harness.COMMANDS)
+    def test_every_option_given_is_checked(self, tmp_path, capsys, command, option, value, name):
+        path = write(tmp_path, {"schema_version": 1, "budget": 1.0,
+                                "channels": list(ONE_OF_EACH.values())})
+        code, out, err = run_cli([command, "--scenario", path, option, value], capsys)
+        assert (code, out) == (cli.EXIT_VALIDATION, "")
+        assert f"error: {name}: expected a" in err
+
+
+class TestExtremeGains:
+    """Gains far beyond 1e154 water-fill and calibrate like moderate ones."""
+
+    @pytest.mark.parametrize("first, sum_rate", [
+        ({"sigma_m_sq": 1e-105, "sigma_w_sq": 2e-105}, 0.923998453277),
+        ({"sigma_m_sq": 1e-120, "sigma_w_sq": 2e-120}, 0.923998453277),
+        ({"sigma_m_sq": 1e-200, "sigma_w_sq": 1.0}, 332.012880031)])
+    def test_two_link_bank(self, tmp_path, capsys, first, sum_rate):
+        """Sum rates from a 50-digit bisection of the water-fill."""
+        doc = {"schema_version": 1, "channels": [{"type": "gaussian", **first},
+                                                 {"type": "gaussian", "sigma_m_sq": 1.0,
+                                                  "sigma_w_sq": 3.0}]}
+        code, out, err = run_cli(["allocate", "--scenario", write(tmp_path, doc),
+                                  "--budget", "2", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        summary = json.loads(out)[-1]["outputs"]
+        assert (summary["power"], summary["rate_bits"]) == (2.0, sum_rate)
+
+    @pytest.mark.parametrize("sigma_m_sq", [1e-160, 1e-308])
+    def test_one_link_takes_the_whole_budget(self, tmp_path, capsys, sigma_m_sq):
+        doc = {"schema_version": 1, "channels": [
+            {"type": "gaussian", "sigma_m_sq": sigma_m_sq, "sigma_w_sq": 1.0}]}
+        code, out, err = run_cli(["allocate", "--scenario", write(tmp_path, doc),
+                                  "--budget", "1", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        link = json.loads(out)[0]["outputs"]
+        # (1 + 1/sigma_m_sq) / 2 is 1/(2 sigma_m_sq) to far more than 12 digits.
+        exact = 0.5 * (-math.log2(sigma_m_sq) - 1.0)
+        assert (link["power"], link["rate_bits"]) == (1.0, float(f"{exact:.12g}"))
+
+    @pytest.mark.parametrize("command", ["allocate-fading", "ergodic"])
+    def test_fading_mean_gain_beyond_1e154(self, tmp_path, capsys, command):
+        """With ``b = 1``, a mean gain from 1e150 up gives the same threshold."""
+        reports = []
+        for a in (1e150, 1e154, 1e300):
+            doc = {"schema_version": 1, "channels": [
+                {"type": "fading", "a": a, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}]}
+            code, out, err = run_cli([command, "--scenario", write(tmp_path, doc),
+                                      "--budget", "1", "--samples", "1000", "--seed", "3",
+                                      "--format", "json"], capsys)
+            assert (code, err) == (0, "")
+            [record] = json.loads(out)
+            reports.append((record["outputs"]["lambda"], record["outputs"]["power"]))
+        assert reports[1:] == reports[:1] * 2
+
+
 #: Every positive float from the smallest subnormal up to 1.7e308, log-uniformly.
 WIDE = st.floats(math.log(5e-324), math.log(1.7e308)).map(lambda x: max(math.exp(x), 5e-324))
 GAUSSIAN = st.fixed_dictionaries({"type": st.just("gaussian"),
