@@ -48,6 +48,7 @@ from .discrete import (
 from .cooperation import (
     FeasibleSet,
     PairingPlan,
+    SortedBank,
     classify,
     efficiency_pair,
     efficiency_qualified,

@@ -255,6 +255,13 @@ def fading_power(policy, state):
     return float(_fading_power_array(policy.lam, state.a_draw, state.b_draw))
 
 
+def _mean(powers, n):
+    """``powers.sum() / n``, also where the sum alone passes the float maximum."""
+    with np.errstate(over="ignore"):
+        total = float(powers.sum())
+    return total / n if total < math.inf else float((powers / n).sum())
+
+
 def _solve_threshold(terms, n, target, residual_tol):
     """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
 
@@ -268,7 +275,7 @@ def _solve_threshold(terms, n, target, residual_tol):
 
     def mean_power_and_slope(t):
         p, w = _slot_power(t, u, v, k)
-        return float(p.sum()) / n, float(_slot_slope(p, w, v, k).sum()) / n
+        return _mean(p, n), float(_slot_slope(p, w, v, k).sum()) / n
 
     # Every slot spends at most t/2, so the mean power at lo is within target.
     lo, hi = max(float(u.min()), 2.0 * target), math.inf
@@ -380,7 +387,7 @@ def _ergodic_estimate(ch, policy, samples, seed):
     rates = _secrecy_rate(p, a, b)
     estimate = float(rates.mean())
     stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    power = float(p.mean())
+    power = _mean(p, samples)
     if not math.isfinite(estimate + stderr + power):
         raise NumericalError(f"ergodic estimate is not finite: rate {estimate!r}, "
                              f"standard error {stderr!r}, mean power {power!r}")

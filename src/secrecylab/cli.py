@@ -19,7 +19,8 @@ option, a seed outside [0, 2**64)); 3 validation error (unreadable or
 invalid scenario, content mismatch, a budget that is not positive and
 finite, a sample count below 1, a grid step outside [1e-3, 0.1], unwritable
 output); 4 numerical failure (a solver missed its tolerance, such as a
-fading budget missed by more than 1 %).
+fading budget missed by more than 1 %, or a report would hold a non-finite
+number other than the zero-secrecy sentinel).
 """
 
 import argparse

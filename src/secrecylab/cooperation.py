@@ -17,6 +17,7 @@ approaches it only as the two SNRs coincide.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,12 +61,42 @@ def _check_unique_ids(bank):
         seen.add(ch.id)
 
 
+class SortedBank(tuple):
+    """Agents sorted by ascending (main_snr, id), with the index feasible sets bisect.
+
+    A tuple, so the index built here can never disagree with the agents it
+    holds.  It compares equal to a list or tuple of the same agents in the
+    same order.  Ids must be unique.
+    """
+
+    def __new__(cls, agents):
+        bank = super().__new__(cls, sorted(agents, key=lambda ch: (ch.main_snr, ch.id)))
+        bank._snrs = tuple(ch.main_snr for ch in bank)
+        bank._ids = tuple(ch.id for ch in bank)
+        bank._pos = {agent_id: pos for pos, agent_id in enumerate(bank._ids)}
+        if len(bank._pos) < len(bank):
+            _check_unique_ids(bank)
+        return bank
+
+    def __eq__(self, other):
+        if isinstance(other, list):
+            other = tuple(other)
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+
 def classify(bank):
     """Split a bank into qualified and disqualified agents.
 
     Qualified agents (``main_snr > eaves_snr``, strictly) keep their input
-    order; disqualified agents come back sorted by ascending ``main_snr``
-    with ties broken by id, which is the order the greedy pairing consumes.
+    order; disqualified agents come back as a :class:`SortedBank`, sorted by
+    ascending ``main_snr`` with ties broken by id, which is the order the
+    greedy pairing consumes.
 
     Parameters
     ----------
@@ -74,13 +105,12 @@ def classify(bank):
 
     Returns
     -------
-    (list, list)
+    (list, SortedBank)
         ``(qualified, disqualified)``
     """
     _check_unique_ids(bank)
     qualified = [ch for ch in bank if ch.main_snr > ch.eaves_snr]
-    disqualified = sorted((ch for ch in bank if not ch.main_snr > ch.eaves_snr),
-                          key=lambda ch: (ch.main_snr, ch.id))
+    disqualified = SortedBank(ch for ch in bank if not ch.main_snr > ch.eaves_snr)
     return qualified, disqualified
 
 
@@ -88,18 +118,20 @@ def feasible_set(agent_id, disqualified):
     """All agents in the bank strong enough to help the given one.
 
     Members are ids ``j != agent_id`` with ``main_snr_j > eaves_snr_i``,
-    listed in ascending (main_snr, id) order.  Because a disqualified
-    agent's eavesdropper out-hears its own link, every member necessarily
-    sits after the agent in the sorted order.
+    listed in ascending (main_snr, id) order: the suffix of the sorted bank
+    after ``bisect_right`` of ``eaves_snr_i`` on the SNRs.  A disqualified
+    agent never sits in its own suffix; a qualified one may, and is left out.
+    On the :class:`SortedBank` from :func:`classify` a call costs O(log k)
+    plus its members; any other sequence of agents is sorted first.
     """
-    by_id = {ch.id: ch for ch in disqualified}
-    if agent_id not in by_id:
+    bank = disqualified if isinstance(disqualified, SortedBank) else SortedBank(disqualified)
+    pos = bank._pos.get(agent_id)
+    if pos is None:
         raise InvalidInputError(f"unknown agent id {agent_id!r}")
-    me = by_id[agent_id]
-    members = sorted((ch for ch in disqualified
-                      if ch.id != agent_id and ch.main_snr > me.eaves_snr),
-                     key=lambda ch: (ch.main_snr, ch.id))
-    return FeasibleSet(agent_id=agent_id, members=tuple(ch.id for ch in members))
+    start = bisect_right(bank._snrs, bank[pos].eaves_snr)
+    ids = bank._ids
+    members = ids[start:] if pos < start else ids[start:pos] + ids[pos + 1:]
+    return FeasibleSet(agent_id=agent_id, members=members)
 
 
 def _check_sorted_disqualified(disqualified):

@@ -77,34 +77,35 @@ def _link_record(command, sc, outputs, metadata):
                         outputs=outputs, metadata=metadata)
 
 
-def _agent_record(command, agent, seed, outputs):
+def _agent_record(command, agent, outputs, metadata):
     """A row about one agent; its inputs are the agent's SNR pair."""
     return ReportRecord(experiment=command, channel_id=agent.id,
                         inputs={"A": float(agent.main_snr), "E": float(agent.eaves_snr)},
-                        outputs=outputs, metadata=_meta(seed))
+                        outputs=outputs, metadata=metadata)
 
 
 def _run_rate(command, entries, options):
+    metadata = _meta(options.seed)
     records = []
     for _pos, sc in entries:
         outputs = {"power": options.budget,
                    "rate_bits": gaussian_secrecy_rate(options.budget, sc.channel)}
-        records.append(_link_record(command, sc, outputs, _meta(options.seed)))
+        records.append(_link_record(command, sc, outputs, metadata))
     return records
 
 
 def _run_allocate(command, entries, options):
     result = awgn_waterfill([sc.channel for _pos, sc in entries], options.budget)
+    metadata = _meta(options.seed, budget_tol=AWGN_BUDGET_TOL)
     records = []
     for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
-        records.append(_link_record(command, sc, {"power": power, "rate_bits": rate},
-                                    _meta(options.seed, budget_tol=AWGN_BUDGET_TOL)))
+        records.append(_link_record(command, sc, {"power": power, "rate_bits": rate}, metadata))
     records.append(ReportRecord(
         experiment=command, channel_id="summary",
         outputs={"power": float(result.powers.sum()),
                  "rate_bits": result.sum_rate,
                  "lambda": result.lam},
-        metadata=_meta(options.seed, budget_tol=AWGN_BUDGET_TOL)))
+        metadata=metadata))
     return records
 
 
@@ -129,6 +130,7 @@ def _run_fading(command, entries, options):
 def _run_pair(command, entries, options):
     qualified, disqualified = classify([agent for _pos, agent in entries])
     plan = greedy_pairing(disqualified)
+    metadata = _meta(options.seed)
     roles = {agent.id: "qualified" for agent in qualified}
     for helped, helper in plan.pairs:
         roles[helped], roles[helper] = "helped", "helper"
@@ -139,31 +141,33 @@ def _run_pair(command, entries, options):
         outputs = {"qualified": role == "qualified", "role": role}
         if role == "qualified":
             outputs["rate_bits"], outputs["efficiency"] = qualified_rate(agent)
-        records.append(_agent_record(command, agent, options.seed, outputs))
+        records.append(_agent_record(command, agent, outputs, metadata))
 
     by_id = {agent.id: agent for agent in disqualified}
     for pair in plan.pairs:
-        records.append(_agent_record(command, by_id[pair[0]], options.seed, {
-            "pair_with": pair[1], "efficiency": plan.efficiencies[pair]}))
+        records.append(_agent_record(command, by_id[pair[0]], {
+            "pair_with": pair[1], "efficiency": plan.efficiencies[pair]}, metadata))
     return records
 
 
 def _run_discrete(command, entries, options):
+    metadata = _meta(options.seed, grid_step=options.grid_step)
     records = []
     for _pos, sc in entries:
         rate, argmax = max_secrecy_rate_grid(sc.channel, options.grid_step)
         records.append(ReportRecord(
             experiment=command, channel_id=sc.id,
             outputs={"rate_bits": rate, "argmax_pmf": argmax.probs.tolist()},
-            metadata=_meta(options.seed, grid_step=options.grid_step)))
+            metadata=metadata))
     return records
 
 
 def _run_pick_prob(command, entries, options):
     _qualified, disqualified = classify([agent for _pos, agent in entries])
     sets = [feasible_set(agent.id, disqualified) for agent in disqualified]
-    records = [_agent_record(command, agent, options.seed, {
-                   "feasible_set_size": len(fs), "feasible_members": list(fs.members)})
+    metadata = _meta(options.seed)
+    records = [_agent_record(command, agent, {
+                   "feasible_set_size": len(fs), "feasible_members": fs.members}, metadata)
                for agent, fs in zip(disqualified, sets)]
 
     contested = next((i for i, fs in enumerate(sets) if len(fs) == 1), None)
@@ -179,7 +183,7 @@ def _run_pick_prob(command, entries, options):
         }
     records.append(ReportRecord(
         experiment=command, channel_id="summary",
-        outputs=summary_outputs, metadata=_meta(options.seed)))
+        outputs=summary_outputs, metadata=metadata))
     return records
 
 

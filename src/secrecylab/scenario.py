@@ -5,7 +5,8 @@ of tagged channel descriptors; unknown fields are rejected rather than
 ignored so config typos surface immediately.  Reports are flat records that
 serialize to either a fixed-column CSV or a JSON mirror; all numbers are
 rendered with 12 significant digits so reruns are byte-identical and
-machine-diffable.
+machine-diffable.  Every number in a report is finite, except the
+zero-secrecy sentinel ``"lambda": "inf"`` beside ``"zero_secrecy": true``.
 
 Scenario schema (version 1)::
 
@@ -34,6 +35,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .channels import (
     AgentChannel,
@@ -44,6 +46,7 @@ from .channels import (
 from .discrete import DiscreteWiretapChannel
 from .errors import (
     InvalidInputError,
+    NumericalError,
     ScenarioSyntaxError,
     ScenarioValidationError,
     _check_count,
@@ -237,21 +240,6 @@ def _csv_cell(value):
     return str(value)
 
 
-def _round_floats(obj):
-    """Recursively pass floats through the 12-significant-digit renderer."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return _fmt12(obj)
-        return float(_fmt12(obj))
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _record_to_csv_row(rec):
     return [
         _csv_cell(rec.experiment),
@@ -266,18 +254,186 @@ def _record_to_csv_row(rec):
     ]
 
 
+def _report_fields(rec):
+    """A record's fields as a report shows them.
+
+    The one non-finite number a report may hold is the zero-secrecy
+    sentinel: ``outputs["lambda"]`` is infinite where ``outputs["zero_secrecy"]``
+    is true, and shows as the string ``"inf"``.
+    """
+    fields = vars(rec)
+    outputs = rec.outputs
+    if (isinstance(outputs, dict) and outputs.get("zero_secrecy") is True
+            and outputs.get("lambda") == math.inf):
+        fields = {**fields, "outputs": {**outputs, "lambda": "inf"}}
+    return fields
+
+
+#: Types of value that hold no float.
+_NO_FLOATS = frozenset((str, int, bool, type(None)))
+
+
+def _nonfinite_field(value, clean):
+    """Key path of the first non-finite float in a dict, list or tuple, or None.
+
+    ``clean`` maps the ids of dicts already found finite to the dicts, which
+    it keeps alive so that no id is reused while it is held.
+    """
+    if isinstance(value, dict):
+        items = value.items()
+    elif _NO_FLOATS.issuperset(map(type, value)):
+        return None
+    else:
+        items = enumerate(value)
+    for key, item in items:
+        kind = type(item)
+        if kind is float:
+            if not math.isfinite(item):
+                return (key,)
+        elif kind in _NO_FLOATS or id(item) in clean:
+            continue
+        elif isinstance(item, (dict, list, tuple)):
+            path = _nonfinite_field(item, clean)
+            if path is not None:
+                return (key, *path)
+        elif isinstance(item, float) and not math.isfinite(item):
+            return (key,)
+    if isinstance(value, dict):
+        clean[id(value)] = value
+    return None
+
+
+def _check_finite(rec, fields, clean):
+    """Raise :class:`NumericalError` naming the record and field of a non-finite float."""
+    path = _nonfinite_field(fields, clean)
+    if path is None:
+        return
+    value = fields
+    name = ""
+    for key in path:
+        value = value[key]
+        if isinstance(key, int):
+            name += f"[{key}]"
+        else:
+            name += f".{key}" if name else key
+    raise NumericalError(
+        f"report record (experiment {rec.experiment!r}, channel_id {rec.channel_id!r}): "
+        f"{name} is {value!r}; a report holds finite numbers only")
+
+
+class _NonFinite(Exception):
+    """A non-finite float met by the JSON renderer; the caller names the field."""
+
+
+#: What ``repr`` gives for a float that is not a finite number.
+_NONFINITE_REPRS = frozenset(("inf", "-inf", "nan"))
+
+
+def _json_records(records):
+    """Each record's fields as ``json.dumps(indent=2, sort_keys=True)`` lays
+    them out inside the report's top-level list.
+
+    A float is rounded to 12 significant digits and shown as the ``repr`` of
+    the rounded value; a non-finite one raises :class:`_NonFinite`.  A list
+    of ints is joined in one call, and a dict shared by many records renders
+    once per report and depth.
+    """
+    memo = {}       # (id(dict), indent) -> its text
+    seen = []       # the dicts in memo, held so that no id is reused
+    heads = {}      # key -> its JSON string and the ": " after it
+    int_texts = {}  # int -> its text; ids recur across the lists of a report
+
+    def value_text(value, indent):
+        kind = type(value)
+        if kind is float:
+            text = f"{value:.12g}"
+            # Text with a point and no exponent is already repr(float(text)):
+            # no shorter decimal names the double nearest a 12-digit one, and
+            # repr writes numbers of this size without an exponent too.
+            if "." not in text or "e" in text:
+                text = repr(float(text))
+                if text in _NONFINITE_REPRS:
+                    raise _NonFinite
+            return text
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            text = memo.get((id(value), indent))
+            if text is None:
+                text = memo[id(value), indent] = dict_text(value, indent)
+                seen.append(value)
+            return text
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            if set(map(type, value)) == {int}:
+                try:
+                    body = f",\n{inner}".join(map(int_texts.__getitem__, value))
+                except KeyError:
+                    int_texts.update(zip(value, map(int.__repr__, value)))
+                    body = f",\n{inner}".join(map(int_texts.__getitem__, value))
+            else:
+                body = f",\n{inner}".join([value_text(item, inner) for item in value])
+            return f"[\n{inner}{body}\n{indent}]"
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            return value_text(float(value), indent)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+    def dict_text(d, indent):
+        inner = indent + "  "
+        parts = []
+        for key in sorted(d):
+            head = heads.get(key)
+            if head is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                head = heads[key] = encode_basestring_ascii(key) + ": "
+            parts.append(head + value_text(d[key], inner))
+        body = f",\n{inner}".join(parts)
+        return f"{{\n{inner}{body}\n{indent}}}"
+
+    for rec in records:
+        fields = _report_fields(rec)
+        try:
+            yield dict_text(fields, "  ")
+        except _NonFinite:
+            _check_finite(rec, fields, {})
+            raise
+
+
 def render(records, format):
-    """Serialize records to a string in the given format (csv or json)."""
+    """Serialize records to a string in the given format (csv or json).
+
+    Raises :class:`NumericalError` for a non-finite float anywhere in a
+    record other than the zero-secrecy sentinel, in either format.
+    """
     if format == "csv":
+        clean = {}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
+            _check_finite(rec, _report_fields(rec), clean)
             writer.writerow(_record_to_csv_row(rec))
         return buf.getvalue()
     if format == "json":
-        payload = [_round_floats(vars(rec)) for rec in records]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = ",\n  ".join(_json_records(records))
+        return f"[\n  {body}\n]\n" if body else "[]\n"
     raise InvalidInputError(f"unknown report format {format!r}")
 
 
@@ -286,8 +442,11 @@ def emit(records, format, path):
 
     CSV uses the fixed column set :data:`CSV_COLUMNS`; a header row is
     always written, so an empty record list produces a header-only file.
-    JSON mirrors each record exactly.  Float fields carry 12 significant
-    digits in both formats, making repeated runs byte-identical.
+    JSON mirrors each record exactly, laid out as ``json.dumps(indent=2,
+    sort_keys=True)`` does.  Float fields carry 12 significant digits in
+    both formats, making repeated runs byte-identical.  A non-finite float
+    other than the zero-secrecy sentinel raises :class:`NumericalError`
+    before the file is opened, so no partial report is written.
     """
     text = render(records, format)
     if path == "-":

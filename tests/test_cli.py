@@ -523,6 +523,22 @@ class TestExtremeGains:
             reports.append((record["outputs"]["lambda"], record["outputs"]["power"]))
         assert reports[1:] == reports[:1] * 2
 
+    @pytest.mark.parametrize("command", ["allocate-fading", "ergodic"])
+    def test_mean_power_whose_sum_overflows(self, tmp_path, capsys, command):
+        """500 slots of ~3e305 each sum past the float maximum; their mean does not."""
+        doc = {"schema_version": 1, "channels": [
+            {"type": "fading", "a": 1.0, "b": 7.285370309915161e-304,
+             "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli([command, "--scenario", write(tmp_path, doc),
+                                      "--budget", "5.5375193892845935e+305",
+                                      "--samples", "500", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        [record] = json.loads(out)
+        achieved = record["metadata"]["achieved_power"]
+        assert achieved == pytest.approx(5.5375193892845935e+305, rel=0.01)
+
 
 #: Every positive float from the smallest subnormal up to 1.7e308, log-uniformly.
 WIDE = st.floats(math.log(5e-324), math.log(1.7e308)).map(lambda x: max(math.exp(x), 5e-324))

@@ -51,6 +51,18 @@ def networkx_max_matching(bank):
     return len(nx.max_weight_matching(g, maxcardinality=True))
 
 
+#: SNRs drawn from a few values, so that ties and boundary agents
+#: (``eaves_snr == main_snr``) are common, or from a range.
+SNRS = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 10.0))
+
+
+@st.composite
+def agent_banks(draw, max_size=12):
+    """Agents with unique ids, qualified, disqualified and boundary mixed."""
+    ids = draw(st.lists(st.integers(-20, 20), max_size=max_size, unique=True))
+    return [AgentChannel(id=i, main_snr=draw(SNRS), eaves_snr=draw(SNRS)) for i in ids]
+
+
 # The worked five-agent configuration: one agent (id 4) has exactly one
 # possible helper, making its pairing contested under random picking.
 FIVE_AGENTS = bank_from([1.0, 2.0, 3.0, 4.0, 5.0],
@@ -106,6 +118,38 @@ class TestFeasibleSets:
         _, disqualified = classify(FIVE_AGENTS)
         with pytest.raises(InvalidInputError):
             feasible_set(77, disqualified)
+
+    @given(agent_banks(), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_members_match_the_definition(self, bank, from_classify, random):
+        """Members of i are {j != i : main_snr_j > eaves_snr_i} in (main_snr, id) order,
+        on the bank from classify and on a shuffled plain list that may hold
+        qualified agents."""
+        if from_classify:
+            seq = classify(bank)[1]
+        else:
+            seq = list(bank)
+            random.shuffle(seq)
+        for agent in seq:
+            helpers = sorted((ch for ch in seq
+                              if ch.id != agent.id and ch.main_snr > agent.eaves_snr),
+                             key=lambda ch: (ch.main_snr, ch.id))
+            assert feasible_set(agent.id, seq).members == tuple(ch.id for ch in helpers)
+        unknown = max((ch.id for ch in seq), default=0) + 1
+        with pytest.raises(InvalidInputError, match="unknown agent id"):
+            feasible_set(unknown, seq)
+
+    def test_a_changed_list_gives_a_fresh_answer(self):
+        bank = list(FIVE_AGENTS)
+        assert feasible_set(4, bank).members == (5,)
+        bank.append(AgentChannel(id=6, main_snr=4.8, eaves_snr=9.0))
+        assert feasible_set(4, bank).members == (6, 5)
+
+    def test_classified_bank_is_immutable_and_equals_a_list(self):
+        _, disqualified = classify(FIVE_AGENTS)
+        assert isinstance(disqualified, tuple)
+        assert disqualified == sorted(FIVE_AGENTS, key=lambda ch: ch.main_snr)
+        assert classify([])[1] == [] and not classify([])[1] != []
 
 
 class TestGreedyPairing:

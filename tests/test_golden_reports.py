@@ -5,7 +5,10 @@ Each case runs ``cli.main`` in-process on a scenario under
 of the same name.  The agent scenario uses non-positional ids and covers all
 four pairing roles, a boundary agent (``eaves_snr == main_snr``), a fading
 entry seen through its SNRs and a contested helper for ``pick-prob``.
-Fading commands are left out: their reports depend on numpy's random stream.
+Fading commands run only on a link whose eavesdropper always out-hears it
+(``a 1e-300, b 1``): no slot activates, so the report holds the documented
+zero-secrecy sentinel (``"lambda": "inf"`` beside ``zero_secrecy: true``)
+and does not depend on numpy's random stream.
 
 Regenerate the goldens (only when a report change is intended) with::
 
@@ -30,6 +33,8 @@ CASES = {
     "pick-prob": ["pick-prob", "--scenario", "agents.scenario"],
     "discrete-capacity": ["discrete-capacity", "--scenario", "discrete.scenario",
                           "--grid-step", "0.05"],
+    "allocate-fading": ["allocate-fading", "--scenario", "zero-secrecy.scenario"],
+    "ergodic": ["ergodic", "--scenario", "zero-secrecy.scenario"],
 }
 
 

@@ -1,10 +1,14 @@
 """Scenario loading/validation and report serialization."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secrecylab import (
+    NumericalError,
     ReportRecord,
     ScenarioSyntaxError,
     ScenarioValidationError,
@@ -250,9 +254,44 @@ class TestEmit:
 
     def test_nonfinite_floats_render_as_strings_in_json(self):
         rec = ReportRecord(experiment="allocate-fading", channel_id=1,
-                           outputs={"lambda": float("inf")}, metadata={"seed": 0})
+                           outputs={"lambda": float("inf"), "zero_secrecy": True},
+                           metadata={"seed": 0})
         payload = json.loads(render([rec], "json"))
         assert payload[0]["outputs"]["lambda"] == "inf"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fields, name", [
+        ({"outputs": {"rate_bits": math.nan}}, "outputs.rate_bits"),
+        ({"inputs": {"A": math.inf}}, "inputs.A"),
+        ({"metadata": {"seed": 0, "tolerances": {"budget_tol": -math.inf}}},
+         "metadata.tolerances.budget_tol"),
+        ({"outputs": {"argmax_pmf": [0.5, math.nan]}}, r"outputs.argmax_pmf\[1\]"),
+        ({"outputs": {"lambda": math.inf}}, "outputs.lambda"),
+        ({"outputs": {"lambda": math.inf, "zero_secrecy": 1}}, "outputs.lambda"),
+        ({"outputs": {"lambda": -math.inf, "zero_secrecy": True}}, "outputs.lambda"),
+        ({"outputs": {"lambda": math.nan, "zero_secrecy": True}}, "outputs.lambda"),
+        ({"outputs": {"lambda": math.inf, "zero_secrecy": True, "power": math.inf}},
+         "outputs.power"),
+        ({"channel_id": math.inf}, "channel_id"),
+    ])
+    def test_nonfinite_float_outside_the_sentinel_raises(self, fmt, fields, name):
+        rec = ReportRecord(**{"experiment": "ergodic", "channel_id": 3, **fields})
+        with pytest.raises(NumericalError,
+                           match=rf"experiment 'ergodic', channel_id .*\): {name} is "):
+            render([ReportRecord(experiment="ok", channel_id=1), rec], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emit_writes_nothing_when_a_number_is_not_finite(self, tmp_path, fmt):
+        from secrecylab import emit
+
+        rec = ReportRecord(experiment="rate", channel_id=1, outputs={"rate_bits": math.inf})
+        fresh, kept = tmp_path / f"fresh.{fmt}", tmp_path / f"kept.{fmt}"
+        kept.write_text("earlier report\n")
+        for out in (fresh, kept):
+            with pytest.raises(NumericalError):
+                emit([rec], fmt, str(out))
+        assert not fresh.exists()
+        assert kept.read_text() == "earlier report\n"
 
     def test_emit_writes_file(self, tmp_path):
         from secrecylab import emit
@@ -278,3 +317,62 @@ class TestEmit:
         assert payload[0]["inputs"]["E"] == float(f"{3.14159265358979:.12g}")
         row = render(records, "csv").splitlines()[1].split(",")
         assert row[2] == f"{awkward:.12g}"
+
+
+def _round_floats(obj):
+    """Reference rounding for ``json.dumps``: every float to 12 significant
+    digits, a non-finite one to its string."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            return f"{obj:.12g}"
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    return obj
+
+
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+                                    1.7976931348623157e308, 0.1 + 0.2]))
+SCALARS = st.one_of(FLOATS, st.integers(), st.integers(2 ** 63, 2 ** 200), st.booleans(),
+                    st.none(), st.text(max_size=6))
+VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.lists(st.one_of(st.integers(), FLOATS), max_size=6),
+                               st.dictionaries(st.text(max_size=6), children, max_size=4)),
+    max_leaves=12)
+DICTS = st.dictionaries(st.text(max_size=6), VALUES, max_size=4)
+
+
+@st.composite
+def report_records(draw):
+    """Records of any JSON-able shape; some share one metadata dict, some hold
+    the zero-secrecy sentinel, and the shared dict may recur deeper down."""
+    shared = draw(DICTS)
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        outputs = draw(DICTS)
+        if draw(st.booleans()):
+            outputs.update({"lambda": math.inf, "zero_secrecy": True})
+        if draw(st.booleans()):
+            outputs["nested"] = shared
+        records.append(ReportRecord(
+            experiment=draw(st.text(max_size=6)),
+            channel_id=draw(st.one_of(st.integers(), st.just("summary"))),
+            inputs=draw(DICTS), outputs=outputs,
+            metadata=shared if draw(st.booleans()) else draw(DICTS)))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_records())
+def test_json_report_bytes_match_json_dumps(records):
+    expected = json.dumps([_round_floats(vars(rec)) for rec in records],
+                          indent=2, sort_keys=True) + "\n"
+    assert render(records, "json") == expected
