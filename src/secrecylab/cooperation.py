@@ -6,8 +6,9 @@ transmitting interference that drowns out the weaker agent's eavesdropper,
 at the cost of giving up their own slot.  This module classifies a bank of
 agents, runs the greedy pairing rule (each blocked agent, taken in
 increasing SNR order, grabs the weakest still-unused agent strong enough to
-jam its eavesdropper), and provides an exhaustive maximum-matching oracle to
-verify that the greedy rule pairs as many agents as any strategy can.
+jam its eavesdropper), and provides an exhaustive maximum-matching oracle
+that measures how far the greedy rule falls short of the most pairs any
+strategy can form: on some banks it pairs fewer.
 
 Secrecy-efficiency metrics compare the secret rate to the raw capacity
 spent obtaining it.  For a cooperating pair the helper's whole capacity goes
@@ -64,7 +65,7 @@ def _check_unique_ids(bank):
 class SortedBank(tuple):
     """Agents sorted by ascending (main_snr, id), with the index feasible sets bisect.
 
-    A tuple, so the index built here can never disagree with the agents it
+    Greedy pairing bisects the same index.  A tuple, so the index built here can never disagree with the agents it
     holds.  It compares equal to a list or tuple of the same agents in the
     same order.  Ids must be unique.
     """
@@ -134,19 +135,6 @@ def feasible_set(agent_id, disqualified):
     return FeasibleSet(agent_id=agent_id, members=members)
 
 
-def _check_sorted_disqualified(disqualified):
-    keys = [(ch.main_snr, ch.id) for ch in disqualified]
-    if keys != sorted(keys):
-        raise InvalidInputError(
-            "disqualified bank must be sorted by ascending (main_snr, id); "
-            "use classify() to obtain the sorted bank")
-    for ch in disqualified:
-        if ch.main_snr > ch.eaves_snr:
-            raise InvalidInputError(
-                f"agent {ch.id} is qualified (main_snr > eaves_snr) and does "
-                f"not belong in the disqualified bank")
-
-
 def greedy_pairing(disqualified):
     """Pair blocked agents with the weakest helpers that can jam for them.
 
@@ -154,6 +142,11 @@ def greedy_pairing(disqualified):
     takes the first later unused agent whose ``main_snr`` strictly exceeds
     ``eaves_snr_i`` (when two candidates tie on SNR the lower id wins by
     sort order).  Consumed agents never appear in a second pair.
+
+    A helper search bisects the bank's SNRs and then skips used positions
+    through a path-halving "next unused position" list, so a run over k
+    agents costs O(k log k).  The :class:`SortedBank` from :func:`classify`
+    is taken as it is, not sorted again.
 
     Parameters
     ----------
@@ -165,27 +158,34 @@ def greedy_pairing(disqualified):
     -------
     PairingPlan
     """
-    _check_unique_ids(disqualified)
-    _check_sorted_disqualified(disqualified)
-    used = set()
+    bank = disqualified
+    if not isinstance(bank, SortedBank):
+        bank = SortedBank(disqualified)
+        if bank != disqualified:
+            raise InvalidInputError(
+                "disqualified bank must be sorted by ascending (main_snr, id); "
+                "use classify() to obtain the sorted bank")
+    k = len(bank)
+    nxt = list(range(k + 1))  # nxt[p] == p while position p is unused; k is a sentinel
     pairs = []
     efficiencies = {}
-    for idx, helped in enumerate(disqualified):
-        if helped.id in used:
-            continue
-        if not helped.eaves_snr > helped.main_snr:
-            continue  # boundary agent (eaves_snr == main_snr): no strict jamming margin
-        for helper in disqualified[idx + 1:]:
-            if helper.id in used:
-                continue
-            if helper.main_snr > helped.eaves_snr:
-                used.add(helped.id)
-                used.add(helper.id)
-                pair = (helped.id, helper.id)
-                pairs.append(pair)
-                efficiencies[pair] = efficiency_pair(helped, helper)
-                break
-    unpaired = tuple(ch.id for ch in disqualified if ch.id not in used)
+    for pos, helped in enumerate(bank):
+        if helped.main_snr > helped.eaves_snr:
+            raise InvalidInputError(
+                f"agent {helped.id} is qualified (main_snr > eaves_snr) and does "
+                f"not belong in the disqualified bank")
+        if nxt[pos] != pos or not helped.eaves_snr > helped.main_snr:
+            continue  # a helper already, or a boundary agent with no strict jamming margin
+        h = bisect_right(bank._snrs, helped.eaves_snr)
+        while nxt[h] != h:
+            nxt[h] = nxt[nxt[h]]
+            h = nxt[h]
+        if h < k:
+            nxt[pos], nxt[h] = pos + 1, h + 1
+            pair = (helped.id, bank._ids[h])
+            pairs.append(pair)
+            efficiencies[pair] = efficiency_pair(helped, bank[h])
+    unpaired = tuple(bank._ids[p] for p in range(k) if nxt[p] == p)
     return PairingPlan(pairs=tuple(pairs), unpaired=unpaired,
                        efficiencies=efficiencies)
 

@@ -276,8 +276,10 @@ _NO_FLOATS = frozenset((str, int, bool, type(None)))
 def _nonfinite_field(value, clean):
     """Key path of the first non-finite float in a dict, list or tuple, or None.
 
-    ``clean`` maps the ids of dicts already found finite to the dicts, which
-    it keeps alive so that no id is reused while it is held.
+    Raises ``TypeError``, as the JSON renderer does, for a value that is not
+    a str, int, float, None, dict, list or tuple.  ``clean`` maps the ids
+    of dicts already found finite to the dicts, which it keeps alive so that
+    no id is reused while it is held.
     """
     if isinstance(value, dict):
         items = value.items()
@@ -296,6 +298,8 @@ def _nonfinite_field(value, clean):
             path = _nonfinite_field(item, clean)
             if path is not None:
                 return (key, *path)
+        elif not isinstance(item, (str, int, float)):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         elif isinstance(item, float) and not math.isfinite(item):
             return (key,)
     if isinstance(value, dict):
@@ -420,7 +424,8 @@ def render(records, format):
     """Serialize records to a string in the given format (csv or json).
 
     Raises :class:`NumericalError` for a non-finite float anywhere in a
-    record other than the zero-secrecy sentinel, in either format.
+    record other than the zero-secrecy sentinel, and ``TypeError`` for a
+    value of a type JSON cannot hold, in either format.
     """
     if format == "csv":
         clean = {}

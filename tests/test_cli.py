@@ -550,6 +550,22 @@ FADING = st.fixed_dictionaries({"type": st.just("fading"), "a": WIDE, "b": WIDE,
                                 "sigma_m_sq": WIDE, "sigma_w_sq": WIDE})
 
 
+def stochastic_rows(inputs):
+    """``inputs`` rows over one to four outputs, each a normalized weight
+    vector in which zero entries are common."""
+    weights = st.one_of(st.just(0), st.integers(1, 10 ** 6))
+    return st.integers(1, 4).flatmap(lambda outputs: st.lists(
+        st.lists(weights, min_size=outputs, max_size=outputs).filter(any)
+        .map(lambda row: [w / sum(row) for w in row]),
+        min_size=inputs, max_size=inputs))
+
+
+#: A discrete channel with one to four inputs.
+DISCRETE = st.integers(1, 4).flatmap(lambda inputs: st.fixed_dictionaries({
+    "type": st.just("discrete"), "main": stochastic_rows(inputs),
+    "eaves": stochastic_rows(inputs)}))
+
+
 def numbers(obj):
     """Every number and every string in a decoded JSON report."""
     if isinstance(obj, dict):
@@ -587,12 +603,14 @@ class TestAnyAcceptedInput:
                 code = cli.main([command, "--scenario", path, *flags, "--format", "json"])
         assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL), err.getvalue()
         if code == cli.EXIT_OK:
-            records = [without_zero_secrecy_sentinel(r) for r in json.loads(out.getvalue())]
-            for x in numbers(records):
+            records = json.loads(out.getvalue())
+            for x in numbers([without_zero_secrecy_sentinel(r) for r in records]):
                 assert x not in ("inf", "-inf", "nan")
                 assert isinstance(x, str) or math.isfinite(x)
-        elif code == cli.EXIT_VALIDATION:
+            return records
+        if code == cli.EXIT_VALIDATION:
             assert "channels[" in err.getvalue()
+        return None
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["rate", "allocate"]),
@@ -612,6 +630,16 @@ class TestAnyAcceptedInput:
            st.sampled_from([1, 2, 50, 500]))
     def test_fading_commands(self, command, channels, budget, samples):
         self.check(command, channels, "--budget", repr(budget), "--samples", str(samples))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DISCRETE, min_size=1, max_size=2))
+    def test_discrete_capacity(self, channels):
+        records = self.check("discrete-capacity", channels, "--grid-step", "0.1")
+        for record in records or ():
+            assert record["outputs"]["rate_bits"] >= 0
+            tenths = [round(10 * p) for p in record["outputs"]["argmax_pmf"]]
+            assert record["outputs"]["argmax_pmf"] == [k / 10 for k in tenths]
+            assert sum(tenths) == 10
 
 
 def test_module_entry_point_runs():

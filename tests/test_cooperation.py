@@ -1,6 +1,7 @@
 """Classification, greedy helper pairing, matching oracle, efficiencies."""
 
 import math
+import random
 
 import networkx as nx
 import numpy as np
@@ -13,6 +14,8 @@ from secrecylab import (
     FeasibleSet,
     InvalidInputError,
     InvalidPairError,
+    PairingPlan,
+    SortedBank,
     UnsupportedSizeError,
     classify,
     efficiency_pair,
@@ -249,6 +252,110 @@ class TestGreedyPairing:
             assert len(greedy_pairing(bank).pairs) <= k // 2
 
 
+def quadratic_greedy(disqualified):
+    """The greedy rule as a plain scan, with its input checks: the reference
+    that :func:`greedy_pairing` must agree with, plan and error alike.
+
+    Checks ids in input order, then the (main_snr, id) order, then that no
+    agent is qualified; each agent then scans every later agent for a helper.
+    """
+    seen = set()
+    for ch in disqualified:
+        if ch.id in seen:
+            raise InvalidInputError(f"duplicate agent id {ch.id}")
+        seen.add(ch.id)
+    keys = [(ch.main_snr, ch.id) for ch in disqualified]
+    if keys != sorted(keys):
+        raise InvalidInputError(
+            "disqualified bank must be sorted by ascending (main_snr, id); "
+            "use classify() to obtain the sorted bank")
+    for ch in disqualified:
+        if ch.main_snr > ch.eaves_snr:
+            raise InvalidInputError(
+                f"agent {ch.id} is qualified (main_snr > eaves_snr) and does "
+                f"not belong in the disqualified bank")
+    used = set()
+    pairs = []
+    efficiencies = {}
+    for idx, helped in enumerate(disqualified):
+        if helped.id in used or not helped.eaves_snr > helped.main_snr:
+            continue
+        for helper in disqualified[idx + 1:]:
+            if helper.id not in used and helper.main_snr > helped.eaves_snr:
+                used.update((helped.id, helper.id))
+                pair = (helped.id, helper.id)
+                pairs.append(pair)
+                efficiencies[pair] = efficiency_pair(helped, helper)
+                break
+    return PairingPlan(pairs=tuple(pairs),
+                       unpaired=tuple(ch.id for ch in disqualified if ch.id not in used),
+                       efficiencies=efficiencies)
+
+
+def outcome(pairing, bank):
+    """The plan, with its efficiencies' key order, or the type and message raised."""
+    try:
+        plan = pairing(bank)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+    return plan, list(plan.efficiencies)
+
+
+#: A few SNR levels, so that ties between SNRs, and between one agent's
+#: eavesdropper and another agent's link, are common.
+LEVELS = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0)
+
+
+def tied_disqualified_bank(rng, k):
+    """k disqualified agents with unique ids, sorted by (main_snr, id); about
+    one in eight is a boundary agent (``eaves_snr == main_snr``)."""
+    bank = []
+    for agent_id in rng.sample(range(-k, 3 * k + 1), k):
+        a = rng.choice(LEVELS) if rng.random() < 0.5 else rng.uniform(0.1, 10.0)
+        draw = rng.random()
+        if draw < 0.125:
+            e = a
+        elif draw < 0.5:
+            e = rng.choice([level for level in LEVELS if level > a] or [2 * a])
+        else:
+            e = a * rng.uniform(1.0001, 4.0)
+        bank.append(AgentChannel(id=agent_id, main_snr=a, eaves_snr=e))
+    return sorted(bank, key=lambda ch: (ch.main_snr, ch.id))
+
+
+class TestGreedyAgainstTheQuadraticScan:
+    @given(st.integers(0, 400), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_plan_from_a_sorted_bank_and_a_sorted_list(self, k, seed):
+        bank = tied_disqualified_bank(random.Random(seed), k)
+        expected = outcome(quadratic_greedy, bank)
+        assert isinstance(expected[0], PairingPlan)
+        assert outcome(greedy_pairing, bank) == expected
+        assert outcome(greedy_pairing, SortedBank(bank)) == expected
+        assert outcome(greedy_pairing, classify(bank)[1]) == expected
+
+    @given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["shuffled", "duplicate id", "qualified", "qualified, unsorted"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_error_for_a_bad_bank(self, k, seed, fault):
+        rng = random.Random(seed)
+        bank = tied_disqualified_bank(rng, k)
+        i, j = sorted(rng.sample(range(k), 2))
+        if fault == "shuffled":
+            rng.shuffle(bank)
+        elif fault == "duplicate id":
+            bank[j] = AgentChannel(id=bank[i].id, main_snr=bank[j].main_snr,
+                                   eaves_snr=bank[j].eaves_snr)
+        else:
+            ch = bank[i]
+            bank[i] = AgentChannel(id=ch.id, main_snr=ch.main_snr, eaves_snr=ch.main_snr / 2)
+            if fault == "qualified, unsorted":
+                bank[i], bank[j] = bank[j], bank[i]
+        expected = outcome(quadratic_greedy, bank)
+        assert outcome(greedy_pairing, bank) == expected
+        assert outcome(greedy_pairing, tuple(bank)) == expected
+
+
 class TestMatchingOracle:
     def test_no_edges(self):
         bank = bank_from([1.0, 2.0], [10.0, 10.0])
@@ -388,9 +495,11 @@ class TestPickProbability:
         picks from {2,3,4,5}; picking 5 or 4 makes a later agent take 5 for
         sure, while picking 2 or 3 consumes that agent and leaves one
         fifty-fifty turn over {4,5}.  Hence 1/4 + 1/4 + 2 * (1/4)(1/2) = 3/4,
-        which differs from the independent-pick formula's 13/16."""
+        which differs from the independent-pick formula's 13/16.  Agents 4
+        and 5 leave it as it is: 4 can only pick 5, but whenever 5 is still
+        free by then, 4 has been taken; 5, whose set is empty, skips its turn."""
         _, disqualified = classify(FIVE_AGENTS)
-        sets = [feasible_set(i, disqualified) for i in (1, 2, 3)]
+        sets = [feasible_set(i, disqualified) for i in range(1, 6)]
         freq = pick_probability_monte_carlo(sets, target_id=5,
                                             trials=20_000, seed=101)
         assert freq == pytest.approx(0.75, abs=0.02)

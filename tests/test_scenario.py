@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecylab import (
+    InvalidInputError,
     NumericalError,
     ReportRecord,
     ScenarioSyntaxError,
@@ -262,6 +264,7 @@ class TestEmit:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fields, name", [
         ({"outputs": {"rate_bits": math.nan}}, "outputs.rate_bits"),
+        ({"outputs": {"rate_bits": np.float64("nan")}}, "outputs.rate_bits"),
         ({"inputs": {"A": math.inf}}, "inputs.A"),
         ({"metadata": {"seed": 0, "tolerances": {"budget_tol": -math.inf}}},
          "metadata.tolerances.budget_tol"),
@@ -279,6 +282,31 @@ class TestEmit:
         with pytest.raises(NumericalError,
                            match=rf"experiment 'ergodic', channel_id .*\): {name} is "):
             render([ReportRecord(experiment="ok", channel_id=1), rec], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("outputs, kind", [
+        ({"rate_bits": np.float32("nan")}, "float32"),
+        ({"pair_with": np.int64(4)}, "int64"),
+        ({"argmax_pmf": [0.5, np.float32(0.5)]}, "float32"),
+    ])
+    def test_a_value_json_cannot_hold_raises_in_either_format(self, fmt, outputs, kind):
+        rec = ReportRecord(experiment="x", channel_id=1, outputs=outputs)
+        with pytest.raises(TypeError, match=f"^Object of type {kind} is not JSON serializable$"):
+            render([rec], fmt)
+
+    def test_json_rejects_a_key_that_is_not_a_string(self):
+        rec = ReportRecord(experiment="x", channel_id=1, outputs={1: 0.5})
+        with pytest.raises(TypeError, match="^report keys must be str, not int$"):
+            render([rec], "json")
+
+    def test_csv_cell_of_each_type(self):
+        rec = ReportRecord(experiment="x", channel_id="summary", inputs={"A": True, "E": False},
+                           outputs={"power": 2, "rate_bits": 1 / 3}, metadata={"seed": None})
+        assert render([rec], "csv").splitlines()[1] == "x,summary,true,false,2,0.333333333333,,,"
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InvalidInputError, match="^unknown report format 'xml'$"):
+            render([], "xml")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_emit_writes_nothing_when_a_number_is_not_finite(self, tmp_path, fmt):
@@ -335,11 +363,21 @@ def _round_floats(obj):
     return obj
 
 
-FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+class _Int(int):
+    """An int subclass, which ``json.dumps`` writes as its int value."""
+
+
+class _Str(str):
+    """A str subclass, which ``json.dumps`` writes as its str value."""
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FLOATS = st.one_of(FINITE, FINITE.map(np.float64),
                    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
                                     1.7976931348623157e308, 0.1 + 0.2]))
 SCALARS = st.one_of(FLOATS, st.integers(), st.integers(2 ** 63, 2 ** 200), st.booleans(),
-                    st.none(), st.text(max_size=6))
+                    st.none(), st.text(max_size=6), st.integers().map(_Int),
+                    st.text(max_size=6).map(_Str))
 VALUES = st.recursive(
     SCALARS,
     lambda children: st.one_of(st.lists(children, max_size=4),
