@@ -32,7 +32,7 @@ for a_draw, b_draw in [(0.5, 1.0), (1.2, 1.0), (2.0, 1.0), (5.0, 1.0), (5.0, 0.1
     p = fading_power(policy, ChannelState(a_draw, b_draw))
     print(f"  ({a_draw:4.1f}, {b_draw:4.1f}) -> power {p:.4f}")
 
-estimate, stderr = ergodic_secrecy_capacity(ch, policy, samples, seed=12)
+estimate, stderr, _power = ergodic_secrecy_capacity(ch, policy, samples, seed=12)
 print(f"\nergodic secrecy rate: {estimate:.5f} +/- {stderr:.5f} bits/use")
 
 # Same draws, two strategies: threshold policy vs constant power on every
@@ -58,7 +58,7 @@ print(f"  constant power:   rate {mean_rate(p_const):.5f}, "
 # A link whose eavesdropper fades better on average is mostly unusable:
 swapped = FadingWiretapChannel(a=1.0, b=2.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
 sw_policy = calibrate_fading_lambda(swapped, budget, samples, seed=14)
-sw_rate, _ = ergodic_secrecy_capacity(swapped, sw_policy, samples, seed=15)
+sw_rate, _stderr, _power = ergodic_secrecy_capacity(swapped, sw_policy, samples, seed=15)
 print(f"\nsame budget on the swapped link (a=1, b=2): rate {sw_rate:.5f} bits/use")
 print("The policy still meets the budget, but crams power into the rare")
 print("advantaged slots; the achievable secrecy rate collapses.")

@@ -379,22 +379,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
                         iterations=iterations)
 
 
-def _ergodic_estimate(ch, policy, samples, seed):
-    """Rate, standard error and mean spent power, all from one draw of states."""
-    _check_count("samples", samples)
-    a, b = _draw_states(ch, samples, seed)
-    p = _fading_power_array(policy.lam, a, b)
-    rates = _secrecy_rate(p, a, b)
-    estimate = float(rates.mean())
-    stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    power = _mean(p, samples)
-    if not math.isfinite(estimate + stderr + power):
-        raise NumericalError(f"ergodic estimate is not finite: rate {estimate!r}, "
-                             f"standard error {stderr!r}, mean power {power!r}")
-    return estimate, stderr, power
-
-
-def ergodic_secrecy_capacity(ch, policy, samples, seed, *, with_power=False):
+def ergodic_secrecy_capacity(ch, policy, samples, seed):
     """Monte Carlo estimate of the long-run secrecy rate under a policy.
 
     Draws ``samples`` slot states, applies the policy's per-slot power rule
@@ -407,15 +392,27 @@ def ergodic_secrecy_capacity(ch, policy, samples, seed, *, with_power=False):
     samples : int
         >= 1.
     seed : int or numpy.random.SeedSequence
-    with_power : bool
-        Also return the mean power the policy spent on the same draws.
 
     Returns
     -------
-    (float, float) or (float, float, float)
-        Sample-mean rate in bits per channel use and its standard error
-        (sample standard deviation over sqrt(samples); 0.0 for a single
-        sample), followed by the sample-mean power when ``with_power``.
+    (float, float, float)
+        Sample-mean rate in bits per channel use, its standard error (sample
+        standard deviation over sqrt(samples); 0.0 for a single sample) and
+        the mean power the policy spent on the same draws.
+
+    Raises
+    ------
+    NumericalError
+        Any of the three is not finite.
     """
-    estimate = _ergodic_estimate(ch, policy, samples, seed)
-    return estimate if with_power else estimate[:2]
+    _check_count("samples", samples)
+    a, b = _draw_states(ch, samples, seed)
+    p = _fading_power_array(policy.lam, a, b)
+    rates = _secrecy_rate(p, a, b)
+    estimate = float(rates.mean())
+    stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    power = _mean(p, samples)
+    if not math.isfinite(estimate + stderr + power):
+        raise NumericalError(f"ergodic estimate is not finite: rate {estimate!r}, "
+                             f"standard error {stderr!r}, mean power {power!r}")
+    return estimate, stderr, power

@@ -114,11 +114,12 @@ def _run_fading(command, entries, options):
     records = []
     for pos, sc in entries:
         policy = calibrate_fading_lambda(sc.channel, budget, samples, substream(seed, pos, 0))
-        outputs = {"lambda": policy.lam, "zero_secrecy": policy.zero_secrecy,
-                   "power": policy.avg_power}
+        # A report holds finite floats only: the zero-secrecy threshold is infinite.
+        outputs = {"lambda": "inf" if policy.zero_secrecy else policy.lam,
+                   "zero_secrecy": policy.zero_secrecy, "power": policy.avg_power}
         if command == "ergodic":
             rate, stderr, power = ergodic_secrecy_capacity(
-                sc.channel, policy, samples, substream(seed, pos, 1), with_power=True)
+                sc.channel, policy, samples, substream(seed, pos, 1))
             outputs.update(rate_bits=rate, stderr=stderr, power=power)
         metadata = _meta(seed, avg_budget_rel_tol=FADING_BUDGET_REL_TOL, samples=samples)
         metadata.update(calibration_iterations=policy.iterations,

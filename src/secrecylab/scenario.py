@@ -5,8 +5,9 @@ of tagged channel descriptors; unknown fields are rejected rather than
 ignored so config typos surface immediately.  Reports are flat records that
 serialize to either a fixed-column CSV or a JSON mirror; all numbers are
 rendered with 12 significant digits so reruns are byte-identical and
-machine-diffable.  Every number in a report is finite, except the
-zero-secrecy sentinel ``"lambda": "inf"`` beside ``"zero_secrecy": true``.
+machine-diffable.  Every float in a report is finite, with no exception; a
+quantity that has no finite value goes in as a string (the harness writes
+the zero-secrecy sentinel as ``"lambda": "inf"``).
 
 Scenario schema (version 1)::
 
@@ -254,32 +255,19 @@ def _record_to_csv_row(rec):
     ]
 
 
-def _report_fields(rec):
-    """A record's fields as a report shows them.
-
-    The one non-finite number a report may hold is the zero-secrecy
-    sentinel: ``outputs["lambda"]`` is infinite where ``outputs["zero_secrecy"]``
-    is true, and shows as the string ``"inf"``.
-    """
-    fields = vars(rec)
-    outputs = rec.outputs
-    if (isinstance(outputs, dict) and outputs.get("zero_secrecy") is True
-            and outputs.get("lambda") == math.inf):
-        fields = {**fields, "outputs": {**outputs, "lambda": "inf"}}
-    return fields
-
-
 #: Types of value that hold no float.
 _NO_FLOATS = frozenset((str, int, bool, type(None)))
 
 
 def _nonfinite_field(value, clean):
-    """Key path of the first non-finite float in a dict, list or tuple, or None.
+    """Name and value of the first non-finite float in a dict, list or tuple, or None.
 
-    Raises ``TypeError``, as the JSON renderer does, for a value that is not
-    a str, int, float, None, dict, list or tuple.  ``clean`` maps the ids
-    of dicts already found finite to the dicts, which it keeps alive so that
-    no id is reused while it is held.
+    The name is the key path, each key as ``.key`` and each index as
+    ``[i]``, e.g. ``(".argmax_pmf[1]", nan)``.  Raises ``TypeError``, as the
+    JSON renderer does, for a value that is not a str, int, float, None,
+    dict, list or tuple.  ``clean`` maps the ids of dicts already found
+    finite to the dicts, which it keeps alive so that no id is reused while
+    it is held.
     """
     if isinstance(value, dict):
         items = value.items()
@@ -291,46 +279,38 @@ def _nonfinite_field(value, clean):
         kind = type(item)
         if kind is float:
             if not math.isfinite(item):
-                return (key,)
+                return _key_name(key), item
         elif kind in _NO_FLOATS or id(item) in clean:
             continue
         elif isinstance(item, (dict, list, tuple)):
-            path = _nonfinite_field(item, clean)
-            if path is not None:
-                return (key, *path)
+            found = _nonfinite_field(item, clean)
+            if found is not None:
+                return _key_name(key) + found[0], found[1]
         elif not isinstance(item, (str, int, float)):
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         elif isinstance(item, float) and not math.isfinite(item):
-            return (key,)
+            return _key_name(key), item
     if isinstance(value, dict):
         clean[id(value)] = value
     return None
 
 
-def _check_finite(rec, fields, clean):
+def _key_name(key):
+    return f"[{key}]" if isinstance(key, int) else f".{key}"
+
+
+def _check_finite(rec, clean):
     """Raise :class:`NumericalError` naming the record and field of a non-finite float."""
-    path = _nonfinite_field(fields, clean)
-    if path is None:
-        return
-    value = fields
-    name = ""
-    for key in path:
-        value = value[key]
-        if isinstance(key, int):
-            name += f"[{key}]"
-        else:
-            name += f".{key}" if name else key
-    raise NumericalError(
-        f"report record (experiment {rec.experiment!r}, channel_id {rec.channel_id!r}): "
-        f"{name} is {value!r}; a report holds finite numbers only")
+    found = _nonfinite_field(vars(rec), clean)
+    if found is not None:
+        name, value = found
+        raise NumericalError(
+            f"report record (experiment {rec.experiment!r}, channel_id {rec.channel_id!r}): "
+            f"{name[1:]} is {value!r}; a report holds finite numbers only")
 
 
 class _NonFinite(Exception):
     """A non-finite float met by the JSON renderer; the caller names the field."""
-
-
-#: What ``repr`` gives for a float that is not a finite number.
-_NONFINITE_REPRS = frozenset(("inf", "-inf", "nan"))
 
 
 def _json_records(records):
@@ -355,9 +335,9 @@ def _json_records(records):
             # no shorter decimal names the double nearest a 12-digit one, and
             # repr writes numbers of this size without an exponent too.
             if "." not in text or "e" in text:
-                text = repr(float(text))
-                if text in _NONFINITE_REPRS:
+                if not math.isfinite(value):
                     raise _NonFinite
+                text = repr(float(text))
             return text
         if kind is str:
             return encode_basestring_ascii(value)
@@ -412,20 +392,19 @@ def _json_records(records):
         return f"{{\n{inner}{body}\n{indent}}}"
 
     for rec in records:
-        fields = _report_fields(rec)
         try:
-            yield dict_text(fields, "  ")
+            yield dict_text(vars(rec), "  ")
         except _NonFinite:
-            _check_finite(rec, fields, {})
+            _check_finite(rec, {})
             raise
 
 
 def render(records, format):
     """Serialize records to a string in the given format (csv or json).
 
-    Raises :class:`NumericalError` for a non-finite float anywhere in a
-    record other than the zero-secrecy sentinel, and ``TypeError`` for a
-    value of a type JSON cannot hold, in either format.
+    Raises :class:`NumericalError` naming the field of a non-finite float
+    anywhere in a record, and ``TypeError`` for a value of a type JSON
+    cannot hold, in either format.
     """
     if format == "csv":
         clean = {}
@@ -433,7 +412,7 @@ def render(records, format):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            _check_finite(rec, _report_fields(rec), clean)
+            _check_finite(rec, clean)
             writer.writerow(_record_to_csv_row(rec))
         return buf.getvalue()
     if format == "json":
@@ -450,8 +429,8 @@ def emit(records, format, path):
     JSON mirrors each record exactly, laid out as ``json.dumps(indent=2,
     sort_keys=True)`` does.  Float fields carry 12 significant digits in
     both formats, making repeated runs byte-identical.  A non-finite float
-    other than the zero-secrecy sentinel raises :class:`NumericalError`
-    before the file is opened, so no partial report is written.
+    anywhere in a record raises :class:`NumericalError` before the file is
+    opened, so no partial report is written.
     """
     text = render(records, format)
     if path == "-":

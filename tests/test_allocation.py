@@ -521,15 +521,16 @@ class TestCalibration:
 class TestErgodicCapacity:
     def test_zero_power_policy_estimates_zero(self):
         sentinel = FadingPolicy(lam=math.inf, channel=FADING, zero_secrecy=True)
-        estimate, stderr = ergodic_secrecy_capacity(FADING, sentinel, 5_000, seed=1)
+        estimate, stderr, power = ergodic_secrecy_capacity(FADING, sentinel, 5_000, seed=1)
         assert estimate == 0.0
         assert stderr == 0.0
+        assert power == 0.0
 
     def test_zero_power_on_an_infinite_gain_draw_estimates_zero(self):
         """Draws of a gain near the float limit overflow to inf; 0 * inf must not be nan."""
         ch = FadingWiretapChannel(a=1.0, b=1.7e308, sigma_m_sq=1.0, sigma_w_sq=1.0)
         sentinel = FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
-        assert ergodic_secrecy_capacity(ch, sentinel, 1_000, seed=1) == (0.0, 0.0)
+        assert ergodic_secrecy_capacity(ch, sentinel, 1_000, seed=1) == (0.0, 0.0, 0.0)
 
     def test_non_finite_estimate_is_a_numerical_error(self):
         ch = FadingWiretapChannel(a=1.7e308, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
@@ -550,11 +551,9 @@ class TestErgodicCapacity:
         e2 = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
         assert e1 == e2
 
-    def test_with_power_reports_mean_power_of_the_same_draws(self):
+    def test_reports_mean_power_of_the_same_draws(self):
         policy = calibrate_fading_lambda(FADING, 1.0, 10_000, seed=2)
-        rate, stderr, power = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9,
-                                                       with_power=True)
-        assert (rate, stderr) == ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
+        _rate, _stderr, power = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
         rng = np.random.default_rng(9)
         a = rng.exponential(FADING.a, 10_000)
         b = rng.exponential(FADING.b, 10_000)

@@ -258,6 +258,20 @@ class TestGridSearch:
             assert rate == pytest.approx(best, abs=1e-12)
             assert grid_units(argmax, 20) == first
 
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_compositions_match_itertools(self, parts, chunk, monkeypatch):
+        """Every composition once, in lexicographic order, in non-empty chunks
+        of at most the chunk size plus one row's split."""
+        if chunk is not None:
+            monkeypatch.setattr(discrete, "_GRID_CHUNK", chunk)
+        total = 12
+        expected = [c for c in itertools.product(range(total + 1), repeat=parts)
+                    if sum(c) == total]
+        chunks = list(discrete._compositions(total, parts))
+        assert all(0 < len(c) <= discrete._GRID_CHUNK + total for c in chunks)
+        assert [tuple(row) for c in chunks for row in c.tolist()] == expected
+
     def test_zero_capacity_gives_exact_zero_at_first_point_mass(self):
         """A main link degraded from the eavesdropper's (M = E W) has capacity 0."""
         rng = np.random.default_rng(71)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -254,13 +255,6 @@ class TestEmit:
             "metadata": {"seed": 9},
         }]
 
-    def test_nonfinite_floats_render_as_strings_in_json(self):
-        rec = ReportRecord(experiment="allocate-fading", channel_id=1,
-                           outputs={"lambda": float("inf"), "zero_secrecy": True},
-                           metadata={"seed": 0})
-        payload = json.loads(render([rec], "json"))
-        assert payload[0]["outputs"]["lambda"] == "inf"
-
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("fields, name", [
         ({"outputs": {"rate_bits": math.nan}}, "outputs.rate_bits"),
@@ -274,8 +268,9 @@ class TestEmit:
         ({"outputs": {"lambda": -math.inf, "zero_secrecy": True}}, "outputs.lambda"),
         ({"outputs": {"lambda": math.nan, "zero_secrecy": True}}, "outputs.lambda"),
         ({"outputs": {"lambda": math.inf, "zero_secrecy": True, "power": math.inf}},
-         "outputs.power"),
+         "outputs.lambda"),
         ({"channel_id": math.inf}, "channel_id"),
+        ({"outputs": {"lambda": math.inf, "zero_secrecy": True}}, "outputs.lambda"),
     ])
     def test_nonfinite_float_outside_the_sentinel_raises(self, fmt, fields, name):
         rec = ReportRecord(**{"experiment": "ergodic", "channel_id": 3, **fields})
@@ -346,15 +341,22 @@ class TestEmit:
         row = render(records, "csv").splitlines()[1].split(",")
         assert row[2] == f"{awkward:.12g}"
 
+    @pytest.mark.parametrize("command", ["allocate-fading", "ergodic"])
+    def test_harness_writes_the_zero_secrecy_sentinel_as_a_string(self, command):
+        from secrecylab import run
+
+        scenario = load_scenario(pathlib.Path(__file__).parent / "data" / "reports"
+                                 / "zero-secrecy.scenario")
+        [record] = run(command, scenario)
+        assert record.outputs["zero_secrecy"] is True
+        assert record.outputs["lambda"] == "inf"
+
 
 def _round_floats(obj):
-    """Reference rounding for ``json.dumps``: every float to 12 significant
-    digits, a non-finite one to its string."""
+    """Reference rounding for ``json.dumps``: every float to 12 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return f"{obj:.12g}"
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -391,13 +393,14 @@ DICTS = st.dictionaries(st.text(max_size=6), VALUES, max_size=4)
 @st.composite
 def report_records(draw):
     """Records of any JSON-able shape; some share one metadata dict, some hold
-    the zero-secrecy sentinel, and the shared dict may recur deeper down."""
+    the zero-secrecy sentinel as the harness writes it, and the shared dict
+    may recur deeper down."""
     shared = draw(DICTS)
     records = []
     for _ in range(draw(st.integers(0, 4))):
         outputs = draw(DICTS)
         if draw(st.booleans()):
-            outputs.update({"lambda": math.inf, "zero_secrecy": True})
+            outputs.update({"lambda": "inf", "zero_secrecy": True})
         if draw(st.booleans()):
             outputs["nested"] = shared
         records.append(ReportRecord(
