@@ -34,7 +34,11 @@ analytic slope ``dP/dt = (1 - k P / (2 w)) / (v + w)``, ``w = sqrt(1 + t
 k)``, falling back to doubling or bisection when a step leaves the bracket;
 a bracket wider than a factor of 4 is bisected at its geometric mean.
 Calibration stops within 4 ulps of the budget; the water-fill runs until
-the bracket collapses.
+the bracket collapses.  Each evaluation walks the slots in blocks of
+``2**14`` through a few preallocated buffers, and the slot terms are built
+in place in the buffers of the compressed draws.  Calibration memory thus
+peaks at four float arrays over the active slots (or at the two draws while
+they are compressed): about 29 bytes per sample on a link with ``a = 10 b``.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -53,6 +57,10 @@ _MAX_NEWTON = 200
 
 #: Calibration stops once the mean power is this many ulps from the budget.
 _RESIDUAL_ULPS = 4
+
+#: The threshold solver evaluates the slots in blocks of this many, so its
+#: temporaries stay cache-sized at any sample size.
+_SLOT_BLOCK = 2 ** 14
 
 #: Documented accuracy of fading calibration: the calibration-sample mean
 #: power is within this fraction of the average budget.
@@ -200,22 +208,31 @@ def awgn_waterfill(channels, budget):
 # the slot kernels below; the callers' residual checks report the result,
 # so numpy need not warn.
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_power(t, u, v, k):
+def _slot_power(t, u, v, k, out=None):
     """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
 
     For slots with ``g = a - b > 0``, given ``u = 2/g``, ``v = (a + b)/g``
     and ``k = 2 b a/g``, returns ``(p, w)`` with ``w = sqrt(1 + t k)`` and
-    ``p = max(t - u, 0) / (v + w)``: zero exactly when ``t <= u``.
+    ``p = max(t - u, 0) / (v + w)``: zero exactly when ``t <= u``.  ``out``
+    is an optional ``(p, w)`` pair of arrays to write the results into.
     """
-    w = np.sqrt(1.0 + t * k)
-    p = np.maximum(t - u, 0.0) / (v + w)
-    return p, w
+    p, w = out or (None, None)
+    w = np.sqrt(np.add(1.0, np.multiply(t, k, out=w), out=w), out=w)
+    p = np.maximum(np.subtract(t, u, out=p), 0.0, out=p)
+    return np.divide(p, v + w, out=p), w
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_slope(p, w, v, k):
-    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w)``; 0 where ``p = 0``."""
-    return np.where(p > 0.0, (1.0 - 0.5 * k * p / w) / (v + w), 0.0)
+def _slot_slope(p, w, v, k, out):
+    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w)``, written into ``out``.
+
+    The slope is 0 where ``p = 0``.
+    """
+    s = np.multiply(0.5, k, out=out)
+    np.subtract(1.0, np.divide(np.multiply(s, p, out=s), w, out=s), out=s)
+    np.divide(s, v + w, out=s)
+    np.copyto(s, 0.0, where=~(p > 0.0))
+    return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -223,11 +240,16 @@ def _slot_terms(a, b):
     """The per-slot constants ``(u, v, k)`` of :func:`_slot_power`, for ``a > b``.
 
     Each is a ratio to ``g = a - b``, so no term squares a gain or multiplies
-    two of them.  ``u`` takes over ``g``'s buffer, which keeps the peak
-    memory of a large calibration sample down.
+    two of them.  Takes ownership of ``a`` and ``b``: ``k`` is built in
+    ``a``'s buffer with ``b``'s as scratch, and ``u`` in ``g``'s, so only
+    ``g`` and ``v`` take new memory and a large calibration sample peaks at
+    four arrays of its active slots.
     """
     g = a - b
-    v, k = (a + b) / g, 2.0 * b * (a / g)
+    v = np.add(a, b)
+    v /= g
+    # (a/g) * 2b: the two products of 2.0 * b * (a / g), so k is bit-identical.
+    k = np.multiply(np.divide(a, g, out=a), np.multiply(2.0, b, out=b), out=a)
     return np.divide(2.0, g, out=g), v, k
 
 
@@ -262,6 +284,29 @@ def _mean(powers, n):
     return total / n if total < math.inf else float((powers / n).sum())
 
 
+def _block_evaluator(terms, n):
+    """``t -> (mean power, mean dP/dt)`` over ``n`` slots, evaluated in blocks.
+
+    ``terms`` are the :func:`_slot_terms` of the slots with ``a > b``; the
+    others add nothing.  Each call walks the slots in blocks of
+    :data:`_SLOT_BLOCK` through three preallocated block buffers, so its
+    temporaries stay cache-sized, and adds the per-block means and slopes.
+    """
+    edges = range(_SLOT_BLOCK, len(terms[0]), _SLOT_BLOCK)
+    blocks = list(zip(*(np.split(term, edges) for term in terms)))
+    buffers = np.empty((3, min(len(terms[0]), _SLOT_BLOCK)))
+    sums = np.empty((2, len(blocks)))
+
+    def mean_power_and_slope(t):
+        for i, (u, v, k) in enumerate(blocks):
+            p, w, s = buffers[:, :len(u)]
+            _slot_power(t, u, v, k, out=(p, w))
+            sums[:, i] = _mean(p, n), _slot_slope(p, w, v, k, out=s).sum()
+        return float(sums[0].sum()), float(sums[1].sum()) / n
+
+    return mean_power_and_slope
+
+
 def _solve_threshold(terms, n, target, residual_tol):
     """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
 
@@ -271,14 +316,9 @@ def _solve_threshold(terms, n, target, residual_tol):
     :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean power, evaluations)``
     for the evaluated ``t`` whose mean power came closest to the target.
     """
-    u, v, k = terms
-
-    def mean_power_and_slope(t):
-        p, w = _slot_power(t, u, v, k)
-        return _mean(p, n), float(_slot_slope(p, w, v, k).sum()) / n
-
+    mean_power_and_slope = _block_evaluator(terms, n)
     # Every slot spends at most t/2, so the mean power at lo is within target.
-    lo, hi = max(float(u.min()), 2.0 * target), math.inf
+    lo, hi = max(float(terms[0].min()), 2.0 * target), math.inf
     t = lo
     for iterations in range(1, _MAX_NEWTON + 1):
         power, slope = mean_power_and_slope(t)
@@ -314,9 +354,7 @@ def _midpoint(lo, hi):
 def _draw_states(ch, samples, seed):
     """Exponential gain draws for ``samples`` slots of one fading link."""
     rng = np.random.default_rng(seed)
-    a = rng.exponential(ch.a, samples)
-    b = rng.exponential(ch.b, samples)
-    return a, b
+    return rng.exponential(ch.a, samples), rng.exponential(ch.b, samples)
 
 
 def calibrate_fading_lambda(ch, avg_budget, samples, seed):
@@ -366,8 +404,13 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     keep = a > b
     if not np.any(keep):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
-    terms = _slot_terms(a[keep], b[keep])
-    del a, b, keep      # free the draws: the search needs only the slot terms
+    # Compress one draw at a time, so each full draw is freed before the next
+    # copy is made; the search needs only the slot terms.
+    a = a[keep]
+    b = b[keep]
+    del keep
+    terms = _slot_terms(a, b)
+    del a, b
     best_t, best_p, iterations = _solve_threshold(
         terms, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget))
 

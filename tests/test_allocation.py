@@ -1,6 +1,7 @@
 """Water-filling solver and fading power policy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,14 @@ from secrecylab import (
     power_at_lambda,
     sum_secrecy_rate,
 )
-from secrecylab.allocation import AWGN_BUDGET_TOL, _fading_power_array, _slot_terms
+from secrecylab.allocation import (
+    _RESIDUAL_ULPS,
+    _SLOT_BLOCK,
+    AWGN_BUDGET_TOL,
+    _block_evaluator,
+    _fading_power_array,
+    _slot_terms,
+)
 
 
 def random_bank(rng, n=3, lo=0.5, hi=5.0):
@@ -516,6 +524,77 @@ class TestCalibration:
         b = rng.exponential(FADING.b, 2_000)
         assert _fading_power_array(policy.lam, a, b).mean() == pytest.approx(
             policy.avg_power, rel=1e-9)
+
+
+def whole_array_terms(a, b):
+    """The slot terms written out of place, over whole arrays."""
+    g = a - b
+    return 2.0 / g, (a + b) / g, 2.0 * b * (a / g)
+
+
+def whole_array_mean_power_and_slope(t, a, b, n):
+    """Mean power and mean ``dP/dt`` over ``n`` slots, the formula over whole arrays."""
+    u, v, k = whole_array_terms(a, b)
+    w = np.sqrt(1.0 + t * k)
+    p = np.maximum(t - u, 0.0) / (v + w)
+    slope = np.where(p > 0.0, (1.0 - 0.5 * k * p / w) / (v + w), 0.0)
+    return p.sum() / n, slope.sum() / n
+
+
+BLOCK_EDGES = [_SLOT_BLOCK - 1, _SLOT_BLOCK, _SLOT_BLOCK + 1, 3 * _SLOT_BLOCK + 7]
+
+
+class TestBlockedCalibration:
+    """The solver evaluates in blocks; calibration builds its terms in place."""
+
+    @pytest.mark.parametrize("active", BLOCK_EDGES)
+    def test_blocked_evaluation_matches_whole_arrays(self, active):
+        rng = np.random.default_rng(active)
+        a = rng.exponential(5.0, active)
+        b = a * rng.uniform(0.0, 0.99, active)
+        n = active + 1000      # slots with a <= b spend nothing but count in the mean
+        evaluate = _block_evaluator(_slot_terms(a.copy(), b.copy()), n)
+        u = whole_array_terms(a, b)[0]
+        for t in [*np.quantile(u, [0.01, 0.5, 0.99]), 10.0 * u.max()]:
+            power, slope = evaluate(t)
+            want_power, want_slope = whole_array_mean_power_and_slope(t, a, b, n)
+            assert power == pytest.approx(want_power, rel=1e-13)
+            assert slope == pytest.approx(want_slope, rel=1e-13)
+
+    @pytest.mark.parametrize("samples", BLOCK_EDGES)
+    @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
+    def test_calibration_across_block_edges(self, samples, budget):
+        # b is so small that every slot is active: the active count is ``samples``.
+        ch = FadingWiretapChannel(a=1.0, b=1e-12, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        rng = np.random.default_rng(samples)
+        a = rng.exponential(ch.a, samples)
+        b = rng.exponential(ch.b, samples)
+        assert np.all(a > b)
+        policy = calibrate_fading_lambda(ch, budget, samples, seed=samples)
+        assert abs(policy.avg_power - budget) <= _RESIDUAL_ULPS * math.ulp(budget)
+        assert policy.avg_power == pytest.approx(
+            _fading_power_array(policy.lam, a, b).mean(), rel=1e-13)
+
+    def test_slot_terms_match_the_out_of_place_form(self):
+        rng = np.random.default_rng(11)
+        a, b = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (2, 100_000)))
+        a, b = a[a > b], b[a > b]
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = whole_array_terms(a, b)
+        for got, want in zip(_slot_terms(a.copy(), b.copy()), expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_calibration_peak_memory(self):
+        """At 10**6 samples the traced peak stays within 32 bytes per sample."""
+        ch = FadingWiretapChannel(a=5.0, b=0.5, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            calibrate_fading_lambda(ch, 2.0, samples, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * samples
 
 
 class TestErgodicCapacity:
