@@ -60,7 +60,9 @@ def build_parser():
                              "across the bank, fading commands target the average "
                              "spent power, rate applies X to each channel")
     parser.add_argument("--grid-step", type=float, metavar="X", dest="grid_step",
-                        help="input-simplex resolution for discrete-capacity "
+                        help="input-simplex resolution for discrete-capacity: it "
+                             "searches input distributions whose entries are "
+                             "multiples of 1/round(1/X) "
                              f"(default {DEFAULT_GRID_STEP:g})")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="report format (default csv)")

@@ -10,6 +10,23 @@ The maximization is over the channel input directly (no auxiliary cloud
 variable); that restriction is optimal for degraded channels, which are the
 only ones with a closed form to validate against, and is an explicit
 limitation otherwise.  Entropy terms use ``0 * log 0 = 0`` and base-2 logs.
+
+The capacity search (:func:`max_secrecy_rate_grid`) returns what evaluating
+every grid point would, without doing so.  It is a certified
+branch-and-bound over boxes in the cumulative coordinates
+``x_k = c_1 + ... + c_k`` of a composition ``c`` of the grid denominator.
+All coordinates are cut at one shared set of points, made by halving
+``[0, denom]`` again and again, so a box's ordered corners are grid points
+that span its part of the simplex.  The rate ``H(qM) - H(qE) - q.gap`` is a
+concave term minus a concave term plus a linear one (mutual information is
+concave in the input; Cover & Thomas, Thm 2.7.4), so the tangent plane of
+``H(qM)`` at the corners' mean bounds it over the box from the corner
+values alone (see :func:`_upper_bounds`).  A box whose bound, raised by a
+rounding margin scaled to the size of the summed terms, lies more than
+the tie tolerance below the best rate found is dropped; the rest are split
+down to leaves a few values wide, whose grid points are evaluated with the
+same kernel.  When nothing prunes, as on identical links, every grid point
+is evaluated once, in batches of bounded size.
 """
 
 import numpy as np
@@ -18,12 +35,13 @@ from .errors import InvalidInputError, UnsupportedSizeError, _check_grid_step
 
 _NORM_TOL = 1e-12
 _TIE_TOL = 1e-12
-#: Grid points per rate-kernel call.  At 2**12 rows each ``(rows, 4)`` working
-#: array is 128 KB, so a chunk's arrays stay inside a 2 MB L2 together.  On a
-#: 2-vCPU Xeon with 2 MB L2, a 4-input search at step 0.01 took 22-28 ms with
-#: 2**12 rows and 31-36 ms with 2**15, with one OpenBLAS thread or two; at
-#: step 0.002 every size from 2**12 to 2**15 took about 2.4 s.
-_GRID_CHUNK = 1 << 12
+#: Boxes are split until every interval holds at most this many values.
+_LEAF_WIDTH = 8
+#: About the most grid points one rate-kernel call evaluates.  It caps the
+#: search's memory whatever the grid size, and keeps the kernel's arrays in
+#: cache: on a 2-vCPU Xeon with 2 MB L2 the kernel took about 70 ns a row in
+#: calls of 2**12 rows and 100-120 ns in calls of 2**13 or 2**14.
+_BATCH = 1 << 12
 _TINY = np.finfo(float).smallest_subnormal
 
 
@@ -140,14 +158,16 @@ def _entropies(p):
 
 
 def _rates(ch, q):
-    """``I(X;Y) - I(X;Z)`` in bits for each row ``q`` of input distributions.
+    """``I(X;Y) - I(X;Z)`` in bits for each row ``q``, with ``qM`` and ``H(qM)``.
 
     Uses ``I(X;Y) = H(qM) - q . h_M`` with ``h_M`` the per-input row
     entropies of the transition matrix, so a batch costs two ``(rows, |Y|)``
     products and one entropy pass over each.  A point mass on input ``i``
     reproduces row ``i`` exactly, so its rate is exactly 0.
     """
-    return _entropies(q @ ch.main) - _entropies(q @ ch.eaves) - q @ ch._entropy_gap
+    pm = q @ ch.main
+    hm = _entropies(pm)
+    return hm - _entropies(q @ ch.eaves) - q @ ch._entropy_gap, pm, hm
 
 
 def secrecy_rate_discrete(ch, input_pmf):
@@ -165,58 +185,167 @@ def secrecy_rate_discrete(ch, input_pmf):
     if len(p) != ch.num_inputs:
         raise InvalidInputError(
             f"input pmf length {len(p)} does not match alphabet size {ch.num_inputs}")
-    return float(_rates(ch, p[None, :])[0])
+    return float(_rates(ch, p[None, :])[0][0])
 
 
-def _compositions(total, parts):
-    """All compositions of ``total`` into ``parts`` parts, as an iterable of chunks.
+def _parts(x, denom):
+    """Grid points as float compositions of ``denom``, one row per point.
 
-    Rows are produced in ascending lexicographic order of the composition
-    tuple, so the first maximizer encountered is the lexicographically
-    smallest one.  Starting from ``[[total]]``, each of ``parts - 1`` steps
-    splits every row's last part ``r`` into ``(j, r - j)`` for ``j = 0..r``.
+    ``x`` has shape ``(|X| - 1, points)``: row ``k`` holds the cumulative
+    coordinate ``x_{k+1}``, the sum of the first ``k + 1`` parts.  The parts
+    are whole numbers, held exactly.
     """
-    chunks = [np.array([[total]])]
-    for _ in range(parts - 1):
-        chunks = (piece for rows in chunks for piece in _split_last(rows))
-    return chunks
+    parts = np.empty((x.shape[1], len(x) + 1))
+    prev = 0
+    for k, col in enumerate(x):
+        np.subtract(col, prev, out=parts[:, k])
+        prev = col
+    np.subtract(denom, prev, out=parts[:, -1])
+    return parts
 
 
-def _split_last(rows):
-    """Split each row's last part ``r`` into ``(j, r - j)``, ``j = 0..r``, in chunks.
+def _grid_rates(ch, parts, denom):
+    """:func:`_rates` at the grid points ``parts / denom``.
 
-    The input is cut after the row where the running output row count
-    reaches a multiple of :data:`_GRID_CHUNK`, so a chunk holds about that
-    many rows, more only where one row alone splits into more.
+    A lone row is evaluated twice: numpy multiplies one row by a different
+    BLAS routine, whose rounding differs, and every grid point must get
+    the same rate in every batch.
     """
-    counts = rows[:, -1] + 1
-    ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_GRID_CHUNK, ends[-1], _GRID_CHUNK)) + 1
-    bounds = sorted({0, *cuts.tolist(), len(rows)})  # a set: no empty pieces
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n = counts[lo:hi]
-        split = np.repeat(rows[lo:hi], n, axis=0)
-        j = np.arange(len(split)) - np.repeat(np.cumsum(n) - n, n)
-        split[:, -1] -= j
-        yield np.insert(split, -1, j, axis=1)
+    q = parts / denom
+    if len(q) == 1:
+        return tuple(t[:1] for t in _rates(ch, np.repeat(q, 2, axis=0)))
+    return _rates(ch, q)
+
+
+def _ascending(x):
+    """Where the coordinates along the first axis of ``x`` are non-decreasing."""
+    return (x[1:] >= x[:-1]).all(axis=0)
+
+
+def _kept(x, ok):
+    """``x[:, ok]`` for a ``(d, boxes, choices)`` array, by flat index: faster than a mask."""
+    return np.take(x.reshape(len(x), ok.size), np.flatnonzero(ok), axis=1)
+
+
+def _choices(lo, hi):
+    """Each box's ``2**d`` ways to take the low or high end of every interval.
+
+    Returns ``high`` of shape ``(d, 1, 2**d)``, true where a choice takes
+    the high end, and the mask of choices to keep per box: the high end of
+    an interval with one value would repeat the low end.
+    """
+    d = len(lo)
+    high = np.indices((2,) * d).reshape(d, 1, 2 ** d) == 1
+    return high, (~high | (lo < hi)[:, :, None]).all(axis=0)
+
+
+def _upper_bounds(ch, lo, hi, denom):
+    """Certified upper bounds on the rate over each box, and the best corner rate.
+
+    A box's ordered corners are the grid points that take each coordinate's
+    ``lo`` or ``hi`` and stay non-decreasing; they span the box's part of
+    the simplex.  With ``q0`` their mean and ``T`` the tangent plane of the
+    concave ``H(qM)`` at ``q0``, the rate ``H(qM) - H(qE) - q.gap`` is at
+    most ``T(q) - H(qE) - q.gap``, which is convex and so at most its
+    largest value at a corner: ``U = max_v R(v) + T(v) - H(vM)``.
+    ``T(v) - H(vM)`` is the divergence of ``vM`` from ``q0 M``, second order
+    in the box width.
+
+    ``U`` is raised by a rounding margin: a sum of ``k`` terms is off by
+    at most about ``k`` ulps of the sum of their magnitudes, and the terms
+    here are bounded by the largest tangent value, ``log2 |Z|`` and the
+    largest ``|gap|``.  A box whose ``q0 M`` is zero at an output some
+    row of ``M`` can produce has an unbounded tangent slope and gets
+    ``U = inf``.
+    """
+    high, ok = _choices(lo, hi)
+    x = np.where(high, hi[:, :, None], lo[:, :, None])
+    ok &= _ascending(x)
+    owner = np.nonzero(ok)[0]
+    rate, pm, hm = _grid_rates(ch, _parts(_kept(x, ok), denom), denom)
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    p0 = np.add.reduceat(pm, starts) / np.diff(starts, append=len(owner))[:, None]
+    tangent = -np.einsum("ij,ij->i", pm, np.log2(np.maximum(p0, _TINY))[owner])
+    upper = np.maximum.reduceat(rate + (tangent - hm), starts)
+    nx, ny, nz = ch.num_inputs, ch.main.shape[1], ch.eaves.shape[1]
+    size = (np.maximum.reduceat(tangent, starts) + np.log2(nz)
+            + np.abs(ch._entropy_gap).max())
+    upper += 16 * (nx + ny + nz) * np.finfo(float).eps * size
+    upper[((p0 == 0) & ch.main.any(axis=0)).any(axis=1)] = np.inf
+    return upper, rate.max()
+
+
+def _split(lo, hi):
+    """The children of boxes: every interval halved at the same cut points.
+
+    Interval ``[lo, hi]`` becomes ``[lo, m]`` and ``[m + 1, hi]`` with
+    ``m = (lo + hi) // 2``, or stays whole when it holds one value.  Every
+    coordinate's interval comes from one shared set of cut points, so two
+    coordinates' intervals are identical or disjoint; children whose
+    intervals are out of order hold no grid point and are dropped.
+    """
+    high, ok = _choices(lo, hi)
+    mid = (lo + hi)[:, :, None] // 2
+    clo = np.where(high, mid + 1, lo[:, :, None])
+    ok &= _ascending(clo)
+    return _kept(clo, ok), _kept(np.where(high, hi[:, :, None], mid), ok)
+
+
+def _leaf_points(lo, hi, width, denom):
+    """Every grid point of the boxes, as parts: non-decreasing ``lo <= x <= hi``.
+
+    Each coordinate's interval owns the values ``lo..hi`` and the
+    intervals of one level partition ``0..denom``, so every grid point lies
+    in exactly one box of a level.  No interval is wider than ``width``.
+    """
+    d = len(lo)
+    x = lo[:, :, None] + np.indices((width,) * d, dtype=lo.dtype).reshape(d, 1, width ** d)
+    ok = (x <= hi[:, :, None]).all(axis=0) & _ascending(x)
+    return _parts(_kept(x, ok), denom)
+
+
+def _merge_ties(ties, rates, parts, best, denom):
+    """Grid points within the tie tolerance of ``best`` that can still be the answer.
+
+    A point is dropped once a lexicographically smaller point has a rate
+    at least as high: whenever it is within the tolerance, so is that one.
+    The rest come out in lexicographic order with strictly rising rates.
+    """
+    weights = (denom + 1.0) ** np.arange(parts.shape[1])[::-1]
+    rank = parts @ weights  # lexicographic; exact, below 2**53
+    # Past the batch's first point with its top rate, every point is dropped.
+    keep = (rates >= best - _TIE_TOL) & (rank <= rank[rates == rates.max()].min())
+    rates = np.concatenate((ties[0], rates[keep]))
+    parts = np.concatenate((ties[1], parts[keep]))
+    keep = rates >= best - _TIE_TOL
+    rates, parts = rates[keep], parts[keep]
+    order = np.argsort(parts @ weights)
+    rates, parts = rates[order], parts[order]
+    above = rates > np.maximum.accumulate(np.concatenate(([-np.inf], rates[:-1])))
+    return rates[above], parts[above]
 
 
 def max_secrecy_rate_grid(ch, grid_step):
-    """Grid-search the input simplex for the best secrecy rate.
+    """Search the input simplex grid for the best secrecy rate.
 
-    Enumerates every input distribution whose entries are multiples of
-    ``grid_step`` and returns the best rate together with its maximizer.
-    Grid points within 1e-12 of the best rate count as tied (rounding noise
-    separates points that tie exactly, e.g. permutations on a symmetric
-    channel), and ties resolve to the lexicographically smallest
-    distribution.  The result is never negative: every point mass is a grid
-    point and evaluates to exactly 0, so a channel without secrecy capacity
-    gives rate 0.0 at ``(0, ..., 0, 1)``.
+    The grid holds every input distribution whose entries are multiples of
+    ``1 / round(1 / grid_step)``: a step of 0.003 searches multiples of
+    1/333.  Returns the best rate over the grid together with its
+    maximizer.  Grid points within 1e-12 of the best rate count as tied
+    (rounding noise separates points that tie exactly, e.g. permutations
+    on a symmetric channel), and ties resolve to the lexicographically
+    smallest distribution.  The result is never negative: every point mass
+    is a grid point and evaluates to exactly 0, so a channel without
+    secrecy capacity gives rate 0.0 at ``(0, ..., 0, 1)``.
+
+    The answer is that of evaluating every grid point; a certified
+    branch-and-bound (see the module docstring) skips the boxes of grid
+    points that cannot come within the tie tolerance of the best.
 
     Parameters
     ----------
     ch : DiscreteWiretapChannel
-        Input alphabet of size at most 4 (the enumeration is combinatorial).
+        Input alphabet of size at most 4.
     grid_step : float
         Simplex resolution, between 1e-3 and 0.1.
 
@@ -231,26 +360,43 @@ def max_secrecy_rate_grid(ch, grid_step):
     _check_grid_step("grid_step", grid_step)
     denom = int(round(1.0 / grid_step))
 
+    d = nx - 1
     best = -np.inf
-    # Points above every earlier point and within the tie tolerance of the
-    # running best, in grid order: the first point within the tolerance of
-    # the final best is always one of them.
-    near = []
-    for block in _compositions(denom, nx):
-        q = block / denom
-        rates = _rates(ch, q)
-        top = rates.max()
-        if top <= best:
+    ties = (np.empty(0), np.empty((0, nx)))
+    # Boxes are (d, boxes) arrays of interval ends, int16 (the denominator
+    # is at most 1000) to keep the arrays small.  Open boxes go in batches,
+    # depth first; the batch of highest bounds is split first, so the best
+    # rate rises early.
+    stack = [(np.zeros((d, 1), dtype=np.int16), np.full((d, 1), denom, dtype=np.int16))]
+    while stack:
+        lo, hi = stack.pop()
+        upper, top = _upper_bounds(ch, lo, hi, denom)
+        best = max(best, top)
+        live = np.flatnonzero(upper >= best - _TIE_TOL)
+        if not len(live):
             continue
-        # Only points within the tolerance of the new best can be kept, and
-        # every other point of the chunk lies below all of them.
-        close = np.flatnonzero(rates >= top - _TIE_TOL)
-        vals = rates[close]
-        above = vals > np.maximum.accumulate(np.concatenate(([best], vals[:-1])))
-        best = top
-        near = [c for c in near if c[0] >= best - _TIE_TOL]
-        near += [(rates[i], q[i]) for i in close[above]]
-    return float(best), DiscretePmf(near[0][1])
+        live = live[np.argsort(upper[live], kind="stable")]
+        lo, hi = lo[:, live], hi[:, live]
+        width = int((hi - lo).max(initial=0)) + 1
+        if width > _LEAF_WIDTH:
+            lo, hi = _split(lo, hi)
+            # Bounding holds about twice the arrays per corner that a leaf
+            # holds per point, and a box has up to 2**d corners.
+            step = max(1, _BATCH >> (d + 1))
+            stack += [(lo[:, i:i + step], hi[:, i:i + step]) for i in range(0, lo.shape[1], step)]
+            continue
+        # Slices of leaves that start within one window of _BATCH grid points.
+        size = np.prod(hi - lo + 1, axis=0, dtype=int)  # no fewer than the box's grid points
+        window = (np.cumsum(size) - size) // _BATCH
+        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), len(size)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            parts = _leaf_points(lo[:, a:b], hi[:, a:b], width, denom)
+            rates = _grid_rates(ch, parts, denom)[0]
+            best = max(best, rates.max())
+            ties = _merge_ties(ties, rates, parts, best, denom)
+    rates, parts = ties
+    first = np.argmax(rates >= best - _TIE_TOL)
+    return float(best), DiscretePmf(parts[first] / denom)
 
 
 def parallel_sum_rate(chs, inputs):

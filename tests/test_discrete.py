@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +49,19 @@ def circulant_channel(rng, n):
     return DiscreteWiretapChannel(circ(rng.random(n) ** 4), circ(rng.random(n)))
 
 
+def near_tie_channel(rng, n):
+    """A circulant channel with one main row moved by 1e-13 to 1e-12.
+
+    Its maximizers, equal under cyclic shifts before the move, now differ
+    by less than the tie tolerance but by more than rounding.
+    """
+    ch = circulant_channel(rng, n)
+    main = ch.main.copy()
+    k = rng.integers(n)
+    main[k] = np.roll(main[k], 1) * 10 ** rng.uniform(-13, -12) + main[k]
+    return DiscreteWiretapChannel(main=main / main.sum(axis=1, keepdims=True), eaves=ch.eaves)
+
+
 def rate_via_mutual_information(ch, p):
     p = np.asarray(p, dtype=float)
     return (mutual_information(p[:, None] * ch.main)
@@ -59,6 +74,79 @@ def grid_bruteforce(ch, denom):
               if sum(c) == denom]
     rates = [rate_via_mutual_information(ch, np.array(c) / denom) for c in points]
     return points, rates
+
+
+def compositions(total, parts, chunk=1 << 12):
+    """All compositions of ``total`` into ``parts`` parts, as an iterable of chunks.
+
+    Rows come in ascending lexicographic order.  Starting from ``[[total]]``,
+    each of ``parts - 1`` steps splits every row's last part ``r`` into
+    ``(j, r - j)`` for ``j = 0..r``, in chunks of about ``chunk`` rows (more
+    only where one row alone splits into more).
+    """
+    chunks = [np.array([[total]])]
+    for _ in range(parts - 1):
+        chunks = (piece for rows in chunks for piece in split_last(rows, chunk))
+    return chunks
+
+
+def split_last(rows, chunk):
+    counts = rows[:, -1] + 1
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(chunk, ends[-1], chunk)) + 1
+    bounds = sorted({0, *cuts.tolist(), len(rows)})  # a set: no empty pieces
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n = counts[lo:hi]
+        split = np.repeat(rows[lo:hi], n, axis=0)
+        j = np.arange(len(split)) - np.repeat(np.cumsum(n) - n, n)
+        split[:, -1] -= j
+        yield np.insert(split, -1, j, axis=1)
+
+
+def exhaustive_grid_search(ch, denom):
+    """Rate and grid units of the best grid point, by evaluating every point.
+
+    The oracle for the branch-and-bound: the same rate kernel over the whole
+    grid in lexicographic order, and the first point within the tie
+    tolerance of the best rate.
+    """
+    comps = np.concatenate(list(compositions(denom, ch.num_inputs)))
+    q = comps / denom
+    rates = discrete._rates(ch, np.repeat(q, 2, axis=0) if len(q) == 1 else q)[0][:len(q)]
+    best = rates.max()
+    return float(best), tuple(comps[np.argmax(rates >= best - discrete._TIE_TOL)].tolist())
+
+
+@st.composite
+def grid_cases(draw):
+    """A channel of 1-4 inputs and 1-5 outputs per link, and a denominator 10-60.
+
+    Kinds: random links with exact zeros, circulant ties, near-ties,
+    degraded
+    links without secrecy capacity (``M = E W``), identical links, and an
+    identity main matrix.
+    """
+    nx, ny, nz = (draw(st.integers(1, top)) for top in (4, 5, 5))
+    kind = draw(st.sampled_from(
+        ["random", "circulant", "near-tie", "degraded", "identical", "eye"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def stochastic(rows, cols):
+        m = rng.random((rows, cols)) ** 4 * (rng.random((rows, cols)) < 0.7)
+        m[np.arange(rows), rng.integers(0, cols, rows)] += 0.1
+        return m / m.sum(axis=1, keepdims=True)
+
+    eaves = stochastic(nx, nz)
+    if kind == "circulant":
+        ch = circulant_channel(rng, nx)
+    elif kind == "near-tie":
+        ch = near_tie_channel(rng, nx)
+    elif kind == "degraded":
+        ch = DiscreteWiretapChannel(main=eaves @ stochastic(nz, ny), eaves=eaves)
+    else:
+        main = {"random": stochastic(nx, ny), "identical": eaves.copy(), "eye": np.eye(nx)}[kind]
+        ch = DiscreteWiretapChannel(main=main, eaves=eaves)
+    return ch, draw(st.integers(10, 60))
 
 
 def grid_units(pmf, denom):
@@ -232,18 +320,20 @@ class TestGridSearch:
         # grid value is a certified lower bound on the true maximum
         assert rate <= math.log2(3)
 
-    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("batch", [None, 7])
     @pytest.mark.parametrize("kind", ["random", "circulant"])
     @pytest.mark.parametrize("nx", [3, 4])
-    def test_matches_first_near_maximum_of_bruteforce(self, nx, kind, chunk, monkeypatch):
+    def test_matches_first_near_maximum_of_bruteforce(self, nx, kind, batch, monkeypatch):
         """Rate and argmax agree with a loop over mutual_information.
 
         Circulant channels tie exactly under cyclic shifts of the input, so
-        only rounding noise separates their maximizers; a chunk of 7 rows
-        spreads such near-ties over many chunks.
+        only rounding noise separates their maximizers; leaves two values
+        wide in batches of 7 points spread such near-ties over many boxes
+        and batches.
         """
-        if chunk is not None:
-            monkeypatch.setattr(discrete, "_GRID_CHUNK", chunk)
+        if batch is not None:
+            monkeypatch.setattr(discrete, "_BATCH", batch)
+            monkeypatch.setattr(discrete, "_LEAF_WIDTH", 2)
         rng = np.random.default_rng(61 + nx)
         for _ in range(5):
             if kind == "random":
@@ -260,17 +350,99 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("chunk", [None, 1, 7])
     @pytest.mark.parametrize("parts", [1, 2, 3, 4])
-    def test_compositions_match_itertools(self, parts, chunk, monkeypatch):
-        """Every composition once, in lexicographic order, in non-empty chunks
-        of at most the chunk size plus one row's split."""
-        if chunk is not None:
-            monkeypatch.setattr(discrete, "_GRID_CHUNK", chunk)
+    def test_compositions_match_itertools(self, parts, chunk):
+        """The oracle's enumerator: every composition once, in lexicographic
+        order, in non-empty chunks of at most the chunk size plus one row's
+        split."""
+        chunk = chunk or 1 << 12
         total = 12
         expected = [c for c in itertools.product(range(total + 1), repeat=parts)
                     if sum(c) == total]
-        chunks = list(discrete._compositions(total, parts))
-        assert all(0 < len(c) <= discrete._GRID_CHUNK + total for c in chunks)
+        chunks = list(compositions(total, parts, chunk))
+        assert all(0 < len(c) <= chunk + total for c in chunks)
         assert [tuple(row) for c in chunks for row in c.tolist()] == expected
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("denom", [10, 12, 37])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_leaves_cover_every_grid_point_once(self, parts, denom, small, monkeypatch):
+        """With pruning off, the leaves hold every grid point exactly once."""
+        if small:
+            monkeypatch.setattr(discrete, "_BATCH", 64)
+            monkeypatch.setattr(discrete, "_LEAF_WIDTH", 2)
+        bounds, leaves, seen = discrete._upper_bounds, discrete._leaf_points, []
+
+        def no_pruning(*args):
+            upper, top = bounds(*args)
+            return np.full_like(upper, np.inf), top
+
+        def recorded(*args):
+            seen.append(leaves(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(discrete, "_upper_bounds", no_pruning)
+        monkeypatch.setattr(discrete, "_leaf_points", recorded)
+        m = random_stochastic(np.random.default_rng(parts), parts, 3)
+        max_secrecy_rate_grid(DiscreteWiretapChannel(m, m.copy()), 1 / denom)
+        expected = [c for c in itertools.product(range(denom + 1), repeat=parts)
+                    if sum(c) == denom]
+        got = sorted(tuple(int(k) for k in row) for p in seen for row in p)
+        assert got == expected
+
+    @given(grid_cases(), st.sampled_from([1, 2, 8]), st.sampled_from([64, 1 << 14]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exhaustive_oracle(self, case, leaf_width, batch):
+        """The same rate, bit for bit, and the same argmax as every grid point,
+        for any leaf width and batch size."""
+        ch, denom = case
+        with mock.patch.object(discrete, "_LEAF_WIDTH", leaf_width), \
+                mock.patch.object(discrete, "_BATCH", batch):
+            rate, argmax = max_secrecy_rate_grid(ch, 1 / denom)
+        assert (rate, grid_units(argmax, denom)) == exhaustive_grid_search(ch, denom)
+
+    @pytest.mark.parametrize("seed", [2, 10, 52, 72, 135, 190])
+    def test_keeps_near_ties_below_the_best(self, seed, monkeypatch):
+        """The answer may lie up to the tie tolerance below the best rate.
+
+        On these near-tie channels the lexicographically first point within
+        the tolerance is more than rounding below the best.  Leaves one value
+        wide make each box's bound its one point's rate plus the margin, so
+        a search that pruned against the best alone would miss the answer.
+        """
+        monkeypatch.setattr(discrete, "_LEAF_WIDTH", 1)
+        rng = np.random.default_rng(seed)
+        ch = near_tie_channel(rng, int(rng.integers(2, 5)))
+        denom = int(rng.integers(10, 40))
+        best, first = exhaustive_grid_search(ch, denom)
+        q = np.array([first, first]) / denom
+        assert best - discrete._rates(ch, q)[0][0] > 3e-13
+        rate, argmax = max_secrecy_rate_grid(ch, 1 / denom)
+        assert (rate, grid_units(argmax, denom)) == (best, first)
+
+    def test_grid_is_multiples_of_one_over_rounded_inverse_step(self):
+        """Step 0.003 searches multiples of 1/333, not of 0.003 (no such point sums to 1)."""
+        main = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        eaves = np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]])
+        ch = DiscreteWiretapChannel(main=main, eaves=eaves)
+        rate, argmax = max_secrecy_rate_grid(ch, grid_step=0.003)
+        assert argmax.probs.tolist() == [111 / 333] * 3
+        assert (rate, grid_units(argmax, 333)) == exhaustive_grid_search(ch, 333)
+
+    def test_memory_stays_flat_when_nothing_prunes(self):
+        """Identical links tie everywhere, so no box is pruned; the batches
+        still hold the search's peak memory at a step with 15x the points
+        within 1.5x of the coarser step's."""
+        m = random_stochastic(np.random.default_rng(5), 4, 4)
+        ch = DiscreteWiretapChannel(main=m, eaves=m.copy())
+        peaks = []
+        for step in (0.01, 0.004):
+            tracemalloc.start()
+            try:
+                assert max_secrecy_rate_grid(ch, step)[0] == 0.0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_zero_capacity_gives_exact_zero_at_first_point_mass(self):
         """A main link degraded from the eavesdropper's (M = E W) has capacity 0."""
