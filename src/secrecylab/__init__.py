@@ -19,6 +19,7 @@ from .channels import (
     AgentChannel,
     ChannelState,
     FadingWiretapChannel,
+    GaussianBank,
     GaussianWiretapChannel,
     gaussian_secrecy_rate,
     instantaneous_fading_secrecy_rate,
@@ -69,7 +70,7 @@ from .errors import (
     UnsupportedSizeError,
     UsageError,
 )
-from .scenario import ReportRecord, Scenario, emit, load_scenario
+from .scenario import ColumnReport, ReportRecord, Scenario, emit, load_scenario
 from .harness import run, substream
 
 import types as _types

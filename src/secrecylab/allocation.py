@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import FadingWiretapChannel, _secrecy_rate
+from .channels import FadingWiretapChannel, GaussianBank, _secrecy_rate
 from .errors import InvalidInputError, NumericalError, _check_count, _check_positive
 
 #: The threshold solver makes at most this many evaluations of the mean power.
@@ -140,7 +140,7 @@ def sum_secrecy_rate(channels, powers):
 
     Parameters
     ----------
-    channels : sequence of GaussianWiretapChannel
+    channels : GaussianBank or sequence of GaussianWiretapChannel
     powers : sequence of float
         Same length as ``channels``, entries >= 0.
     """
@@ -150,8 +150,15 @@ def sum_secrecy_rate(channels, powers):
     powers = np.asarray(powers, dtype=float)
     if not np.all(np.isfinite(powers) & (powers >= 0)):
         raise InvalidInputError("powers must be non-negative finite numbers")
-    a, b = np.reshape([ch.gains for ch in channels], (-1, 2)).T
-    return float(_secrecy_rate(powers, a, b).sum())
+    return float(_secrecy_rate(powers, *_gains(channels)).sum())
+
+
+def _gains(channels):
+    """The main and eavesdropper gain columns of a :class:`GaussianBank` or of a
+    sequence of channels, gathered in order."""
+    if isinstance(channels, GaussianBank):
+        return channels.gains
+    return np.reshape([ch.gains for ch in channels], (-1, 2)).T
 
 
 def awgn_waterfill(channels, budget):
@@ -167,8 +174,9 @@ def awgn_waterfill(channels, budget):
 
     Parameters
     ----------
-    channels : sequence of GaussianWiretapChannel
-        At least one link.
+    channels : GaussianBank or sequence of GaussianWiretapChannel
+        At least one link.  A sequence is gathered into the gain columns a
+        bank holds, so both are solved alike.
     budget : float
         Total power to distribute, > 0.
 
@@ -188,7 +196,7 @@ def awgn_waterfill(channels, budget):
         raise InvalidInputError("channel list must not be empty")
     _check_positive("budget", budget)
 
-    a, b = map(np.array, zip(*[ch.gains for ch in channels]))
+    a, b = _gains(channels)
     powers = np.zeros(len(channels))
     on = a > b
     if not np.any(on):

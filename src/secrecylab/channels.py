@@ -4,7 +4,8 @@ A wiretap link carries one transmission to a legitimate receiver while an
 eavesdropper observes a second, noisier copy.  This module holds the channel
 data types used everywhere else plus the single-link secrecy-rate formulas:
 
-- :func:`gaussian_secrecy_rate` for a static AWGN link,
+- :func:`gaussian_secrecy_rate` for a static AWGN link, and
+  :meth:`GaussianBank.secrecy_rates` for a bank of them held as columns,
 - :func:`instantaneous_fading_secrecy_rate` for one fading slot,
 - :func:`is_qualified` / :func:`to_agent_channel` for the SNR-based
   classification used by the cooperation machinery.
@@ -57,6 +58,59 @@ class GaussianWiretapChannel:
         object.__setattr__(self, "gains", (1.0 / self.sigma_m_sq, 1.0 / self.sigma_w_sq))
         _check_gain("sigma_m_sq", "1/sigma_m_sq", self.gains[0])
         _check_gain("sigma_w_sq", "1/sigma_w_sq", self.gains[1])
+
+
+class GaussianBank:
+    """Static AWGN links held as columns: ids, noise variances and power gains.
+
+    ``ids`` is a list with one id per link.  ``sigma_m_sq`` and
+    ``sigma_w_sq`` are read-only float arrays, and ``gains`` is the pair
+    ``(1/sigma_m_sq, 1/sigma_w_sq)`` of read-only arrays.  Each link obeys
+    the rule of :class:`GaussianWiretapChannel`: both variances positive and
+    finite, and both gains finite.
+
+    Raises
+    ------
+    InvalidInputError
+        A variance breaks that rule (named with its row, e.g.
+        ``sigma_m_sq[3]``), or a column does not hold one value per id.
+    """
+
+    def __init__(self, ids, sigma_m_sq, sigma_w_sq):
+        self.ids = list(ids)
+        self.sigma_m_sq, gain_m = self._variances("sigma_m_sq", sigma_m_sq)
+        self.sigma_w_sq, gain_w = self._variances("sigma_w_sq", sigma_w_sq)
+        self.gains = (gain_m, gain_w)
+
+    def _variances(self, name, values):
+        """One variance column and its gain column, both read-only."""
+        values = np.array(values, dtype=float)
+        if values.shape != (len(self.ids),):
+            raise InvalidInputError(
+                f"{name}: expected {len(self.ids)} values, one per id, got shape {values.shape}")
+        with np.errstate(divide="ignore", over="ignore"):
+            gain = 1.0 / values
+        bad = ~((gain > 0.0) & (gain < math.inf))
+        if bad.any():
+            i = int(bad.argmax())
+            raise InvalidInputError(
+                f"{name}[{i}]: expected a positive variance whose power gain "
+                f"1/{name} is a finite float, got {values[i].item()!r}")
+        values.setflags(write=False)
+        gain.setflags(write=False)
+        return values, gain
+
+    def __len__(self):
+        return len(self.ids)
+
+    def secrecy_rates(self, power):
+        """Each link's secrecy rate at the same transmit power, as a float array.
+
+        The rate of :func:`gaussian_secrecy_rate`, evaluated for the whole
+        bank in one call.
+        """
+        _check_nonnegative("power", power)
+        return _secrecy_rate(power, *self.gains)
 
 
 @dataclass(frozen=True)

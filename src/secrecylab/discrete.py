@@ -164,7 +164,13 @@ def _rates(ch, q):
     entropies of the transition matrix, so a batch costs two ``(rows, |Y|)``
     products and one entropy pass over each.  A point mass on input ``i``
     reproduces row ``i`` exactly, so its rate is exactly 0.
+
+    A lone row is evaluated twice: numpy multiplies one row by a different
+    BLAS routine, whose rounding differs, and a point must get the same rate
+    whether it is evaluated alone or inside a batch.
     """
+    if len(q) == 1:
+        return tuple(t[:1] for t in _rates(ch, np.repeat(q, 2, axis=0)))
     pm = q @ ch.main
     hm = _entropies(pm)
     return hm - _entropies(q @ ch.eaves) - q @ ch._entropy_gap, pm, hm
@@ -202,19 +208,6 @@ def _parts(x, denom):
         prev = col
     np.subtract(denom, prev, out=parts[:, -1])
     return parts
-
-
-def _grid_rates(ch, parts, denom):
-    """:func:`_rates` at the grid points ``parts / denom``.
-
-    A lone row is evaluated twice: numpy multiplies one row by a different
-    BLAS routine, whose rounding differs, and every grid point must get
-    the same rate in every batch.
-    """
-    q = parts / denom
-    if len(q) == 1:
-        return tuple(t[:1] for t in _rates(ch, np.repeat(q, 2, axis=0)))
-    return _rates(ch, q)
 
 
 def _ascending(x):
@@ -262,7 +255,7 @@ def _upper_bounds(ch, lo, hi, denom):
     x = np.where(high, hi[:, :, None], lo[:, :, None])
     ok &= _ascending(x)
     owner = np.nonzero(ok)[0]
-    rate, pm, hm = _grid_rates(ch, _parts(_kept(x, ok), denom), denom)
+    rate, pm, hm = _rates(ch, _parts(_kept(x, ok), denom) / denom)
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     p0 = np.add.reduceat(pm, starts) / np.diff(starts, append=len(owner))[:, None]
     tangent = -np.einsum("ij,ij->i", pm, np.log2(np.maximum(p0, _TINY))[owner])
@@ -391,7 +384,7 @@ def max_secrecy_rate_grid(ch, grid_step):
         cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), len(size)]
         for a, b in zip(cuts[:-1], cuts[1:]):
             parts = _leaf_points(lo[:, a:b], hi[:, a:b], width, denom)
-            rates = _grid_rates(ch, parts, denom)[0]
+            rates = _rates(ch, parts / denom)[0]
             best = max(best, rates.max())
             ties = _merge_ties(ties, rates, parts, best, denom)
     rates, parts = ties

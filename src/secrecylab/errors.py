@@ -55,6 +55,21 @@ def _finite_float(name, value):
     raise InvalidInputError(f"{name}: expected a finite number, got {value!r}")
 
 
+def _finite_numbers(values):
+    """Whether every value passes the type test of :func:`_finite_float`, and
+    every int its range test.
+
+    The rule over a whole column, without a message: each value is an int or
+    a float (exactly: not a bool), and no int lies beyond the float range, so
+    the values convert to a float array whose entries are finite exactly
+    where :func:`_finite_float` accepts them.
+    """
+    kinds = set(map(type, values))
+    if int not in kinds:
+        return kinds <= {float}
+    return kinds <= {int, float} and all(-_MAX <= v <= _MAX for v in values if type(v) is int)
+
+
 def _check_positive(name, value):
     """``value`` as a float; it must be a finite number above zero."""
     number = _finite_float(name, value)

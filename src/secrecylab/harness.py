@@ -2,6 +2,9 @@
 
 Each command consumes a :class:`~secrecylab.scenario.Scenario` plus a few
 options and returns a list of :class:`~secrecylab.scenario.ReportRecord`.
+``rate`` and ``allocate`` work on the scenario's gaussian bank as columns:
+one rate-kernel call or one water-fill over the whole bank, and a
+:class:`~secrecylab.scenario.ColumnReport` that holds the rows as columns.
 One table, ``_TABLE``, declares every command once: its runner, the
 channels it reads and whether it spends a budget.  :func:`run` resolves the
 options and checks those preconditions for all commands in one place.
@@ -24,7 +27,9 @@ from .allocation import (
     calibrate_fading_lambda,
     ergodic_secrecy_capacity,
 )
-from .channels import gaussian_secrecy_rate
+# Not called: a bank's rates come from one GaussianBank.secrecy_rates call.
+# bench/layer_trace.py wraps this name here, so it stays importable.
+from .channels import gaussian_secrecy_rate  # noqa: F401
 from .cooperation import (
     classify,
     feasible_set,
@@ -40,7 +45,13 @@ from .errors import (
     _check_grid_step,
     _check_positive,
 )
-from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, ReportRecord, load_scenario
+from .scenario import (
+    CHANNEL_SCHEMA,
+    SCHEMA_VERSION,
+    ColumnReport,
+    ReportRecord,
+    load_scenario,
+)
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID_STEP = 1e-3
@@ -84,29 +95,30 @@ def _agent_record(command, agent, outputs, metadata):
                         outputs=outputs, metadata=metadata)
 
 
-def _run_rate(command, entries, options):
-    metadata = _meta(options.seed)
-    records = []
-    for _pos, sc in entries:
-        outputs = {"power": options.budget,
-                   "rate_bits": gaussian_secrecy_rate(options.budget, sc.channel)}
-        records.append(_link_record(command, sc, outputs, metadata))
-    return records
+def _bank_report(command, bank, outputs, metadata, tail=()):
+    """Rows about the links of a gaussian bank; their inputs are the links' scenario fields."""
+    _cls, fields = CHANNEL_SCHEMA["gaussian"]
+    return ColumnReport(command, bank.ids, {key: getattr(bank, key) for key in fields},
+                        outputs, metadata, tail)
 
 
-def _run_allocate(command, entries, options):
-    result = awgn_waterfill([sc.channel for _pos, sc in entries], options.budget)
+def _run_rate(command, bank, options):
+    outputs = {"power": np.full(len(bank), options.budget),
+               "rate_bits": bank.secrecy_rates(options.budget)}
+    return _bank_report(command, bank, outputs, _meta(options.seed))
+
+
+def _run_allocate(command, bank, options):
+    result = awgn_waterfill(bank, options.budget)
     metadata = _meta(options.seed, budget_tol=AWGN_BUDGET_TOL)
-    records = []
-    for (_pos, sc), power, rate in zip(entries, result.powers.tolist(), result.rates.tolist()):
-        records.append(_link_record(command, sc, {"power": power, "rate_bits": rate}, metadata))
-    records.append(ReportRecord(
+    summary = ReportRecord(
         experiment=command, channel_id="summary",
         outputs={"power": float(result.powers.sum()),
                  "rate_bits": result.sum_rate,
                  "lambda": result.lam},
-        metadata=metadata))
-    return records
+        metadata=metadata)
+    return _bank_report(command, bank, {"power": result.powers, "rate_bits": result.rates},
+                        metadata, [summary])
 
 
 def _run_fading(command, entries, options):
@@ -194,9 +206,10 @@ _AGENTS = "'agent-snr' or 'fading' channels"
 
 #: Each command: its runner, the channels it reads (a channel type or
 #: :data:`_AGENTS`) and whether it spends a budget.  The runner is called as
-#: ``runner(command, entries, options)``: ``entries`` are the ``(position,
-#: channel)`` pairs read, as :meth:`Scenario.of_kind` or
-#: :meth:`Scenario.agent_bank` give them, and ``options`` the resolved seed,
+#: ``runner(command, entries, options)``: ``entries`` are the channels read,
+#: as :meth:`Scenario.gaussian_bank` gives the ``gaussian`` ones and
+#: :meth:`Scenario.of_kind` or :meth:`Scenario.agent_bank` the ``(position,
+#: channel)`` pairs of the others, and ``options`` the resolved seed,
 #: budget, samples and grid step.
 _TABLE = {
     "rate": (_run_rate, "gaussian", True),
@@ -234,7 +247,10 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
 
     Returns
     -------
-    list of ReportRecord
+    list of ReportRecord, or ColumnReport
+        ``rate`` and ``allocate`` return their rows as a
+        :class:`~secrecylab.scenario.ColumnReport`, a sequence of the same
+        records.
     """
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}; expected one of {COMMANDS}")
@@ -255,7 +271,10 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
         raise UsageError(f"command '{command}' requires a budget "
                          f"(--budget or a scenario-level budget field)")
 
-    entries = scenario.agent_bank() if reads == _AGENTS else scenario.of_kind(reads)
+    if reads == "gaussian":
+        entries = scenario.gaussian_bank()
+    else:
+        entries = scenario.agent_bank() if reads == _AGENTS else scenario.of_kind(reads)
     if not entries:
         needs = reads if reads == _AGENTS else f"at least one '{reads}' channel in the scenario"
         raise ScenarioValidationError(f"command '{command}' needs {needs}")

@@ -28,19 +28,36 @@ Scenario schema (version 1)::
 
 Every channel may carry an optional integer ``id`` (default: its 1-based
 position); ids must be unique.
+
+The ``gaussian`` entries are checked and held by column: their fields,
+types and gains, and every id, are checked over whole columns, and the
+bank is kept as one :class:`~secrecylab.channels.GaussianBank` inside the
+scenario's :class:`ChannelList`.  When any check fails, the entries are
+checked again one by one from the first, so the error raised is the first
+in file order, with the message of the per-entry rules.  Other entries are
+built one by one.  A report about a bank's links is a :class:`ColumnReport`:
+its rows are written straight from the columns, each float column checked
+once for finiteness, with the bytes and the messages the same rows would
+give as :class:`ReportRecord` objects.
 """
 
+import bisect
 import csv
 import io
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from .channels import (
     AgentChannel,
     FadingWiretapChannel,
+    GaussianBank,
     GaussianWiretapChannel,
     to_agent_channel,
 )
@@ -53,13 +70,19 @@ from .errors import (
     _check_count,
     _check_positive,
     _check_seed,
+    _finite_numbers,
 )
 
 SCHEMA_VERSION = 1
 
+#: Where each CSV cell comes from, in column order: a record attribute, or a
+#: key of one of its dicts.
+_CSV_CELLS = (("experiment", None), ("channel_id", None), ("inputs", "A"), ("inputs", "E"),
+              ("outputs", "power"), ("outputs", "rate_bits"), ("outputs", "pair_with"),
+              ("outputs", "efficiency"), ("metadata", "seed"))
+
 #: Fixed CSV column set, in order.
-CSV_COLUMNS = ("experiment", "channel_id", "A", "E", "power", "rate_bits",
-               "pair_with", "efficiency", "seed")
+CSV_COLUMNS = tuple(key or attr for attr, key in _CSV_CELLS)
 
 _TOP_LEVEL_KEYS = {"schema_version", "seed", "budget", "samples", "channels"}
 
@@ -73,18 +96,81 @@ class ScenarioChannel:
     channel: object
 
 
+class ChannelList(Sequence):
+    """A scenario's channels in file order, with the gaussian ones held by column.
+
+    ``bank`` is a :class:`~secrecylab.channels.GaussianBank` of the gaussian
+    entries, whose file positions ``positions`` lists in ascending order;
+    indexing one of them builds its :class:`ScenarioChannel` on demand.
+    ``others`` maps the position of every other entry to its
+    ScenarioChannel, in file order.
+    """
+
+    def __init__(self, bank, positions, others):
+        self.bank, self.positions, self.others = bank, positions, others
+
+    @classmethod
+    def of(cls, channels):
+        """The list holding a sequence of :class:`ScenarioChannel`."""
+        channels = list(channels)
+        gaussian = [(pos, sc) for pos, sc in enumerate(channels) if sc.kind == "gaussian"]
+        bank = GaussianBank([sc.id for _pos, sc in gaussian],
+                            [sc.channel.sigma_m_sq for _pos, sc in gaussian],
+                            [sc.channel.sigma_w_sq for _pos, sc in gaussian])
+        others = {pos: sc for pos, sc in enumerate(channels) if sc.kind != "gaussian"}
+        return cls(bank, [pos for pos, _sc in gaussian], others)
+
+    def __len__(self):
+        return len(self.bank) + len(self.others)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[pos] for pos in range(len(self))[index]]
+        pos = range(len(self))[index]
+        sc = self.others.get(pos)
+        if sc is None:
+            row = bisect.bisect_left(self.positions, pos)
+            bank = self.bank
+            sc = ScenarioChannel(kind="gaussian", id=bank.ids[row], channel=GaussianWiretapChannel(
+                bank.sigma_m_sq[row].item(), bank.sigma_w_sq[row].item()))
+        return sc
+
+    def __eq__(self, other):
+        return isinstance(other, ChannelList) and list(self) == list(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ChannelList({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed experiment configuration."""
+    """A parsed experiment configuration.
 
-    channels: tuple
+    ``channels`` is a :class:`ChannelList`; a sequence of
+    :class:`ScenarioChannel` given here is held as one.
+    """
+
+    channels: ChannelList
     seed: int = 0
     budget: float = None
     samples: int = None
 
+    def __post_init__(self):
+        if not isinstance(self.channels, ChannelList):
+            object.__setattr__(self, "channels", ChannelList.of(self.channels))
+
+    def gaussian_bank(self):
+        """The ``gaussian`` channels as one GaussianBank, in file order."""
+        return self.channels.bank
+
     def of_kind(self, kind):
         """Channels of one kind, as (position, ScenarioChannel) pairs."""
-        return [(pos, sc) for pos, sc in enumerate(self.channels) if sc.kind == kind]
+        if kind == "gaussian":
+            return [(pos, self.channels[pos]) for pos in self.channels.positions]
+        return [(pos, sc) for pos, sc in self.channels.others.items() if sc.kind == kind]
 
     def agent_bank(self):
         """Agent-SNR view of the scenario, as (position, AgentChannel) pairs.
@@ -93,7 +179,7 @@ class Scenario:
         their noise-normalized SNRs.
         """
         bank = []
-        for pos, sc in enumerate(self.channels):
+        for pos, sc in self.channels.others.items():
             if sc.kind == "agent-snr":
                 bank.append((pos, sc.channel))
             elif sc.kind == "fading":
@@ -115,6 +201,56 @@ class ReportRecord:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
+
+
+class ColumnReport(Sequence):
+    """Report rows about the links of a bank, held as columns, then a few records.
+
+    Row ``i`` stands for the record ``ReportRecord(experiment, ids[i],
+    {key: inputs[key][i]}, {key: outputs[key][i]}, metadata)``: ``ids``
+    are ints, ``inputs`` and ``outputs`` map field names to float columns
+    with one value per id, and ``metadata`` is shared by every row.  The
+    records in ``tail`` (a summary row, say) follow the rows.
+    :func:`render` writes the rows straight from the columns, with the bytes
+    their records would give; indexing builds a row's record, and adding a
+    list of records gives a list of records.
+    """
+
+    def __init__(self, experiment, ids, inputs, outputs, metadata, tail=()):
+        self.experiment, self.ids, self.metadata = experiment, list(ids), metadata
+        if not all(issubclass(kind, int) and kind is not bool for kind in set(map(type, self.ids))):
+            raise InvalidInputError("ids: expected an int for each row")
+        self.inputs, self.outputs = ({key: self._column(key, values) for key, values in d.items()}
+                                     for d in (inputs, outputs))
+        self.tail = list(tail)
+
+    def _column(self, key, values):
+        column = np.asarray(values, dtype=float)
+        if column.shape != (len(self.ids),):
+            raise InvalidInputError(f"{key}: expected {len(self.ids)} values, one per id, "
+                                    f"got shape {column.shape}")
+        return column
+
+    def __len__(self):
+        return len(self.ids) + len(self.tail)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if i >= len(self.ids):
+            return self.tail[i - len(self.ids)]
+        return ReportRecord(
+            experiment=self.experiment, channel_id=self.ids[i],
+            inputs={key: column[i].item() for key, column in self.inputs.items()},
+            outputs={key: column[i].item() for key, column in self.outputs.items()},
+            metadata=self.metadata)
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
 
 
 #: Each channel ``type``: the class it builds and its required fields in the
@@ -182,25 +318,76 @@ def parse_scenario(doc, source="<scenario>"):
         raise ScenarioValidationError(
             f"{source}.channels: expected a non-empty list of channel objects")
 
+    channels = _channel_columns(raw_channels, source)
+    if channels is None:
+        channels = _channel_entries(raw_channels, source)
+    return Scenario(channels=channels, seed=seed, budget=budget, samples=samples)
+
+
+def _channel_entry(ctx, pos, entry):
+    """The ScenarioChannel of the entry at ``pos``, checked on its own."""
+    kind, cls, args = _channel_args(ctx, entry)
+    cid = entry.get("id", pos + 1)
+    try:
+        built = cls(cid, *args) if cls is AgentChannel else cls(*args)
+    except InvalidInputError as exc:
+        raise ScenarioValidationError(f"{ctx}.{exc}") from exc
+    if not isinstance(cid, int) or isinstance(cid, bool):
+        raise ScenarioValidationError(f"{ctx}.id: expected an integer, got {cid!r}")
+    return ScenarioChannel(kind=kind, id=cid, channel=built)
+
+
+def _channel_entries(raw_channels, source):
+    """The channels, checked entry by entry; raises at the first failure in file order."""
     channels = []
     seen_ids = set()
     for pos, entry in enumerate(raw_channels):
         ctx = f"{source}.channels[{pos}]"
-        kind, cls, args = _channel_args(ctx, entry)
-        cid = entry.get("id", pos + 1)
-        try:
-            built = cls(cid, *args) if cls is AgentChannel else cls(*args)
-        except InvalidInputError as exc:
-            raise ScenarioValidationError(f"{ctx}.{exc}") from exc
-        if not isinstance(cid, int) or isinstance(cid, bool):
-            raise ScenarioValidationError(f"{ctx}.id: expected an integer, got {cid!r}")
-        if cid in seen_ids:
-            raise ScenarioValidationError(f"{ctx}.id: duplicate channel id {cid}")
-        seen_ids.add(cid)
-        channels.append(ScenarioChannel(kind=kind, id=cid, channel=built))
+        sc = _channel_entry(ctx, pos, entry)
+        if sc.id in seen_ids:
+            raise ScenarioValidationError(f"{ctx}.id: duplicate channel id {sc.id}")
+        seen_ids.add(sc.id)
+        channels.append(sc)
+    return ChannelList.of(channels)
 
-    return Scenario(channels=tuple(channels), seed=seed, budget=budget,
-                    samples=samples)
+
+def _channel_columns(raw_channels, source):
+    """The channels, with the ``gaussian`` entries checked and held by column.
+
+    Checks the gaussian entries' shape, field types and gains, and every
+    id, over whole columns; builds every other entry as
+    :func:`_channel_entries` does.  Accepts exactly what that accepts.
+    Returns None where any check fails (or an entry is of a subclass of
+    dict), so that :func:`_channel_entries` names the first failure.
+    """
+    positions, rows, others = [], [], {}
+    for pos, entry in enumerate(raw_channels):
+        if type(entry) is not dict:
+            return None
+        if entry.get("type") == "gaussian":
+            positions.append(pos)
+            rows.append(entry)
+        else:
+            try:
+                others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
+            except ScenarioValidationError:
+                return None
+    allowed = _ALLOWED_KEYS["gaussian"]
+    if not all(row.keys() <= allowed for row in rows):
+        return None
+    try:
+        columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA["gaussian"][1]]
+    except KeyError:
+        return None
+    ids = [entry.get("id", pos + 1) for pos, entry in enumerate(raw_channels)]
+    if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)
+            and all(map(_finite_numbers, columns))):
+        return None
+    try:
+        bank = GaussianBank([ids[pos] for pos in positions], *columns)
+    except InvalidInputError:
+        return None
+    return ChannelList(bank, positions, others)
 
 
 def load_scenario(path):
@@ -242,6 +429,7 @@ def _csv_cell(value):
 
 
 def _record_to_csv_row(rec):
+    # The cells of _CSV_CELLS, spelled out: this runs once per record.
     return [
         _csv_cell(rec.experiment),
         _csv_cell(rec.channel_id),
@@ -253,6 +441,28 @@ def _record_to_csv_row(rec):
         _csv_cell(rec.outputs.get("efficiency")),
         _csv_cell(rec.metadata.get("seed")),
     ]
+
+
+def _csv_column_lines(report):
+    """The CSV lines of a :class:`ColumnReport`'s rows, as ``csv.writer``
+    writes their records.
+
+    The shared cells go through ``csv.writer`` once, into a line template
+    with a ``{}`` slot for each cell that changes from row to row: ids and
+    floats, which need no quoting.
+    """
+    shared, slots = [], []
+    for attr, key in _CSV_CELLS:
+        value = report.ids if attr == "channel_id" else getattr(report, attr)
+        if attr == "channel_id" or (attr in ("inputs", "outputs") and key in value):
+            shared.append("{}")
+            slots.append(value if key is None else map(_fmt12, value[key].tolist()))
+        else:
+            cell = _csv_cell(value if key is None else value.get(key))
+            shared.append(cell.replace("{", "{{").replace("}", "}}"))
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(shared)
+    return map(line.getvalue().format, *slots)
 
 
 #: Types of value that hold no float.
@@ -309,8 +519,34 @@ def _check_finite(rec, clean):
             f"{name[1:]} is {value!r}; a report holds finite numbers only")
 
 
+def _check_columns(report):
+    """:func:`_check_finite` for each row of a :class:`ColumnReport`.
+
+    The first row, which holds the shared metadata, is walked as a record;
+    each float column is then checked once, and the first row holding a
+    non-finite float is walked to name its field.
+    """
+    if not report.ids:
+        return
+    _check_finite(report[0], {})
+    columns = (*report.inputs.values(), *report.outputs.values())
+    bad = [int(finite.argmin()) for finite in map(np.isfinite, columns) if not finite.all()]
+    if bad:
+        _check_finite(report[min(bad)], {})
+
+
 class _NonFinite(Exception):
     """A non-finite float met by the JSON renderer; the caller names the field."""
+
+
+def _float_texts(values):
+    """The JSON texts of finite floats, as :func:`_json_records` renders one."""
+    texts = [f"{value:.12g}" for value in values]
+    return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
+
+
+class _Texts(list):
+    """A column of rendered JSON texts, one per row of a :class:`ColumnReport`."""
 
 
 def _json_records(records):
@@ -320,7 +556,9 @@ def _json_records(records):
     A float is rounded to 12 significant digits and shown as the ``repr`` of
     the rounded value; a non-finite one raises :class:`_NonFinite`.  A list
     of ints is joined in one call, and a dict shared by many records renders
-    once per report and depth.
+    once per report and depth.  Each row of a :class:`ColumnReport` joins
+    the literal texts its layout shares with the other rows and the texts of
+    its own ids and floats; its ``tail`` records follow.
     """
     memo = {}       # (id(dict), indent) -> its text
     seen = []       # the dicts in memo, held so that no id is reused
@@ -334,6 +572,7 @@ def _json_records(records):
             # Text with a point and no exponent is already repr(float(text)):
             # no shorter decimal names the double nearest a 12-digit one, and
             # repr writes numbers of this size without an exponent too.
+            # _float_texts states the same rule for a column.
             if "." not in text or "e" in text:
                 if not math.isfinite(value):
                     raise _NonFinite
@@ -378,19 +617,53 @@ def _json_records(records):
             return value_text(float(value), indent)
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
+    def head_text(key):
+        head = heads.get(key)
+        if head is None:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            head = heads[key] = encode_basestring_ascii(key) + ": "
+        return head
+
     def dict_text(d, indent):
         inner = indent + "  "
         parts = []
         for key in sorted(d):
             head = heads.get(key)
             if head is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
-                head = heads[key] = encode_basestring_ascii(key) + ": "
+                head = head_text(key)
             parts.append(head + value_text(d[key], inner))
         body = f",\n{inner}".join(parts)
         return f"{{\n{inner}{body}\n{indent}}}"
 
+    def layout(value, indent, parts):
+        """Add ``value_text(value, indent)`` to ``parts``, a list that
+        alternates literal text with :class:`_Texts` and ends in text: the
+        literal texts join the last part, and each _Texts is appended whole."""
+        if isinstance(value, _Texts):
+            parts += [value, ""]
+        elif isinstance(value, dict) and value:
+            inner = indent + "  "
+            parts[-1] += "{\n" + inner
+            for i, key in enumerate(sorted(value)):
+                parts[-1] += (f",\n{inner}" if i else "") + head_text(key)
+                layout(value[key], inner, parts)
+            parts[-1] += f"\n{indent}}}"
+        else:
+            parts[-1] += value_text(value, indent)
+
+    if isinstance(records, ColumnReport):
+        def texts(columns):
+            return {key: _Texts(_float_texts(column.tolist())) for key, column in columns.items()}
+
+        parts = [""]
+        layout({"experiment": records.experiment,
+                "channel_id": _Texts([value_text(i, "") for i in records.ids]),
+                "inputs": texts(records.inputs), "outputs": texts(records.outputs),
+                "metadata": records.metadata}, "  ", parts)
+        yield from map("".join, zip(*[repeat(part, len(records.ids)) if type(part) is str
+                                      else part for part in parts]))
+        records = records.tail
     for rec in records:
         try:
             yield dict_text(vars(rec), "  ")
@@ -411,11 +684,17 @@ def render(records, format):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
+        if isinstance(records, ColumnReport):
+            _check_columns(records)
+            buf.writelines(_csv_column_lines(records))
+            records = records.tail
         for rec in records:
             _check_finite(rec, clean)
             writer.writerow(_record_to_csv_row(rec))
         return buf.getvalue()
     if format == "json":
+        if isinstance(records, ColumnReport):
+            _check_columns(records)
         body = ",\n  ".join(_json_records(records))
         return f"[\n  {body}\n]\n" if body else "[]\n"
     raise InvalidInputError(f"unknown report format {format!r}")

@@ -8,7 +8,11 @@ entry seen through its SNRs and a contested helper for ``pick-prob``.
 Fading commands run only on a link whose eavesdropper always out-hears it
 (``a 1e-300, b 1``): no slot activates, so the report holds the documented
 zero-secrecy sentinel (``"lambda": "inf"`` beside ``zero_secrecy: true``)
-and does not depend on numpy's random stream.
+and does not depend on numpy's random stream.  The mixed scenario
+interleaves gaussian links with fading and agent-snr entries, with explicit
+and default ids, an integer-valued variance, a ``sigma_m_sq`` of 1e-308 and
+an equal-noise link, so ``rate`` and ``allocate`` read a bank whose
+positions and ids are not its row numbers.
 
 Regenerate the goldens (only when a report change is intended) with::
 
@@ -28,6 +32,8 @@ DATA = pathlib.Path(__file__).parent / "data" / "reports"
 CASES = {
     "rate": ["rate", "--scenario", "gaussian.scenario", "--budget", "2"],
     "allocate": ["allocate", "--scenario", "gaussian.scenario", "--budget", "3"],
+    "mixed-rate": ["rate", "--scenario", "mixed.scenario", "--budget", "2"],
+    "mixed-allocate": ["allocate", "--scenario", "mixed.scenario", "--budget", "3"],
     "pair": ["pair", "--scenario", "agents.scenario"],
     "fig4": ["fig4"],
     "pick-prob": ["pick-prob", "--scenario", "agents.scenario"],
