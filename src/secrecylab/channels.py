@@ -32,6 +32,13 @@ def _check_gain(field, formula, gain):
             f"{field}: expected a positive finite power gain {formula}, got {gain!r}")
 
 
+def _one_per_id(name, column, n):
+    """``column``, a float array, if it holds one value for each of ``n`` ids."""
+    if column.shape == (n,):
+        return column
+    raise InvalidInputError(f"{name}: expected {n} values, one per id, got shape {column.shape}")
+
+
 @dataclass(frozen=True)
 class GaussianWiretapChannel:
     """One static AWGN link: noise variances of the two observations.
@@ -84,10 +91,7 @@ class GaussianBank:
 
     def _variances(self, name, values):
         """One variance column and its gain column, both read-only."""
-        values = np.array(values, dtype=float)
-        if values.shape != (len(self.ids),):
-            raise InvalidInputError(
-                f"{name}: expected {len(self.ids)} values, one per id, got shape {values.shape}")
+        values = _one_per_id(name, np.array(values, dtype=float), len(self.ids))
         with np.errstate(divide="ignore", over="ignore"):
             gain = 1.0 / values
         bad = ~((gain > 0.0) & (gain < math.inf))

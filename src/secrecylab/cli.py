@@ -8,7 +8,10 @@ Usage::
 Commands: rate, allocate, allocate-fading, ergodic, pair, discrete-capacity,
 pick-prob, fig4.  ``fig4`` runs the bundled nine-agent cooperation scenario
 (three qualified channels plus six disqualified ones that pair up) when no
-scenario is given.
+scenario is given.  ``discrete-capacity`` searches the input distribution
+alone, with no prefix channel, so its rate is the secrecy capacity only
+where the main link is less noisy than the eavesdropper's, and a lower
+bound elsewhere.
 
 Seed priority: ``--seed`` beats the ``SECRECY_LAB_SEED`` environment
 variable, which beats the scenario's ``seed`` field (default 0).  Each is a

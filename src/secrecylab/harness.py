@@ -250,7 +250,7 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     list of ReportRecord, or ColumnReport
         ``rate`` and ``allocate`` return their rows as a
         :class:`~secrecylab.scenario.ColumnReport`, a sequence of the same
-        records.
+        records that compares equal to their list.
     """
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}; expected one of {COMMANDS}")

@@ -35,10 +35,12 @@ bank is kept as one :class:`~secrecylab.channels.GaussianBank` inside the
 scenario's :class:`ChannelList`.  When any check fails, the entries are
 checked again one by one from the first, so the error raised is the first
 in file order, with the message of the per-entry rules.  Other entries are
-built one by one.  A report about a bank's links is a :class:`ColumnReport`:
-its rows are written straight from the columns, each float column checked
-once for finiteness, with the bytes and the messages the same rows would
-give as :class:`ReportRecord` objects.
+built one by one.  A report about a bank's links is a :class:`ColumnReport`,
+whose float columns are each checked once for finiteness.  The record
+writers write it: one template record, with a slot in its id and in each
+float field, goes through the CSV row writer or the JSON dict writer once,
+and each row fills the slots with its own texts.  So the bytes and the
+messages are those the same rows give as :class:`ReportRecord` objects.
 """
 
 import bisect
@@ -51,6 +53,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from string import Formatter
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from .channels import (
     FadingWiretapChannel,
     GaussianBank,
     GaussianWiretapChannel,
+    _one_per_id,
     to_agent_channel,
 )
 from .discrete import DiscreteWiretapChannel
@@ -75,14 +79,9 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 
-#: Where each CSV cell comes from, in column order: a record attribute, or a
-#: key of one of its dicts.
-_CSV_CELLS = (("experiment", None), ("channel_id", None), ("inputs", "A"), ("inputs", "E"),
-              ("outputs", "power"), ("outputs", "rate_bits"), ("outputs", "pair_with"),
-              ("outputs", "efficiency"), ("metadata", "seed"))
-
 #: Fixed CSV column set, in order.
-CSV_COLUMNS = tuple(key or attr for attr, key in _CSV_CELLS)
+CSV_COLUMNS = ("experiment", "channel_id", "A", "E", "power", "rate_bits", "pair_with",
+               "efficiency", "seed")
 
 _TOP_LEVEL_KEYS = {"schema_version", "seed", "budget", "samples", "channels"}
 
@@ -136,7 +135,8 @@ class ChannelList(Sequence):
         return sc
 
     def __eq__(self, other):
-        return isinstance(other, ChannelList) and list(self) == list(other)
+        # Equal as the tuple of its entries is, with the same hash.
+        return isinstance(other, (tuple, ChannelList)) and tuple(self) == tuple(other)
 
     def __hash__(self):
         return hash(tuple(self))
@@ -211,25 +211,20 @@ class ColumnReport(Sequence):
     are ints, ``inputs`` and ``outputs`` map field names to float columns
     with one value per id, and ``metadata`` is shared by every row.  The
     records in ``tail`` (a summary row, say) follow the rows.
-    :func:`render` writes the rows straight from the columns, with the bytes
-    their records would give; indexing builds a row's record, and adding a
-    list of records gives a list of records.
+    :func:`render` writes one template record that stands for every row and
+    fills it with each row's own texts; indexing builds a row's record.  A
+    report compares equal to the list of its records, as that list does, and
+    adding a list of records gives a list of records.
     """
 
     def __init__(self, experiment, ids, inputs, outputs, metadata, tail=()):
         self.experiment, self.ids, self.metadata = experiment, list(ids), metadata
         if not all(issubclass(kind, int) and kind is not bool for kind in set(map(type, self.ids))):
             raise InvalidInputError("ids: expected an int for each row")
-        self.inputs, self.outputs = ({key: self._column(key, values) for key, values in d.items()}
-                                     for d in (inputs, outputs))
+        self.inputs, self.outputs = ({key: _one_per_id(key, np.asarray(values, dtype=float),
+                                                       len(self.ids))
+                                      for key, values in d.items()} for d in (inputs, outputs))
         self.tail = list(tail)
-
-    def _column(self, key, values):
-        column = np.asarray(values, dtype=float)
-        if column.shape != (len(self.ids),):
-            raise InvalidInputError(f"{key}: expected {len(self.ids)} values, one per id, "
-                                    f"got shape {column.shape}")
-        return column
 
     def __len__(self):
         return len(self.ids) + len(self.tail)
@@ -246,11 +241,42 @@ class ColumnReport(Sequence):
             outputs={key: column[i].item() for key, column in self.outputs.items()},
             metadata=self.metadata)
 
+    def __eq__(self, other):
+        return isinstance(other, (list, ColumnReport)) and list(self) == list(other)
+
+    __hash__ = None  # unhashable, as a list is
+
     def __add__(self, other):
         return list(self) + list(other)
 
     def __radd__(self, other):
         return list(other) + list(self)
+
+    def _template(self, id_text, float_texts):
+        """The record that stands for every row, and the texts that fill it.
+
+        Its id and each float field hold a :class:`_Slot`; slot ``k`` takes
+        row ``i``'s text from ``fills[k][i]``: ``id_text`` of each id for
+        the id, and ``float_texts`` of each column's values for its floats.
+        """
+        columns = [*self.inputs.values(), *self.outputs.values()]
+        slots = [_Slot(f"\0{k}\0") for k in range(len(columns) + 1)]
+        fills = [map(id_text, self.ids), *(float_texts(c.tolist()) for c in columns)]
+        return ReportRecord(self.experiment, slots[0], dict(zip(self.inputs, slots[1:])),
+                            dict(zip(self.outputs, slots[1 + len(self.inputs):])),
+                            self.metadata), fills
+
+
+class _Slot(str):
+    """A field of a :class:`ColumnReport`'s template record, which each row
+    fills with its own text.
+
+    Its text is its slot number between NULs, which JSON never writes raw;
+    ``str`` of a slot is the slot itself, so a CSV cell keeps its type.
+    """
+
+    def __str__(self):
+        return self
 
 
 #: Each channel ``type``: the class it builds and its required fields in the
@@ -429,7 +455,7 @@ def _csv_cell(value):
 
 
 def _record_to_csv_row(rec):
-    # The cells of _CSV_CELLS, spelled out: this runs once per record.
+    # One cell per name of CSV_COLUMNS, in order.
     return [
         _csv_cell(rec.experiment),
         _csv_cell(rec.channel_id),
@@ -443,41 +469,17 @@ def _record_to_csv_row(rec):
     ]
 
 
-def _csv_column_lines(report):
-    """The CSV lines of a :class:`ColumnReport`'s rows, as ``csv.writer``
-    writes their records.
-
-    The shared cells go through ``csv.writer`` once, into a line template
-    with a ``{}`` slot for each cell that changes from row to row: ids and
-    floats, which need no quoting.
-    """
-    shared, slots = [], []
-    for attr, key in _CSV_CELLS:
-        value = report.ids if attr == "channel_id" else getattr(report, attr)
-        if attr == "channel_id" or (attr in ("inputs", "outputs") and key in value):
-            shared.append("{}")
-            slots.append(value if key is None else map(_fmt12, value[key].tolist()))
-        else:
-            cell = _csv_cell(value if key is None else value.get(key))
-            shared.append(cell.replace("{", "{{").replace("}", "}}"))
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(shared)
-    return map(line.getvalue().format, *slots)
-
-
 #: Types of value that hold no float.
 _NO_FLOATS = frozenset((str, int, bool, type(None)))
 
 
-def _nonfinite_field(value, clean):
+def _nonfinite_field(value):
     """Name and value of the first non-finite float in a dict, list or tuple, or None.
 
     The name is the key path, each key as ``.key`` and each index as
     ``[i]``, e.g. ``(".argmax_pmf[1]", nan)``.  Raises ``TypeError``, as the
     JSON renderer does, for a value that is not a str, int, float, None,
-    dict, list or tuple.  ``clean`` maps the ids of dicts already found
-    finite to the dicts, which it keeps alive so that no id is reused while
-    it is held.
+    dict, list or tuple.
     """
     if isinstance(value, dict):
         items = value.items()
@@ -490,18 +492,16 @@ def _nonfinite_field(value, clean):
         if kind is float:
             if not math.isfinite(item):
                 return _key_name(key), item
-        elif kind in _NO_FLOATS or id(item) in clean:
+        elif kind in _NO_FLOATS:
             continue
         elif isinstance(item, (dict, list, tuple)):
-            found = _nonfinite_field(item, clean)
+            found = _nonfinite_field(item)
             if found is not None:
                 return _key_name(key) + found[0], found[1]
         elif not isinstance(item, (str, int, float)):
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         elif isinstance(item, float) and not math.isfinite(item):
             return _key_name(key), item
-    if isinstance(value, dict):
-        clean[id(value)] = value
     return None
 
 
@@ -509,9 +509,9 @@ def _key_name(key):
     return f"[{key}]" if isinstance(key, int) else f".{key}"
 
 
-def _check_finite(rec, clean):
+def _check_finite(rec):
     """Raise :class:`NumericalError` naming the record and field of a non-finite float."""
-    found = _nonfinite_field(vars(rec), clean)
+    found = _nonfinite_field(vars(rec))
     if found is not None:
         name, value = found
         raise NumericalError(
@@ -528,11 +528,11 @@ def _check_columns(report):
     """
     if not report.ids:
         return
-    _check_finite(report[0], {})
+    _check_finite(report[0])
     columns = (*report.inputs.values(), *report.outputs.values())
     bad = [int(finite.argmin()) for finite in map(np.isfinite, columns) if not finite.all()]
     if bad:
-        _check_finite(report[min(bad)], {})
+        _check_finite(report[min(bad)])
 
 
 class _NonFinite(Exception):
@@ -545,10 +545,6 @@ def _float_texts(values):
     return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
 
 
-class _Texts(list):
-    """A column of rendered JSON texts, one per row of a :class:`ColumnReport`."""
-
-
 def _json_records(records):
     """Each record's fields as ``json.dumps(indent=2, sort_keys=True)`` lays
     them out inside the report's top-level list.
@@ -556,9 +552,9 @@ def _json_records(records):
     A float is rounded to 12 significant digits and shown as the ``repr`` of
     the rounded value; a non-finite one raises :class:`_NonFinite`.  A list
     of ints is joined in one call, and a dict shared by many records renders
-    once per report and depth.  Each row of a :class:`ColumnReport` joins
-    the literal texts its layout shares with the other rows and the texts of
-    its own ids and floats; its ``tail`` records follow.
+    once per report and depth.  A :class:`ColumnReport`'s template record is
+    rendered once, and each row joins its literal text with the row's own id
+    and float texts in the template's slots; its ``tail`` records follow.
     """
     memo = {}       # (id(dict), indent) -> its text
     seen = []       # the dicts in memo, held so that no id is reused
@@ -610,7 +606,7 @@ def _json_records(records):
                 body = f",\n{inner}".join([value_text(item, inner) for item in value])
             return f"[\n{inner}{body}\n{indent}]"
         if isinstance(value, str):
-            return encode_basestring_ascii(value)
+            return value if kind is _Slot else encode_basestring_ascii(value)
         if isinstance(value, int):
             return int.__repr__(value)
         if isinstance(value, float):
@@ -636,40 +632,25 @@ def _json_records(records):
         body = f",\n{inner}".join(parts)
         return f"{{\n{inner}{body}\n{indent}}}"
 
-    def layout(value, indent, parts):
-        """Add ``value_text(value, indent)`` to ``parts``, a list that
-        alternates literal text with :class:`_Texts` and ends in text: the
-        literal texts join the last part, and each _Texts is appended whole."""
-        if isinstance(value, _Texts):
-            parts += [value, ""]
-        elif isinstance(value, dict) and value:
-            inner = indent + "  "
-            parts[-1] += "{\n" + inner
-            for i, key in enumerate(sorted(value)):
-                parts[-1] += (f",\n{inner}" if i else "") + head_text(key)
-                layout(value[key], inner, parts)
-            parts[-1] += f"\n{indent}}}"
-        else:
-            parts[-1] += value_text(value, indent)
-
     if isinstance(records, ColumnReport):
-        def texts(columns):
-            return {key: _Texts(_float_texts(column.tolist())) for key, column in columns.items()}
-
-        parts = [""]
-        layout({"experiment": records.experiment,
-                "channel_id": _Texts([value_text(i, "") for i in records.ids]),
-                "inputs": texts(records.inputs), "outputs": texts(records.outputs),
-                "metadata": records.metadata}, "  ", parts)
-        yield from map("".join, zip(*[repeat(part, len(records.ids)) if type(part) is str
-                                      else part for part in parts]))
+        if records.ids:  # else the template stands for no row, and is not rendered
+            template, fills = records._template(int.__repr__, _float_texts)
+            yield from _filled(dict_text(vars(template), "  ").split("\0"), fills, len(records.ids))
         records = records.tail
     for rec in records:
         try:
             yield dict_text(vars(rec), "  ")
         except _NonFinite:
-            _check_finite(rec, {})
+            _check_finite(rec)
             raise
+
+
+def _filled(parts, fills, n):
+    """The ``n`` rows of a template in ``parts``: literal text at even places
+    and a slot number ``k`` at odd ones, which row ``i`` fills with
+    ``fills[k][i]``."""
+    return map("".join, zip(*[fills[int(part)] if k % 2 else repeat(part, n)
+                              for k, part in enumerate(parts)]))
 
 
 def render(records, format):
@@ -680,16 +661,29 @@ def render(records, format):
     cannot hold, in either format.
     """
     if format == "csv":
-        clean = {}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         if isinstance(records, ColumnReport):
             _check_columns(records)
-            buf.writelines(_csv_column_lines(records))
+            template, fills = records._template(str, lambda values: map(_fmt12, values))
+            # Each slot cell goes in as a numbered format field and each other
+            # cell with its braces doubled; parsing the line as a format string
+            # gives back the literal text between the slots, as written.
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(
+                [f"{{{cell[1:-1]}}}" if type(cell) is _Slot
+                 else cell.replace("{", "{{").replace("}", "}}")
+                 for cell in _record_to_csv_row(template)])
+            parts = [""]
+            for literal, slot, _spec, _conv in Formatter().parse(line.getvalue()):
+                parts[-1] += literal
+                if slot is not None:
+                    parts += [slot, ""]
+            buf.writelines(_filled(parts, fills, len(records.ids)))
             records = records.tail
         for rec in records:
-            _check_finite(rec, clean)
+            _check_finite(rec)
             writer.writerow(_record_to_csv_row(rec))
         return buf.getvalue()
     if format == "json":

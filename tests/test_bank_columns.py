@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from secrecylab import (
@@ -29,6 +29,7 @@ from secrecylab import (
     cli,
     gaussian_secrecy_rate,
     load_scenario,
+    run,
 )
 from secrecylab.channels import GaussianBank
 from secrecylab.scenario import (
@@ -228,8 +229,9 @@ class TestGaussianBank:
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(InvalidInputError, match=r"^sigma_m_sq\[0\]"):
                 GaussianBank([1], [bad], [1.0])
-        with pytest.raises(InvalidInputError, match="one per id"):
+        with pytest.raises(InvalidInputError) as caught:
             GaussianBank([1, 2], [1.0], [1.0, 2.0])
+        assert str(caught.value) == "sigma_m_sq: expected 2 values, one per id, got shape (1,)"
 
     def test_columns_are_read_only(self):
         bank = GaussianBank([1], [1.0], [2.0])
@@ -263,22 +265,106 @@ def report(rate_bits, sigma_w_sq=(2.0, 3.0, 4.0), metadata=None):
 
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e22, 1e-7, 123456789012.0]))
+#: Text that CSV quotes or writes raw, that JSON escapes, and that a format
+#: string or a NUL-delimited marker would misread.
+TEXTS = st.one_of(st.text(st.sampled_from(list('{}",\n\r\0\\ a0') + ["é", "€", "\x01"]),
+                          max_size=6),
+                  st.text(max_size=4))
+#: Values of a shared metadata dict, nested, with a ``seed`` key at times.
+VALUES = st.recursive(
+    st.one_of(TEXTS, st.integers(), st.none(), st.booleans(), FLOATS),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(TEXTS, children, max_size=3)),
+    max_leaves=8)
+METADATA = st.dictionaries(st.one_of(st.just("seed"), TEXTS), VALUES, max_size=4)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(FLOATS, min_size=3, max_size=3), st.lists(FLOATS, min_size=3, max_size=3),
+@st.composite
+def column_reports(draw):
+    """A report with zero to three rows, columns that may fall in the A and E
+    cells of CSV, metadata of any JSON-able shape and up to two tail records."""
+    n = draw(st.integers(0, 3))
+
+    def columns(names):
+        return {key: draw(st.lists(FLOATS, min_size=n, max_size=n))
+                for key in draw(st.lists(st.sampled_from(names), unique=True))}
+
+    metadata = draw(METADATA)
+    tail = [ReportRecord(experiment=draw(TEXTS), channel_id=draw(st.sampled_from(["summary", 4])),
+                         outputs={"power": draw(FLOATS)},
+                         metadata=metadata if draw(st.booleans()) else draw(METADATA))
+            for _ in range(draw(st.integers(0, 2)))]
+    return ColumnReport(draw(TEXTS), draw(st.lists(st.integers(), min_size=n, max_size=n)),
+                        columns(["A", "E", "sigma_m_sq", "sigma_w_sq"]),
+                        columns(["power", "rate_bits", "pair_with", "efficiency", "lambda"]),
+                        metadata, tail)
+
+
+def with_text(text):
+    """A report with ``text`` in every field its rows share."""
+    return ColumnReport(text, [3, 1], {"A": [0.5, 2.0], text: [1.0, 1.5]},
+                        {"power": [0.25, 1e22]}, {"seed": text, text: [text, {text: None}]},
+                        tail=[ReportRecord(text, "summary", metadata={"seed": text})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.builds(report, st.lists(FLOATS, min_size=3, max_size=3),
+                           st.lists(FLOATS, min_size=3, max_size=3)),
+                 column_reports()),
        st.sampled_from(["csv", "json"]))
-def test_column_report_renders_as_its_records(rate_bits, sigma_w_sq, fmt):
-    columns = report(rate_bits, sigma_w_sq)
+# Text that looks like a slot, or like the format fields a CSV template is parsed from.
+@example(with_text("{x}\0"), "csv")
+@example(with_text("}{0}{"), "csv")
+@example(with_text("\0" "1\0"), "json")
+@example(with_text('"\0,\r\n'), "json")
+# A report with no rows shares its metadata with no row: a non-finite float there is not written.
+@example(ColumnReport("rate", [], {"A": []}, {"power": []}, {"tol": math.inf},
+                      tail=[ReportRecord("rate", "summary", metadata={"seed": 0})]), "json")
+def test_column_report_renders_as_its_records(columns, fmt):
     records = list(columns)
     try:
         expected = render(records, fmt)
-    except NumericalError as exc:
-        with pytest.raises(NumericalError) as caught:
+    except (NumericalError, TypeError) as exc:
+        with pytest.raises(type(exc)) as caught:
             render(columns, fmt)
         assert str(caught.value) == str(exc)
     else:
         assert render(columns, fmt) == expected
+
+
+class TestColumnReport:
+    def test_a_column_must_hold_one_value_per_id(self):
+        with pytest.raises(InvalidInputError) as caught:
+            ColumnReport("rate", [5, 7], {"A": [1.0, 2.0]}, {"power": [1.0]}, {})
+        assert str(caught.value) == "power: expected 2 values, one per id, got shape (1,)"
+
+    def test_compares_as_the_list_of_its_records(self):
+        columns = report([0.5, 0.5, 0.5])
+        assert columns == report([0.5, 0.5, 0.5])
+        assert columns == list(columns) and list(columns) == columns
+        assert columns != report([0.5, 0.25, 0.5])
+        assert columns != columns[:3]
+        # As a list does: no tuple is equal to it, and it has no hash.
+        assert columns != tuple(columns)
+        with pytest.raises(TypeError):
+            hash(columns)
+
+
+def test_runs_and_channels_compare_by_value(tmp_path):
+    path = tmp_path / "bank.scenario"
+    path.write_text(json.dumps({"schema_version": 1, "channels": [
+        {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": w} for w in (2.0, 0.5, 3.0)] + [
+        {"type": "agent-snr", "main_snr": 1.0, "eaves_snr": 2.5}]}))
+    scenario = load_scenario(path)
+    for command in ("rate", "allocate"):
+        assert run(command, scenario, budget=2.0) == run(command, scenario, budget=2.0)
+        assert run(command, scenario, budget=2.0) != run(command, scenario, budget=3.0)
+    # A scenario's channels compare and hash as the tuple of their entries.
+    channels = scenario.channels
+    assert channels == tuple(channels) and tuple(channels) == channels
+    assert hash(channels) == hash(tuple(channels))
+    assert channels != list(channels)
+    assert load_scenario(path) == scenario
 
 
 class TestNonFiniteColumns:

@@ -11,11 +11,12 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecylab import cli, harness
+from secrecylab import cli, harness, mutual_information
 from secrecylab.errors import NumericalError
 
 
@@ -134,6 +135,26 @@ class TestCommands:
         assert code == 0
         rows = csv_rows(out)
         assert float(rows[0]["rate_bits"]) == pytest.approx(0.4123, abs=1e-3)
+
+    def test_discrete_capacity_is_a_lower_bound_off_less_noisy_links(self, tmp_path, capsys):
+        """The command maximizes I(X;Y) - I(X;Z) over the input alone.  That is
+        the secrecy capacity where the main link is less noisy; here it is not,
+        and a two-point prefix V -> X sends more, as README says.  A command
+        that reports the capacity must change this test and README together."""
+        main = np.array([[0.3476, 0.6524], [0.9899, 0.0101]])
+        eaves = np.array([[0.9991, 0.0009], [0.257, 0.743]])
+        doc = {"schema_version": 1, "channels": [
+            {"type": "discrete", "main": main.tolist(), "eaves": eaves.tolist()}]}
+        code, out, _ = run_cli(["discrete-capacity", "--scenario", write(tmp_path, doc),
+                                "--grid-step", "1e-3", "--format", "json"], capsys)
+        assert code == 0
+        [outputs] = [rec["outputs"] for rec in json.loads(out)]
+        assert outputs == {"argmax_pmf": [0.086, 0.914], "rate_bits": 0.0407858181653}
+        # P(V = 1) = 0.76; P(X = 1 | V) is 0.35 for V = 0 and 1.0 for V = 1.
+        joint_vx = np.array([[0.24 * 0.65, 0.24 * 0.35], [0.0, 0.76]])
+        prefixed = mutual_information(joint_vx @ main) - mutual_information(joint_vx @ eaves)
+        assert prefixed == pytest.approx(0.07329, abs=5e-6)
+        assert prefixed > outputs["rate_bits"] + 0.03
 
     def test_pick_prob_summary_carries_formula_value(self, tmp_path, capsys):
         doc = {"schema_version": 1,
