@@ -16,6 +16,7 @@ Library layout:
 __version__ = "0.1.0"
 
 from .channels import (
+    AgentBank,
     AgentChannel,
     ChannelState,
     FadingWiretapChannel,
@@ -59,6 +60,7 @@ from .cooperation import (
     pick_probability_monte_carlo,
     pr_picking_k,
     qualified_rate,
+    qualified_rates,
 )
 from .errors import (
     InvalidInputError,

@@ -8,7 +8,8 @@ data types used everywhere else plus the single-link secrecy-rate formulas:
   :meth:`GaussianBank.secrecy_rates` for a bank of them held as columns,
 - :func:`instantaneous_fading_secrecy_rate` for one fading slot,
 - :func:`is_qualified` / :func:`to_agent_channel` for the SNR-based
-  classification used by the cooperation machinery.
+  classification used by the cooperation machinery, and
+  :class:`AgentBank` for a bank of agents held as columns.
 
 All rates are in bits per channel use (base-2 logarithms) and negative
 secrecy rates clamp to zero, matching the capacity interpretation.  Both
@@ -18,11 +19,12 @@ arguments and safe to call concurrently.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_nonnegative, _check_positive
+from .errors import InvalidInputError, _check_nonnegative, _check_positive, _finite_numbers
 
 
 def _check_gain(field, formula, gain):
@@ -33,10 +35,11 @@ def _check_gain(field, formula, gain):
 
 
 def _one_per_id(name, column, n):
-    """``column``, a float array, if it holds one value for each of ``n`` ids."""
-    if column.shape == (n,):
+    """``column``, an array or a sequence, if it holds one value for each of ``n`` ids."""
+    shape = column.shape if hasattr(column, "shape") else (len(column),)
+    if shape == (n,):
         return column
-    raise InvalidInputError(f"{name}: expected {n} values, one per id, got shape {column.shape}")
+    raise InvalidInputError(f"{name}: expected {n} values, one per id, got shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,9 @@ class GaussianBank:
     def __len__(self):
         return len(self.ids)
 
+    def __getitem__(self, row):
+        return GaussianWiretapChannel(self.sigma_m_sq[row].item(), self.sigma_w_sq[row].item())
+
     def secrecy_rates(self, power):
         """Each link's secrecy rate at the same transmit power, as a float array.
 
@@ -172,6 +178,63 @@ class AgentChannel:
     def __post_init__(self):
         _check_positive("main_snr", self.main_snr)
         _check_positive("eaves_snr", self.eaves_snr)
+
+
+class AgentBank(Sequence):
+    """Agents held as columns: ``ids``, ``main_snr`` and ``eaves_snr``, each a list.
+
+    Row ``i`` is the agent ``AgentChannel(ids[i], main_snr[i], eaves_snr[i])``,
+    which indexing builds; a slice gives a bank.  Each SNR obeys that
+    class's rule and is kept as given, so an int SNR stays an int.  A bank
+    compares equal to a list or tuple of the same agents in the same order.
+
+    Raises
+    ------
+    InvalidInputError
+        An SNR breaks that rule (named with its row, e.g. ``main_snr[3]``),
+        or a column does not hold one value per id.
+    """
+
+    def __init__(self, ids, main_snr, eaves_snr):
+        self.ids = list(ids)
+        self.main_snr, self.eaves_snr = (self._snrs(name, values) for name, values in
+                                         (("main_snr", main_snr), ("eaves_snr", eaves_snr)))
+
+    def _snrs(self, name, values):
+        values = _one_per_id(name, list(values), len(self.ids))
+        if not (_finite_numbers(values) and all(0 < v < math.inf for v in values)):
+            for row, value in enumerate(values):
+                _check_positive(f"{name}[{row}]", value)
+        return values
+
+    @staticmethod
+    def of(agents):
+        """A bank of the given agents, in their order; a bank is taken as it is."""
+        if isinstance(agents, AgentBank):
+            return agents
+        rows = [(ch.id, ch.main_snr, ch.eaves_snr) for ch in agents]
+        return AgentBank(*(list(zip(*rows)) or ((), (), ())))
+
+    def take(self, rows):
+        """The agents at the given row numbers, in that order, as a new bank.
+
+        Its values are this bank's, so they are not checked again.
+        """
+        bank = object.__new__(AgentBank)
+        bank.ids, bank.main_snr, bank.eaves_snr = (
+            [column[row] for row in rows] for column in (self.ids, self.main_snr, self.eaves_snr))
+        return bank
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return self.take(range(len(self))[row])
+        return AgentChannel(self.ids[row], self.main_snr[row], self.eaves_snr[row])
+
+    def __eq__(self, other):
+        return isinstance(other, (list, tuple, AgentBank)) and tuple(self) == tuple(other)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")

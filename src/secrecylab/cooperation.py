@@ -23,21 +23,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channels import AgentBank
 from .errors import InvalidInputError, InvalidPairError, UnsupportedSizeError, _check_count
 
 #: Exhaustive matching uses a bitmask table of size 2**k.
 _MAX_ORACLE_AGENTS = 12
 
 
-@dataclass(frozen=True)
 class FeasibleSet:
-    """Ids of agents strong enough to jam one agent's eavesdropper."""
+    """Ids of agents strong enough to jam one agent's eavesdropper.
 
-    agent_id: int
-    members: tuple
+    Its ``members`` are the tuple ``members[start:]`` of the given ids,
+    sliced when asked for, so that :func:`feasible_set` builds a set in O(1).
+    """
+
+    def __init__(self, agent_id, members, start=0):
+        self.agent_id, self._ids, self._start = agent_id, members, start
+
+    @property
+    def members(self):
+        return tuple(self._ids[self._start:])
 
     def __len__(self):
-        return len(self.members)
+        return len(self._ids) - self._start
+
+    def __repr__(self):
+        return f"FeasibleSet(agent_id={self.agent_id!r}, members={self.members!r})"
 
 
 @dataclass(frozen=True)
@@ -54,41 +65,31 @@ class PairingPlan:
     efficiencies: dict = field(default_factory=dict)
 
 
-def _check_unique_ids(bank):
+def _check_unique_ids(ids):
     seen = set()
-    for ch in bank:
-        if ch.id in seen:
-            raise InvalidInputError(f"duplicate agent id {ch.id}")
-        seen.add(ch.id)
+    for agent_id in ids:
+        if agent_id in seen:
+            raise InvalidInputError(f"duplicate agent id {agent_id}")
+        seen.add(agent_id)
 
 
-class SortedBank(tuple):
+class SortedBank(AgentBank):
     """Agents sorted by ascending (main_snr, id), with the index feasible sets bisect.
 
-    Greedy pairing bisects the same index.  A tuple, so the index built here can never disagree with the agents it
-    holds.  It compares equal to a list or tuple of the same agents in the
-    same order.  Ids must be unique.
+    Built from a sequence of agents or an :class:`AgentBank`, whose rows it
+    sorts once; greedy pairing bisects the same index.  Its columns are
+    tuples, so the index can never disagree with the agents it holds.  It
+    compares equal to a list or tuple of the same agents in the same order.
+    Ids must be unique.
     """
 
-    def __new__(cls, agents):
-        bank = super().__new__(cls, sorted(agents, key=lambda ch: (ch.main_snr, ch.id)))
-        bank._snrs = tuple(ch.main_snr for ch in bank)
-        bank._ids = tuple(ch.id for ch in bank)
-        bank._pos = {agent_id: pos for pos, agent_id in enumerate(bank._ids)}
-        if len(bank._pos) < len(bank):
-            _check_unique_ids(bank)
-        return bank
-
-    def __eq__(self, other):
-        if isinstance(other, list):
-            other = tuple(other)
-        return tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = tuple.__hash__
+    def __init__(self, agents):
+        bank = AgentBank.of(agents)
+        rows = sorted(zip(bank.main_snr, bank.ids, bank.eaves_snr))
+        self.main_snr, self.ids, self.eaves_snr = map(tuple, zip(*rows)) if rows else ((),) * 3
+        self._pos = dict(zip(self.ids, range(len(rows))))
+        if len(self._pos) < len(rows):
+            _check_unique_ids(self.ids)
 
 
 def classify(bank):
@@ -101,18 +102,19 @@ def classify(bank):
 
     Parameters
     ----------
-    bank : sequence of AgentChannel
+    bank : AgentBank or sequence of AgentChannel
         Ids must be unique.
 
     Returns
     -------
-    (list, SortedBank)
+    (AgentBank, SortedBank)
         ``(qualified, disqualified)``
     """
-    _check_unique_ids(bank)
-    qualified = [ch for ch in bank if ch.main_snr > ch.eaves_snr]
-    disqualified = SortedBank(ch for ch in bank if not ch.main_snr > ch.eaves_snr)
-    return qualified, disqualified
+    bank = AgentBank.of(bank)
+    _check_unique_ids(bank.ids)
+    keep = [a > e for a, e in zip(bank.main_snr, bank.eaves_snr)]
+    return (bank.take([row for row, k in enumerate(keep) if k]),
+            SortedBank(bank.take([row for row, k in enumerate(keep) if not k])))
 
 
 def feasible_set(agent_id, disqualified):
@@ -121,18 +123,20 @@ def feasible_set(agent_id, disqualified):
     Members are ids ``j != agent_id`` with ``main_snr_j > eaves_snr_i``,
     listed in ascending (main_snr, id) order: the suffix of the sorted bank
     after ``bisect_right`` of ``eaves_snr_i`` on the SNRs.  A disqualified
-    agent never sits in its own suffix; a qualified one may, and is left out.
-    On the :class:`SortedBank` from :func:`classify` a call costs O(log k)
-    plus its members; any other sequence of agents is sorted first.
+    agent never sits in its own suffix, so on the :class:`SortedBank` from
+    :func:`classify` the members of a set ``fs`` are the last ``len(fs)`` ids
+    of the bank.  A qualified agent may sit in its suffix, and is left out.
+    On that bank a call costs O(log k); any other sequence of agents is
+    sorted first.
     """
     bank = disqualified if isinstance(disqualified, SortedBank) else SortedBank(disqualified)
     pos = bank._pos.get(agent_id)
     if pos is None:
         raise InvalidInputError(f"unknown agent id {agent_id!r}")
-    start = bisect_right(bank._snrs, bank[pos].eaves_snr)
-    ids = bank._ids
-    members = ids[start:] if pos < start else ids[start:pos] + ids[pos + 1:]
-    return FeasibleSet(agent_id=agent_id, members=members)
+    start = bisect_right(bank.main_snr, bank.eaves_snr[pos])
+    if pos < start:
+        return FeasibleSet(agent_id, bank.ids, start)
+    return FeasibleSet(agent_id, bank.ids[start:pos] + bank.ids[pos + 1:])
 
 
 def greedy_pairing(disqualified):
@@ -150,7 +154,7 @@ def greedy_pairing(disqualified):
 
     Parameters
     ----------
-    disqualified : sequence of AgentChannel
+    disqualified : AgentBank or sequence of AgentChannel
         Must already be sorted ascending by (main_snr, id) and contain only
         disqualified agents.
 
@@ -161,31 +165,32 @@ def greedy_pairing(disqualified):
     bank = disqualified
     if not isinstance(bank, SortedBank):
         bank = SortedBank(disqualified)
-        if bank != disqualified:
+        if bank.ids != tuple(AgentBank.of(disqualified).ids):
             raise InvalidInputError(
                 "disqualified bank must be sorted by ascending (main_snr, id); "
                 "use classify() to obtain the sorted bank")
+    ids, snrs, eaves = bank.ids, bank.main_snr, bank.eaves_snr
     k = len(bank)
     nxt = list(range(k + 1))  # nxt[p] == p while position p is unused; k is a sentinel
     pairs = []
     efficiencies = {}
-    for pos, helped in enumerate(bank):
-        if helped.main_snr > helped.eaves_snr:
+    for pos in range(k):
+        if snrs[pos] > eaves[pos]:
             raise InvalidInputError(
-                f"agent {helped.id} is qualified (main_snr > eaves_snr) and does "
+                f"agent {ids[pos]} is qualified (main_snr > eaves_snr) and does "
                 f"not belong in the disqualified bank")
-        if nxt[pos] != pos or not helped.eaves_snr > helped.main_snr:
+        if nxt[pos] != pos or not eaves[pos] > snrs[pos]:
             continue  # a helper already, or a boundary agent with no strict jamming margin
-        h = bisect_right(bank._snrs, helped.eaves_snr)
+        h = bisect_right(snrs, eaves[pos])
         while nxt[h] != h:
             nxt[h] = nxt[nxt[h]]
             h = nxt[h]
         if h < k:
             nxt[pos], nxt[h] = pos + 1, h + 1
-            pair = (helped.id, bank._ids[h])
+            pair = (ids[pos], ids[h])
             pairs.append(pair)
-            efficiencies[pair] = efficiency_pair(helped, bank[h])
-    unpaired = tuple(bank._ids[p] for p in range(k) if nxt[p] == p)
+            efficiencies[pair] = _pair_efficiency(snrs[pos], snrs[h])
+    unpaired = tuple(ids[p] for p in range(k) if nxt[p] == p)
     return PairingPlan(pairs=tuple(pairs), unpaired=unpaired,
                        efficiencies=efficiencies)
 
@@ -209,7 +214,7 @@ def max_matching_oracle(disqualified):
     if k > _MAX_ORACLE_AGENTS:
         raise UnsupportedSizeError(
             f"exhaustive matching supports up to {_MAX_ORACLE_AGENTS} agents, got {k}")
-    _check_unique_ids(disqualified)
+    _check_unique_ids([ch.id for ch in disqualified])
     a = [ch.main_snr for ch in disqualified]
     e = [ch.eaves_snr for ch in disqualified]
     adj = [0] * k
@@ -239,8 +244,8 @@ def _capacity(snr):
     return math.log1p(snr) / math.log(2.0)
 
 
-def qualified_rate(ch):
-    """Secret rate and secrecy efficiency of an agent who needs no help.
+def qualified_rates(bank):
+    """Secret rate and secrecy efficiency of each agent of a bank who needs no help.
 
     The rate is ``log2(1+A) - log2(1+E)`` bits; the efficiency is the
     fraction of the link's eavesdropper-free capacity that survives as that
@@ -248,21 +253,30 @@ def qualified_rate(ch):
 
     Parameters
     ----------
-    ch : AgentChannel
-        Must be qualified (``main_snr > eaves_snr``, strictly).
+    bank : AgentBank or sequence of AgentChannel
+        Every agent must be qualified (``main_snr > eaves_snr``, strictly).
 
     Returns
     -------
-    (float, float)
-        ``(rate, efficiency)``.
+    (list, list)
+        ``(rates, efficiencies)``, one float per agent, in bank order.
     """
-    if not ch.main_snr > ch.eaves_snr:
-        raise InvalidInputError(
-            f"agent {ch.id} is not qualified: main_snr {ch.main_snr} <= "
-            f"eaves_snr {ch.eaves_snr}")
-    cap = _capacity(ch.main_snr)
-    rate = cap - _capacity(ch.eaves_snr)
-    return rate, rate / cap
+    bank = AgentBank.of(bank)
+    rates, efficiencies = [], []
+    for agent_id, a, e in zip(bank.ids, bank.main_snr, bank.eaves_snr):
+        if not a > e:
+            raise InvalidInputError(
+                f"agent {agent_id} is not qualified: main_snr {a} <= eaves_snr {e}")
+        cap = _capacity(a)
+        rates.append(cap - _capacity(e))
+        efficiencies.append(rates[-1] / cap)
+    return rates, efficiencies
+
+
+def qualified_rate(ch):
+    """Secret rate and secrecy efficiency of one qualified agent, as
+    :func:`qualified_rates` gives them: ``(rate, efficiency)``."""
+    return tuple(column[0] for column in qualified_rates([ch]))
 
 
 def efficiency_qualified(ch):
@@ -298,8 +312,13 @@ def efficiency_pair(helped, helper):
             f"pair ({helped.id}, {helper.id}) violates the jamming margin: "
             f"need helper main_snr > helped eaves_snr > helped main_snr, got "
             f"{helper.main_snr} / {helped.eaves_snr} / {helped.main_snr}")
-    c_helped = _capacity(helped.main_snr)
-    return c_helped / (c_helped + _capacity(helper.main_snr))
+    return _pair_efficiency(helped.main_snr, helper.main_snr)
+
+
+def _pair_efficiency(helped_snr, helper_snr):
+    """:func:`efficiency_pair` from the two agents' ``main_snr``."""
+    c_helped = _capacity(helped_snr)
+    return c_helped / (c_helped + _capacity(helper_snr))
 
 
 def pr_picking_k(set_sizes):

@@ -1,10 +1,14 @@
 """Experiment orchestration: maps CLI commands onto library operations.
 
 Each command consumes a :class:`~secrecylab.scenario.Scenario` plus a few
-options and returns a list of :class:`~secrecylab.scenario.ReportRecord`.
-``rate`` and ``allocate`` work on the scenario's gaussian bank as columns:
-one rate-kernel call or one water-fill over the whole bank, and a
-:class:`~secrecylab.scenario.ColumnReport` that holds the rows as columns.
+options and returns a list of :class:`~secrecylab.scenario.ReportRecord`,
+or a :class:`~secrecylab.scenario.ColumnReport` that holds the rows as
+columns.  ``rate`` and ``allocate`` work on the scenario's gaussian bank:
+one rate-kernel call or one water-fill over the whole bank.  ``pair``,
+``fig4`` and ``pick-prob`` work on its agent bank
+(:meth:`~secrecylab.scenario.Scenario.agents`): one classification, then
+the pairing or one O(1) feasible-set call per disqualified agent, each set
+written as its start in the sorted ids.
 One table, ``_TABLE``, declares every command once: its runner, the
 channels it reads and whether it spends a budget.  :func:`run` resolves the
 options and checks those preconditions for all commands in one place.
@@ -35,7 +39,7 @@ from .cooperation import (
     feasible_set,
     greedy_pairing,
     pr_picking_k,
-    qualified_rate,
+    qualified_rates,
 )
 from .discrete import max_secrecy_rate_grid
 from .errors import (
@@ -50,6 +54,7 @@ from .scenario import (
     SCHEMA_VERSION,
     ColumnReport,
     ReportRecord,
+    Suffixes,
     load_scenario,
 )
 
@@ -85,13 +90,6 @@ def _link_record(command, sc, outputs, metadata):
     _cls, fields = CHANNEL_SCHEMA[sc.kind]
     return ReportRecord(experiment=command, channel_id=sc.id,
                         inputs={key: float(getattr(sc.channel, key)) for key in fields},
-                        outputs=outputs, metadata=metadata)
-
-
-def _agent_record(command, agent, outputs, metadata):
-    """A row about one agent; its inputs are the agent's SNR pair."""
-    return ReportRecord(experiment=command, channel_id=agent.id,
-                        inputs={"A": float(agent.main_snr), "E": float(agent.eaves_snr)},
                         outputs=outputs, metadata=metadata)
 
 
@@ -140,27 +138,37 @@ def _run_fading(command, entries, options):
     return records
 
 
-def _run_pair(command, entries, options):
-    qualified, disqualified = classify([agent for _pos, agent in entries])
+def _agent_shape(bank, **outputs):
+    """Rows about the agents of a bank, as a ColumnReport shape; their inputs
+    are the agents' SNR pairs."""
+    return bank.ids, {"A": np.asarray(bank.main_snr, dtype=float),
+                      "E": np.asarray(bank.eaves_snr, dtype=float)}, outputs
+
+
+def _run_pair(command, bank, options):
+    qualified, disqualified = classify(bank)
     plan = greedy_pairing(disqualified)
-    metadata = _meta(options.seed)
-    roles = {agent.id: "qualified" for agent in qualified}
+    roles = dict.fromkeys(qualified.ids, "qualified")
     for helped, helper in plan.pairs:
         roles[helped], roles[helper] = "helped", "helper"
-
-    records = []
-    for _pos, agent in entries:
-        role = roles.get(agent.id, "unpaired")
-        outputs = {"qualified": role == "qualified", "role": role}
-        if role == "qualified":
-            outputs["rate_bits"], outputs["efficiency"] = qualified_rate(agent)
-        records.append(_agent_record(command, agent, outputs, metadata))
-
-    by_id = {agent.id: agent for agent in disqualified}
-    for pair in plan.pairs:
-        records.append(_agent_record(command, by_id[pair[0]], {
-            "pair_with": pair[1], "efficiency": plan.efficiencies[pair]}, metadata))
-    return records
+    rates, efficiencies = qualified_rates(qualified)
+    # Agent rows in file order, each of the qualified shape (0) or the other
+    # (1), then the pair rows (2).
+    order = [int(roles.get(agent_id) != "qualified") for agent_id in bank.ids]
+    others = bank.take([row for row, shape in enumerate(order) if shape])
+    row_of = dict(zip(bank.ids, range(len(bank))))
+    shapes = [
+        _agent_shape(qualified, qualified=[True] * len(qualified),
+                     role=["qualified"] * len(qualified), rate_bits=rates,
+                     efficiency=efficiencies),
+        _agent_shape(others, qualified=[False] * len(others),
+                     role=[roles.get(agent_id, "unpaired") for agent_id in others.ids]),
+        _agent_shape(bank.take([row_of[helped] for helped, _helper in plan.pairs]),
+                     pair_with=[helper for _helped, helper in plan.pairs],
+                     efficiency=[plan.efficiencies[pair] for pair in plan.pairs]),
+    ]
+    return ColumnReport.of_shapes(command, shapes, order + [2] * len(plan.pairs),
+                                  _meta(options.seed))
 
 
 def _run_discrete(command, entries, options):
@@ -175,18 +183,16 @@ def _run_discrete(command, entries, options):
     return records
 
 
-def _run_pick_prob(command, entries, options):
-    _qualified, disqualified = classify([agent for _pos, agent in entries])
-    sets = [feasible_set(agent.id, disqualified) for agent in disqualified]
+def _run_pick_prob(command, bank, options):
+    _qualified, disqualified = classify(bank)
+    sets = [feasible_set(agent_id, disqualified) for agent_id in disqualified.ids]
+    sizes = [len(fs) for fs in sets]
     metadata = _meta(options.seed)
-    records = [_agent_record(command, agent, {
-                   "feasible_set_size": len(fs), "feasible_members": fs.members}, metadata)
-               for agent, fs in zip(disqualified, sets)]
 
-    contested = next((i for i, fs in enumerate(sets) if len(fs) == 1), None)
+    contested = next((i for i, size in enumerate(sizes) if size == 1), None)
     summary_outputs = {"pick_probability": None}
     if contested is not None:
-        prefix_sizes = [len(fs) for fs in sets[:contested] if len(fs) >= 1]
+        prefix_sizes = [size for size in sizes[:contested] if size >= 1]
         prob = pr_picking_k(prefix_sizes)
         summary_outputs = {
             "pick_probability": prob,
@@ -194,10 +200,12 @@ def _run_pick_prob(command, entries, options):
             "contested_helper": sets[contested].members[0],
             "prefix_sizes": prefix_sizes,
         }
-    records.append(ReportRecord(
-        experiment=command, channel_id="summary",
-        outputs=summary_outputs, metadata=metadata))
-    return records
+    # Each set is a suffix of the sorted ids: the last len(fs) of them.
+    return ColumnReport(command, *_agent_shape(
+        disqualified, feasible_set_size=sizes,
+        feasible_members=Suffixes(disqualified.ids, [len(sizes) - size for size in sizes])),
+        metadata, [ReportRecord(experiment=command, channel_id="summary",
+                                outputs=summary_outputs, metadata=metadata)])
 
 
 #: The agent view of a scenario, ``agent-snr`` entries plus ``fading`` ones,
@@ -207,10 +215,10 @@ _AGENTS = "'agent-snr' or 'fading' channels"
 #: Each command: its runner, the channels it reads (a channel type or
 #: :data:`_AGENTS`) and whether it spends a budget.  The runner is called as
 #: ``runner(command, entries, options)``: ``entries`` are the channels read,
-#: as :meth:`Scenario.gaussian_bank` gives the ``gaussian`` ones and
-#: :meth:`Scenario.of_kind` or :meth:`Scenario.agent_bank` the ``(position,
-#: channel)`` pairs of the others, and ``options`` the resolved seed,
-#: budget, samples and grid step.
+#: as :meth:`Scenario.gaussian_bank` gives the ``gaussian`` ones,
+#: :meth:`Scenario.agents` the agent view and :meth:`Scenario.of_kind` the
+#: ``(position, channel)`` pairs of the others, and ``options`` the resolved
+#: seed, budget, samples and grid step.
 _TABLE = {
     "rate": (_run_rate, "gaussian", True),
     "allocate": (_run_allocate, "gaussian", True),
@@ -248,9 +256,9 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     Returns
     -------
     list of ReportRecord, or ColumnReport
-        ``rate`` and ``allocate`` return their rows as a
-        :class:`~secrecylab.scenario.ColumnReport`, a sequence of the same
-        records that compares equal to their list.
+        ``rate``, ``allocate``, ``pair``, ``fig4`` and ``pick-prob`` return
+        their rows as a :class:`~secrecylab.scenario.ColumnReport`, a
+        sequence of the same records that compares equal to their list.
     """
     if command not in COMMANDS:
         raise UsageError(f"unknown command {command!r}; expected one of {COMMANDS}")
@@ -274,7 +282,7 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     if reads == "gaussian":
         entries = scenario.gaussian_bank()
     else:
-        entries = scenario.agent_bank() if reads == _AGENTS else scenario.of_kind(reads)
+        entries = scenario.agents()[1] if reads == _AGENTS else scenario.of_kind(reads)
     if not entries:
         needs = reads if reads == _AGENTS else f"at least one '{reads}' channel in the scenario"
         raise ScenarioValidationError(f"command '{command}' needs {needs}")

@@ -29,18 +29,20 @@ Scenario schema (version 1)::
 Every channel may carry an optional integer ``id`` (default: its 1-based
 position); ids must be unique.
 
-The ``gaussian`` entries are checked and held by column: their fields,
-types and gains, and every id, are checked over whole columns, and the
-bank is kept as one :class:`~secrecylab.channels.GaussianBank` inside the
+The ``gaussian`` and ``agent-snr`` entries are checked and held by column:
+their fields, types and values, and every id, are checked over whole
+columns, and each type's bank (a :class:`~secrecylab.channels.GaussianBank`
+or an :class:`~secrecylab.channels.AgentBank`) is kept inside the
 scenario's :class:`ChannelList`.  When any check fails, the entries are
 checked again one by one from the first, so the error raised is the first
-in file order, with the message of the per-entry rules.  Other entries are
-built one by one.  A report about a bank's links is a :class:`ColumnReport`,
-whose float columns are each checked once for finiteness.  The record
-writers write it: one template record, with a slot in its id and in each
-float field, goes through the CSV row writer or the JSON dict writer once,
-and each row fills the slots with its own texts.  So the bytes and the
-messages are those the same rows give as :class:`ReportRecord` objects.
+in file order, with the message of the per-entry rules; only then, and for
+``fading`` and ``discrete`` entries, are entries built one by one.  A
+report about a bank's rows is a :class:`ColumnReport`, whose float columns
+are each checked once for finiteness.  The record writers write it: per
+row shape, one template record, with a slot in its id and in each column
+field, goes through the CSV row writer or the JSON writer once, and each
+row fills the slots with its own texts.  So the bytes and the messages are
+those the same rows give as :class:`ReportRecord` objects.
 """
 
 import bisect
@@ -51,13 +53,14 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from string import Formatter
 
 import numpy as np
 
 from .channels import (
+    AgentBank,
     AgentChannel,
     FadingWiretapChannel,
     GaussianBank,
@@ -96,31 +99,32 @@ class ScenarioChannel:
 
 
 class ChannelList(Sequence):
-    """A scenario's channels in file order, with the gaussian ones held by column.
+    """A scenario's channels in file order, with the gaussian and agent-snr ones held by column.
 
-    ``bank`` is a :class:`~secrecylab.channels.GaussianBank` of the gaussian
-    entries, whose file positions ``positions`` lists in ascending order;
-    indexing one of them builds its :class:`ScenarioChannel` on demand.
-    ``others`` maps the position of every other entry to its
-    ScenarioChannel, in file order.
+    ``banks`` maps each channel type of :data:`_BANKS` to its bank and the
+    file positions of its entries, in ascending order; indexing one of them
+    builds its :class:`ScenarioChannel` on demand.  ``others`` maps the
+    position of every other entry to its ScenarioChannel, in file order.
     """
 
-    def __init__(self, bank, positions, others):
-        self.bank, self.positions, self.others = bank, positions, others
+    def __init__(self, banks, others):
+        self.banks, self.others = banks, others
 
     @classmethod
     def of(cls, channels):
         """The list holding a sequence of :class:`ScenarioChannel`."""
         channels = list(channels)
-        gaussian = [(pos, sc) for pos, sc in enumerate(channels) if sc.kind == "gaussian"]
-        bank = GaussianBank([sc.id for _pos, sc in gaussian],
-                            [sc.channel.sigma_m_sq for _pos, sc in gaussian],
-                            [sc.channel.sigma_w_sq for _pos, sc in gaussian])
-        others = {pos: sc for pos, sc in enumerate(channels) if sc.kind != "gaussian"}
-        return cls(bank, [pos for pos, _sc in gaussian], others)
+        banks = {}
+        for kind, bank_cls in _BANKS.items():
+            held = [(pos, sc) for pos, sc in enumerate(channels) if sc.kind == kind]
+            columns = ([getattr(sc.channel, key) for _pos, sc in held]
+                       for key in CHANNEL_SCHEMA[kind][1])
+            banks[kind] = (bank_cls([sc.id for _pos, sc in held], *columns),
+                           [pos for pos, _sc in held])
+        return cls(banks, {pos: sc for pos, sc in enumerate(channels) if sc.kind not in _BANKS})
 
     def __len__(self):
-        return len(self.bank) + len(self.others)
+        return len(self.others) + sum(len(bank) for bank, _positions in self.banks.values())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -128,10 +132,10 @@ class ChannelList(Sequence):
         pos = range(len(self))[index]
         sc = self.others.get(pos)
         if sc is None:
-            row = bisect.bisect_left(self.positions, pos)
-            bank = self.bank
-            sc = ScenarioChannel(kind="gaussian", id=bank.ids[row], channel=GaussianWiretapChannel(
-                bank.sigma_m_sq[row].item(), bank.sigma_w_sq[row].item()))
+            for kind, (bank, positions) in self.banks.items():
+                row = bisect.bisect_left(positions, pos)
+                if row < len(positions) and positions[row] == pos:
+                    return ScenarioChannel(kind=kind, id=bank.ids[row], channel=bank[row])
         return sc
 
     def __eq__(self, other):
@@ -164,27 +168,34 @@ class Scenario:
 
     def gaussian_bank(self):
         """The ``gaussian`` channels as one GaussianBank, in file order."""
-        return self.channels.bank
+        return self.channels.banks["gaussian"][0]
 
     def of_kind(self, kind):
         """Channels of one kind, as (position, ScenarioChannel) pairs."""
-        if kind == "gaussian":
-            return [(pos, self.channels[pos]) for pos in self.channels.positions]
+        if kind in self.channels.banks:
+            return [(pos, self.channels[pos]) for pos in self.channels.banks[kind][1]]
         return [(pos, sc) for pos, sc in self.channels.others.items() if sc.kind == kind]
 
-    def agent_bank(self):
-        """Agent-SNR view of the scenario, as (position, AgentChannel) pairs.
+    def agents(self):
+        """The agent view of the scenario: the file positions and one AgentBank.
 
         Covers ``agent-snr`` entries directly and ``fading`` entries through
-        their noise-normalized SNRs.
+        their noise-normalized SNRs (:func:`~secrecylab.channels.to_agent_channel`),
+        in file order.
         """
-        bank = []
-        for pos, sc in self.channels.others.items():
-            if sc.kind == "agent-snr":
-                bank.append((pos, sc.channel))
-            elif sc.kind == "fading":
-                bank.append((pos, to_agent_channel(sc.channel, sc.id)))
-        return bank
+        bank, positions = self.channels.banks["agent-snr"]
+        fading = [(pos, to_agent_channel(sc.channel, sc.id))
+                  for pos, sc in self.channels.others.items() if sc.kind == "fading"]
+        if not fading:
+            return positions, bank
+        rows = sorted([*zip(positions, bank.ids, bank.main_snr, bank.eaves_snr),
+                       *((pos, ch.id, ch.main_snr, ch.eaves_snr) for pos, ch in fading)])
+        positions, *columns = map(list, zip(*rows))
+        return positions, AgentBank(*columns)
+
+    def agent_bank(self):
+        """The agent view of :meth:`agents`, as (position, AgentChannel) pairs."""
+        return list(zip(*self.agents()))
 
 
 @dataclass
@@ -204,41 +215,65 @@ class ReportRecord:
 
 
 class ColumnReport(Sequence):
-    """Report rows about the links of a bank, held as columns, then a few records.
+    """Report rows held as columns, in one or more shapes, then a few records.
 
-    Row ``i`` stands for the record ``ReportRecord(experiment, ids[i],
-    {key: inputs[key][i]}, {key: outputs[key][i]}, metadata)``: ``ids``
-    are ints, ``inputs`` and ``outputs`` map field names to float columns
-    with one value per id, and ``metadata`` is shared by every row.  The
+    A shape is ``(ids, inputs, outputs)``: its row ``i`` stands for the
+    record ``ReportRecord(experiment, ids[i], {key: inputs[key][i]},
+    {key: outputs[key][i]}, metadata)``.  ``ids`` are ints; ``inputs`` and
+    ``outputs`` map str field names to columns with one value per id.  A
+    column holding a float is held as a float array; a column of ints, strs,
+    bools and Nones, or a :class:`Suffixes`, is kept as it is.  ``metadata``
+    is shared by every row.  Built here, a report has one shape; built by
+    :meth:`of_shapes`, its rows take their shapes in a given order.  The
     records in ``tail`` (a summary row, say) follow the rows.
-    :func:`render` writes one template record that stands for every row and
-    fills it with each row's own texts; indexing builds a row's record.  A
-    report compares equal to the list of its records, as that list does, and
-    adding a list of records gives a list of records.
+    :func:`render` writes one template record per shape and fills it with
+    each row's own texts; indexing builds a row's record.  A report compares
+    equal to the list of its records, as that list does, and adding a list
+    of records gives a list of records.
     """
 
     def __init__(self, experiment, ids, inputs, outputs, metadata, tail=()):
-        self.experiment, self.ids, self.metadata = experiment, list(ids), metadata
-        if not all(issubclass(kind, int) and kind is not bool for kind in set(map(type, self.ids))):
+        self.experiment, self.metadata, self.tail = experiment, metadata, list(tail)
+        self.shapes, self.order = [self._shape(ids, inputs, outputs)], None
+
+    @classmethod
+    def of_shapes(cls, experiment, shapes, order, metadata, tail=()):
+        """A report whose ``shapes`` are ``(ids, inputs, outputs)`` triples;
+        ``order`` lists each row's shape, by its index in ``shapes``, in
+        report order."""
+        report = cls(experiment, *shapes[0], metadata, tail)
+        report.shapes += [cls._shape(*shape) for shape in shapes[1:]]
+        report.order = list(order)
+        if sorted(report.order) != [s for s, (ids, *_) in enumerate(report.shapes) for _ in ids]:
+            raise InvalidInputError("order: expected each shape once for each of its ids")
+        return report
+
+    @staticmethod
+    def _shape(ids, inputs, outputs):
+        ids = list(ids)
+        if not all(issubclass(kind, int) and kind is not bool for kind in set(map(type, ids))):
             raise InvalidInputError("ids: expected an int for each row")
-        self.inputs, self.outputs = ({key: _one_per_id(key, np.asarray(values, dtype=float),
-                                                       len(self.ids))
-                                      for key, values in d.items()} for d in (inputs, outputs))
-        self.tail = list(tail)
+        if not all(isinstance(key, str) for key in (*inputs, *outputs)):
+            raise InvalidInputError("columns: expected a str name for each")
+        return ids, *({key: _one_per_id(key, _column(values), len(ids))
+                       for key, values in d.items()} for d in (inputs, outputs))
 
     def __len__(self):
-        return len(self.ids) + len(self.tail)
+        return sum(len(ids) for ids, _inputs, _outputs in self.shapes) + len(self.tail)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
-        if i >= len(self.ids):
-            return self.tail[i - len(self.ids)]
+        if i >= len(self) - len(self.tail):
+            return self.tail[i - len(self) + len(self.tail)]
+        shape = 0 if self.order is None else self.order[i]
+        row = i if self.order is None else self.order[:i].count(shape)
+        ids, inputs, outputs = self.shapes[shape]
         return ReportRecord(
-            experiment=self.experiment, channel_id=self.ids[i],
-            inputs={key: column[i].item() for key, column in self.inputs.items()},
-            outputs={key: column[i].item() for key, column in self.outputs.items()},
+            experiment=self.experiment, channel_id=ids[row],
+            inputs={key: _item(column, row) for key, column in inputs.items()},
+            outputs={key: _item(column, row) for key, column in outputs.items()},
             metadata=self.metadata)
 
     def __eq__(self, other):
@@ -252,19 +287,66 @@ class ColumnReport(Sequence):
     def __radd__(self, other):
         return list(other) + list(self)
 
-    def _template(self, id_text, float_texts):
-        """The record that stands for every row, and the texts that fill it.
+    def _report_row(self, shape, row):
+        """The report row number of a shape's row ``row``."""
+        if self.order is None:
+            return row
+        return [i for i, s in enumerate(self.order) if s == shape][row]
 
-        Its id and each float field hold a :class:`_Slot`; slot ``k`` takes
-        row ``i``'s text from ``fills[k][i]``: ``id_text`` of each id for
-        the id, and ``float_texts`` of each column's values for its floats.
+    def _rows(self, id_text, column_texts, template_parts):
+        """The texts of each row, as a tuple, in report order.
+
+        Each shape with rows has one template record, whose id and each
+        column field hold a :class:`_Slot`.  ``template_parts(template)``
+        gives its text as parts: literal text at even places and slot
+        numbers at odd ones.  Slot ``k`` takes row ``i``'s text from
+        ``fills[k][i]``: ``id_text`` of each id for the id, and
+        ``column_texts`` of each column for its fields.
         """
-        columns = [*self.inputs.values(), *self.outputs.values()]
-        slots = [_Slot(f"\0{k}\0") for k in range(len(columns) + 1)]
-        fills = [map(id_text, self.ids), *(float_texts(c.tolist()) for c in columns)]
-        return ReportRecord(self.experiment, slots[0], dict(zip(self.inputs, slots[1:])),
-                            dict(zip(self.outputs, slots[1 + len(self.inputs):])),
-                            self.metadata), fills
+        texts = []
+        for ids, inputs, outputs in self.shapes:
+            if not ids:  # a template that stands for no row is not rendered
+                texts.append(iter(()))
+                continue
+            columns = [*inputs.values(), *outputs.values()]
+            slots = [_Slot(f"\0{k}\0") for k in range(len(columns) + 1)]
+            template = ReportRecord(self.experiment, slots[0], dict(zip(inputs, slots[1:])),
+                                    dict(zip(outputs, slots[1 + len(inputs):])), self.metadata)
+            fills = [map(id_text, ids), *map(column_texts, columns)]
+            texts.append(_filled(template_parts(template), fills, len(ids)))
+        return texts[0] if self.order is None else map(next, map(texts.__getitem__, self.order))
+
+
+class Suffixes(Sequence):
+    """A report column whose row ``i`` holds the tuple ``values[starts[i]:]``.
+
+    ``values`` hold no float.  The JSON writer renders them once, and each
+    row's text is a slice of that text.
+    """
+
+    def __init__(self, values, starts):
+        self.values, self.starts = values, list(starts)
+        if not _NO_FLOATS.issuperset(map(type, values)):
+            raise InvalidInputError("values: expected no float")
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __getitem__(self, row):
+        return tuple(self.values[self.starts[row]:])
+
+
+def _column(values):
+    """A column of a :class:`ColumnReport`, as it holds it."""
+    if isinstance(values, Suffixes) or (
+            not isinstance(values, np.ndarray) and _NO_FLOATS.issuperset(map(type, values))):
+        return values
+    return np.asarray(values, dtype=float)
+
+
+def _item(column, row):
+    value = column[row]
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class _Slot(str):
@@ -290,6 +372,9 @@ CHANNEL_SCHEMA = {
     "discrete": (DiscreteWiretapChannel, ("main", "eaves")),
 }
 _ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, fields) in CHANNEL_SCHEMA.items()}
+#: The channel types held by column, and the bank that holds each; a bank
+#: takes the ids and then the type's fields, in the order of CHANNEL_SCHEMA.
+_BANKS = {"gaussian": GaussianBank, "agent-snr": AgentBank}
 
 
 def _channel_args(ctx, entry):
@@ -378,42 +463,42 @@ def _channel_entries(raw_channels, source):
 
 
 def _channel_columns(raw_channels, source):
-    """The channels, with the ``gaussian`` entries checked and held by column.
+    """The channels, with the entries of each type in :data:`_BANKS` checked and held by column.
 
-    Checks the gaussian entries' shape, field types and gains, and every
-    id, over whole columns; builds every other entry as
-    :func:`_channel_entries` does.  Accepts exactly what that accepts.
-    Returns None where any check fails (or an entry is of a subclass of
-    dict), so that :func:`_channel_entries` names the first failure.
+    Checks those entries' shape, field types and values, and every id, over
+    whole columns; builds every other entry as :func:`_channel_entries`
+    does.  Accepts exactly what that accepts.  Returns None where any check
+    fails (or an entry is of a subclass of dict), so that
+    :func:`_channel_entries` names the first failure.
     """
-    positions, rows, others = [], [], {}
+    held = {kind: ([], []) for kind in _BANKS}   # type -> its entries and their positions
+    others = {}
     for pos, entry in enumerate(raw_channels):
         if type(entry) is not dict:
             return None
-        if entry.get("type") == "gaussian":
-            positions.append(pos)
-            rows.append(entry)
-        else:
-            try:
-                others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
-            except ScenarioValidationError:
-                return None
-    allowed = _ALLOWED_KEYS["gaussian"]
-    if not all(row.keys() <= allowed for row in rows):
-        return None
-    try:
-        columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA["gaussian"][1]]
-    except KeyError:
-        return None
+        rows = held.get(entry.get("type"))
+        if rows is not None:
+            rows[0].append(entry)
+            rows[1].append(pos)
+            continue
+        try:
+            others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
+        except ScenarioValidationError:
+            return None
     ids = [entry.get("id", pos + 1) for pos, entry in enumerate(raw_channels)]
-    if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)
-            and all(map(_finite_numbers, columns))):
+    if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)):
         return None
-    try:
-        bank = GaussianBank([ids[pos] for pos in positions], *columns)
-    except InvalidInputError:
-        return None
-    return ChannelList(bank, positions, others)
+    banks = {}
+    for kind, (rows, positions) in held.items():
+        try:
+            columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA[kind][1]]
+            if not (all(row.keys() <= _ALLOWED_KEYS[kind] for row in rows)
+                    and all(map(_finite_numbers, columns))):
+                return None
+            banks[kind] = (_BANKS[kind]([ids[pos] for pos in positions], *columns), positions)
+        except (KeyError, InvalidInputError):
+            return None
+    return ChannelList(banks, others)
 
 
 def load_scenario(path):
@@ -454,19 +539,15 @@ def _csv_cell(value):
     return str(value)
 
 
+#: The record field that holds each of :data:`CSV_COLUMNS` after ``channel_id``.
+_CSV_FIELDS = {"A": "inputs", "E": "inputs", "power": "outputs", "rate_bits": "outputs",
+               "pair_with": "outputs", "efficiency": "outputs", "seed": "metadata"}
+
+
 def _record_to_csv_row(rec):
     # One cell per name of CSV_COLUMNS, in order.
-    return [
-        _csv_cell(rec.experiment),
-        _csv_cell(rec.channel_id),
-        _csv_cell(rec.inputs.get("A")),
-        _csv_cell(rec.inputs.get("E")),
-        _csv_cell(rec.outputs.get("power")),
-        _csv_cell(rec.outputs.get("rate_bits")),
-        _csv_cell(rec.outputs.get("pair_with")),
-        _csv_cell(rec.outputs.get("efficiency")),
-        _csv_cell(rec.metadata.get("seed")),
-    ]
+    return [_csv_cell(rec.experiment), _csv_cell(rec.channel_id),
+            *(_csv_cell(getattr(rec, part).get(key)) for key, part in _CSV_FIELDS.items())]
 
 
 #: Types of value that hold no float.
@@ -478,10 +559,13 @@ def _nonfinite_field(value):
 
     The name is the key path, each key as ``.key`` and each index as
     ``[i]``, e.g. ``(".argmax_pmf[1]", nan)``.  Raises ``TypeError``, as the
-    JSON renderer does, for a value that is not a str, int, float, None,
-    dict, list or tuple.
+    JSON renderer does, for a dict key that is not a str, and for a value
+    that is not a str, int, float, None, dict, list or tuple.
     """
     if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not {type(key).__name__}")
         items = value.items()
     elif _NO_FLOATS.issuperset(map(type, value)):
         return None
@@ -523,175 +607,158 @@ def _check_columns(report):
     """:func:`_check_finite` for each row of a :class:`ColumnReport`.
 
     The first row, which holds the shared metadata, is walked as a record;
-    each float column is then checked once, and the first row holding a
-    non-finite float is walked to name its field.
+    each float column is then checked once, and the first row, in report
+    order, holding a non-finite float is walked to name its field.  The
+    other columns hold no float.
     """
-    if not report.ids:
-        return
-    _check_finite(report[0])
-    columns = (*report.inputs.values(), *report.outputs.values())
-    bad = [int(finite.argmin()) for finite in map(np.isfinite, columns) if not finite.all()]
+    if len(report) > len(report.tail):
+        _check_finite(report[0])
+    bad = [report._report_row(shape, int(finite.argmin()))
+           for shape, (_ids, inputs, outputs) in enumerate(report.shapes)
+           for finite in (np.isfinite(column) for column in (*inputs.values(), *outputs.values())
+                          if isinstance(column, np.ndarray))
+           if not finite.all()]
     if bad:
         _check_finite(report[min(bad)])
 
 
-class _NonFinite(Exception):
-    """A non-finite float met by the JSON renderer; the caller names the field."""
+#: Where the value of a column sits in a JSON report: in the inputs or
+#: outputs dict of a record in the top-level list.
+_COLUMN_INDENT = " " * 6
+#: What follows each record of a JSON report but the last.
+_JSON_SEP = ",\n  "
 
 
 def _float_texts(values):
-    """The JSON texts of finite floats, as :func:`_json_records` renders one."""
+    """The JSON texts of finite floats, as :func:`_json_text` renders one."""
     texts = [f"{value:.12g}" for value in values]
     return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
 
 
-def _json_records(records):
-    """Each record's fields as ``json.dumps(indent=2, sort_keys=True)`` lays
-    them out inside the report's top-level list.
+def _json_text(value, indent):
+    """The text of a value at ``indent`` as ``json.dumps(indent=2, sort_keys=True)``
+    writes it, with each float, finite, rounded to 12 significant digits and
+    shown as the ``repr`` of the rounded value."""
+    kind = type(value)
+    if kind is float:
+        text = f"{value:.12g}"
+        # Text with a point and no exponent is already repr(float(text)):
+        # no shorter decimal names the double nearest a 12-digit one, and
+        # repr writes numbers of this size without an exponent too.
+        # _float_texts states the same rule for a column.
+        if "." not in text or "e" in text:
+            text = repr(float(text))
+        return text
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None or kind is bool:
+        return {None: "null", True: "true", False: "false"}[value]
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return _json_block("{}", [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                                  for key in sorted(value)], indent)
+    if isinstance(value, (list, tuple)):
+        return _json_block("[]", [_json_text(item, inner) for item in value], indent)
+    if isinstance(value, str):
+        return value if kind is _Slot else encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_text(float(value), indent)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
-    A float is rounded to 12 significant digits and shown as the ``repr`` of
-    the rounded value; a non-finite one raises :class:`_NonFinite`.  A list
-    of ints is joined in one call, and a dict shared by many records renders
-    once per report and depth.  A :class:`ColumnReport`'s template record is
-    rendered once, and each row joins its literal text with the row's own id
-    and float texts in the template's slots; its ``tail`` records follow.
-    """
-    memo = {}       # (id(dict), indent) -> its text
-    seen = []       # the dicts in memo, held so that no id is reused
-    heads = {}      # key -> its JSON string and the ": " after it
-    int_texts = {}  # int -> its text; ids recur across the lists of a report
 
-    def value_text(value, indent):
-        kind = type(value)
-        if kind is float:
-            text = f"{value:.12g}"
-            # Text with a point and no exponent is already repr(float(text)):
-            # no shorter decimal names the double nearest a 12-digit one, and
-            # repr writes numbers of this size without an exponent too.
-            # _float_texts states the same rule for a column.
-            if "." not in text or "e" in text:
-                if not math.isfinite(value):
-                    raise _NonFinite
-                text = repr(float(text))
-            return text
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is int:
-            return int.__repr__(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            text = memo.get((id(value), indent))
-            if text is None:
-                text = memo[id(value), indent] = dict_text(value, indent)
-                seen.append(value)
-            return text
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            inner = indent + "  "
-            if set(map(type, value)) == {int}:
-                try:
-                    body = f",\n{inner}".join(map(int_texts.__getitem__, value))
-                except KeyError:
-                    int_texts.update(zip(value, map(int.__repr__, value)))
-                    body = f",\n{inner}".join(map(int_texts.__getitem__, value))
-            else:
-                body = f",\n{inner}".join([value_text(item, inner) for item in value])
-            return f"[\n{inner}{body}\n{indent}]"
-        if isinstance(value, str):
-            return value if kind is _Slot else encode_basestring_ascii(value)
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return value_text(float(value), indent)
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+def _json_block(brackets, items, indent):
+    """A JSON list or dict holding the given item texts, one per line, under ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
-    def head_text(key):
-        head = heads.get(key)
-        if head is None:
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not {type(key).__name__}")
-            head = heads[key] = encode_basestring_ascii(key) + ": "
-        return head
 
-    def dict_text(d, indent):
-        inner = indent + "  "
-        parts = []
-        for key in sorted(d):
-            head = heads.get(key)
-            if head is None:
-                head = head_text(key)
-            parts.append(head + value_text(d[key], inner))
-        body = f",\n{inner}".join(parts)
-        return f"{{\n{inner}{body}\n{indent}}}"
-
-    if isinstance(records, ColumnReport):
-        if records.ids:  # else the template stands for no row, and is not rendered
-            template, fills = records._template(int.__repr__, _float_texts)
-            yield from _filled(dict_text(vars(template), "  ").split("\0"), fills, len(records.ids))
-        records = records.tail
-    for rec in records:
-        try:
-            yield dict_text(vars(rec), "  ")
-        except _NonFinite:
-            _check_finite(rec)
-            raise
+def _json_texts(column):
+    """The JSON texts of a column of a :class:`ColumnReport`."""
+    if isinstance(column, np.ndarray):
+        return _float_texts(column.tolist())
+    if not isinstance(column, Suffixes):
+        return [_json_text(value, _COLUMN_INDENT) for value in column]
+    # A row's list is "[", a newline and the indent, then one slice of the
+    # text of all the values: from the value at the row's start to the end.
+    inner = _COLUMN_INDENT + "  "
+    texts = [_json_text(value, inner) for value in column.values]
+    whole = _json_block("[]", texts, _COLUMN_INDENT)
+    offsets = list(accumulate((len(text) + len(inner) + 2 for text in texts),
+                              initial=len(inner) + 2))
+    return [f"[\n{inner}{whole[offsets[start]:]}" if start < len(texts) else "[]"
+            for start in column.starts]
 
 
 def _filled(parts, fills, n):
     """The ``n`` rows of a template in ``parts``: literal text at even places
     and a slot number ``k`` at odd ones, which row ``i`` fills with
-    ``fills[k][i]``."""
-    return map("".join, zip(*[fills[int(part)] if k % 2 else repeat(part, n)
-                              for k, part in enumerate(parts)]))
+    ``fills[k][i]``.  Each row is the tuple of its texts, to be joined."""
+    return zip(*[fills[int(part)] if k % 2 else repeat(part, n) for k, part in enumerate(parts)])
+
+
+def _json_parts(template):
+    """A template record's JSON text and separator, as the parts :func:`_filled` takes."""
+    return (_json_text(vars(template), "  ") + _JSON_SEP).split("\0")
+
+
+def _csv_texts(column):
+    """The CSV cells of a column of a :class:`ColumnReport`."""
+    return map(_fmt12, column.tolist()) if type(column) is np.ndarray else map(_csv_cell, column)
+
+
+def _csv_parts(template):
+    """A template record's CSV line, as the parts :func:`_filled` takes."""
+    # Each slot cell goes in as a numbered format field and each other cell
+    # with its braces doubled; parsing the line as a format string gives
+    # back the literal text between the slots, as written.
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(
+        [f"{{{cell[1:-1]}}}" if type(cell) is _Slot else cell.replace("{", "{{").replace("}", "}}")
+         for cell in _record_to_csv_row(template)])
+    parts = [""]
+    for literal, slot, _spec, _conv in Formatter().parse(line.getvalue()):
+        parts[-1] += literal
+        if slot is not None:
+            parts += [slot, ""]
+    return parts
 
 
 def render(records, format):
     """Serialize records to a string in the given format (csv or json).
 
     Raises :class:`NumericalError` naming the field of a non-finite float
-    anywhere in a record, and ``TypeError`` for a value of a type JSON
-    cannot hold, in either format.
+    anywhere in a record, and ``TypeError`` for a dict key that is not a
+    str or a value of a type JSON cannot hold, in either format: the first
+    of these in report order, and in each record in field order.
     """
+    if format not in ("csv", "json"):
+        raise InvalidInputError(f"unknown report format {format!r}")
+    if not isinstance(records, ColumnReport):  # records alone: a report with no column rows
+        records = ColumnReport(None, [], {}, {}, None, records)
+    _check_columns(records)
+    for rec in records.tail:
+        _check_finite(rec)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        if isinstance(records, ColumnReport):
-            _check_columns(records)
-            template, fills = records._template(str, lambda values: map(_fmt12, values))
-            # Each slot cell goes in as a numbered format field and each other
-            # cell with its braces doubled; parsing the line as a format string
-            # gives back the literal text between the slots, as written.
-            line = io.StringIO()
-            csv.writer(line, lineterminator="\n").writerow(
-                [f"{{{cell[1:-1]}}}" if type(cell) is _Slot
-                 else cell.replace("{", "{{").replace("}", "}}")
-                 for cell in _record_to_csv_row(template)])
-            parts = [""]
-            for literal, slot, _spec, _conv in Formatter().parse(line.getvalue()):
-                parts[-1] += literal
-                if slot is not None:
-                    parts += [slot, ""]
-            buf.writelines(_filled(parts, fills, len(records.ids)))
-            records = records.tail
-        for rec in records:
-            _check_finite(rec)
-            writer.writerow(_record_to_csv_row(rec))
+        buf.writelines(map("".join, records._rows(str, _csv_texts, _csv_parts)))
+        writer.writerows(map(_record_to_csv_row, records.tail))
         return buf.getvalue()
-    if format == "json":
-        if isinstance(records, ColumnReport):
-            _check_columns(records)
-        body = ",\n  ".join(_json_records(records))
-        return f"[\n  {body}\n]\n" if body else "[]\n"
-    raise InvalidInputError(f"unknown report format {format!r}")
+    # Each record as json.dumps(indent=2, sort_keys=True) lays it out in the
+    # top-level list, each followed by the separator; the texts of all rows
+    # are joined once, with the last separator replaced by the list's end.
+    texts = ["[\n  ", *chain.from_iterable(records._rows(int.__repr__, _json_texts, _json_parts)),
+             *(_json_text(vars(rec), "  ") + _JSON_SEP for rec in records.tail)]
+    texts[-1] = texts[-1][:-len(_JSON_SEP)] + "\n]\n"
+    return "".join(texts) if len(texts) > 1 else "[]\n"
 
 
 def emit(records, format, path):

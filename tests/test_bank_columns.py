@@ -30,6 +30,7 @@ from secrecylab import (
     gaussian_secrecy_rate,
     load_scenario,
     run,
+    to_agent_channel,
 )
 from secrecylab.channels import GaussianBank
 from secrecylab.scenario import (
@@ -80,12 +81,20 @@ def per_entry_channels(raw_channels, source):
 
 VARIANCES = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10 ** 6),
                       st.sampled_from([1e-308, 5.6e-309, 1.7976931348623157e308, 10 ** 300]))
-#: Values that no variance may take.
+#: SNRs, with ints that a float cannot hold exactly and the smallest subnormal.
+SNRS = st.one_of(st.floats(1e-300, 1e300), st.integers(1, 10 ** 6),
+                 st.sampled_from([5e-324, 1.7976931348623157e308, 10 ** 300, 2 ** 53 + 1]))
+#: Values that no variance may take, and, but for the tiny positive ones,
+#: no SNR either.
 BAD_VALUES = st.sampled_from([True, False, "1.0", None, 10 ** 400, -(10 ** 400), 0, 0.0,
-                              -0.0, -1.5, 1e-320, 5.5e-309, [1.0]])
-SIGMAS = ("sigma_m_sq", "sigma_w_sq")
+                              -0.0, -1.5, 1e-320, 5.5e-309, [1.0], math.inf, math.nan])
+#: The fields each type held by column draws, and the values they draw from.
+FIELDS = {"gaussian": (("sigma_m_sq", "sigma_w_sq"), VARIANCES),
+          "agent-snr": (("main_snr", "eaves_snr"), SNRS)}
 OTHERS = ({"type": "fading", "a": 2.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0},
-          {"type": "agent-snr", "main_snr": 1.0, "eaves_snr": 2.5})
+          {"type": "fading", "a": 1.5, "b": 3.0, "sigma_m_sq": 3.0, "sigma_w_sq": 7.0},
+          {"type": "agent-snr", "main_snr": 1.0, "eaves_snr": 2.5},
+          {"type": "discrete", "main": [[0.9, 0.1], [0.1, 0.9]], "eaves": [[0.7, 0.3], [0.3, 0.7]]})
 BAD_FADING = {"type": "fading", "a": -1.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}
 MUTATIONS = ("value", "missing", "unknown", "type", "non-object", "id", "duplicate",
              "bad-fading")
@@ -96,6 +105,7 @@ def mutate(draw, entries):
     i = draw(st.integers(0, len(entries) - 1))
     kind = draw(st.sampled_from(MUTATIONS))
     entry = entries[i]
+    fields = FIELDS.get(entry.get("type"), (("a",), None))[0] if isinstance(entry, dict) else ()
     if kind == "non-object":
         entries[i] = draw(st.sampled_from([None, "gaussian", [1.0, 2.0], 3]))
     elif kind == "bad-fading":
@@ -103,13 +113,14 @@ def mutate(draw, entries):
     elif not isinstance(entry, dict):
         return
     elif kind == "value":
-        entry[draw(st.sampled_from(SIGMAS))] = draw(BAD_VALUES)
+        entry[draw(st.sampled_from(fields))] = draw(BAD_VALUES)
     elif kind == "missing":
-        entry.pop(draw(st.sampled_from(SIGMAS)), None)
+        entry.pop(draw(st.sampled_from(fields)), None)
     elif kind == "unknown":
-        entry["gain"] = 1.0
+        entry[draw(st.sampled_from(["gain", "sigma_m_sq", "main_snr"]))] = 1.0
     elif kind == "type":
-        entry["type"] = draw(st.sampled_from(["gausian", "fading", "agent-snr", None, 1]))
+        entry["type"] = draw(st.sampled_from(["gausian", "gaussian", "fading", "agent-snr",
+                                              "discrete", None, 1]))
     elif kind == "id":
         entry["id"] = draw(st.sampled_from([True, False, 2.5, "7", None]))
     else:  # duplicate: the id another entry has, explicitly or by position
@@ -120,13 +131,15 @@ def mutate(draw, entries):
 
 @st.composite
 def mutated_banks(draw):
-    """A valid gaussian bank, maybe with other entries, and zero to two mutations."""
+    """Gaussian and agent-snr entries, maybe with fading, agent-snr and
+    discrete ones among them, and zero to two mutations."""
     entries = []
-    for k in range(draw(st.integers(1, 6))):
-        entry = {"type": "gaussian", "sigma_m_sq": draw(VARIANCES),
-                 "sigma_w_sq": draw(VARIANCES)}
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(sorted(FIELDS)))
+        fields, values = FIELDS[kind]
+        entry = {"type": kind, **{key: draw(values) for key in fields}}
         if draw(st.booleans()):
-            entry["id"] = 1000 + k
+            entry["id"] = draw(st.sampled_from([1000 + k, -k - 1, 2 ** 64 + k]))
         entries.append(entry)
     for _ in range(draw(st.integers(0, 3))):
         entries.insert(draw(st.integers(0, len(entries))), dict(draw(st.sampled_from(OTHERS))))
@@ -135,7 +148,20 @@ def mutated_banks(draw):
     return entries
 
 
-@settings(max_examples=300, deadline=None)
+def contents(kind, channel):
+    """A channel as a value that compares by contents (a discrete channel's matrices)."""
+    return (channel.main.tolist(), channel.eaves.tolist()) if kind == "discrete" else channel
+
+
+def cli_run(argv):
+    """``cli.main``'s exit code and standard error."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
 @given(mutated_banks())
 def test_column_loader_agrees_with_the_per_entry_loader(entries):
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,12 +179,11 @@ def test_column_loader_agrees_with_the_per_entry_loader(entries):
         # The column path accepts exactly what the per-entry path accepts.
         assert (_channel_columns(raw, path) is None) == (message is not None)
 
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            code = cli.main(["rate", "--scenario", path, "--budget", "1",
-                             "--format", "json", "--out", out])
+        rate = cli_run(["rate", "--scenario", path, "--budget", "1", "--format", "json",
+                        "--out", out])
         if message is not None:
-            assert (code, err.getvalue()) == (cli.EXIT_VALIDATION, f"error: {message}\n")
+            assert rate == (cli.EXIT_VALIDATION, f"error: {message}\n")
+            assert cli_run(["pair", "--scenario", path]) == rate
             with pytest.raises(ScenarioValidationError) as caught:
                 load_scenario(path)
             assert str(caught.value) == message
@@ -167,21 +192,41 @@ def test_column_loader_agrees_with_the_per_entry_loader(entries):
         scenario = load_scenario(path)
         assert len(scenario.channels) == len(expected)
         # A bank holds its variances as floats: an int variance is its float.
-        assert [(sc.kind, sc.id, sc.channel) for sc in scenario.channels] == [
-            (kind, cid, GaussianWiretapChannel(float(ch.sigma_m_sq), float(ch.sigma_w_sq))
-             if kind == "gaussian" else ch) for kind, cid, ch in expected]
+        # An agent keeps its SNRs as given.
+        assert [(sc.kind, sc.id, contents(sc.kind, sc.channel)) for sc in scenario.channels] == [
+            (kind, cid, contents(kind, GaussianWiretapChannel(float(ch.sigma_m_sq),
+                                                              float(ch.sigma_w_sq))
+                                 if kind == "gaussian" else ch)) for kind, cid, ch in expected]
+        assert all(type(sc.channel.main_snr) is type(ch.main_snr)
+                   for sc, (kind, _cid, ch) in zip(scenario.channels, expected)
+                   if kind == "agent-snr")
         gaussian = [(cid, ch) for kind, cid, ch in expected if kind == "gaussian"]
         bank = scenario.gaussian_bank()
         assert bank.ids == [cid for cid, _ch in gaussian]
         assert bank.sigma_m_sq.tolist() == [float(ch.sigma_m_sq) for _cid, ch in gaussian]
         assert bank.sigma_w_sq.tolist() == [float(ch.sigma_w_sq) for _cid, ch in gaussian]
         if gaussian:
-            assert (code, err.getvalue()) == (cli.EXIT_OK, "")
+            assert rate == (cli.EXIT_OK, "")
             with open(out, encoding="utf-8") as fh:
                 assert [rec["channel_id"] for rec in json.load(fh)] == bank.ids
         else:
-            assert code == cli.EXIT_VALIDATION
-            assert "needs at least one 'gaussian' channel" in err.getvalue()
+            assert rate[0] == cli.EXIT_VALIDATION
+            assert "needs at least one 'gaussian' channel" in rate[1]
+
+        # The agent view: agent-snr entries as they are, fading ones through their SNRs.
+        agents = [(pos, ch if kind == "agent-snr" else to_agent_channel(ch, cid))
+                  for pos, (kind, cid, ch) in enumerate(expected)
+                  if kind in ("agent-snr", "fading")]
+        assert scenario.agent_bank() == agents
+        pair = cli_run(["pair", "--scenario", path, "--format", "json", "--out", out])
+        if agents:
+            assert pair == (cli.EXIT_OK, "")
+            with open(out, encoding="utf-8") as fh:
+                ids = [rec["channel_id"] for rec in json.load(fh)]
+            assert ids[:len(agents)] == [agent.id for _pos, agent in agents]
+        else:
+            assert pair == (cli.EXIT_VALIDATION, "error: command 'pair' needs 'agent-snr' "
+                                                 "or 'fading' channels\n")
 
 
 class TestScenarioChannels:
@@ -271,12 +316,14 @@ TEXTS = st.one_of(st.text(st.sampled_from(list('{}",\n\r\0\\ a0') + ["é", "€"
                           max_size=6),
                   st.text(max_size=4))
 #: Values of a shared metadata dict, nested, with a ``seed`` key at times.
+#: Dict keys: text, and at times an int or None, which no report may hold.
+KEYS = st.one_of(TEXTS, TEXTS, TEXTS, st.sampled_from([1, -2, None]))
 VALUES = st.recursive(
     st.one_of(TEXTS, st.integers(), st.none(), st.booleans(), FLOATS),
     lambda children: st.one_of(st.lists(children, max_size=3),
-                               st.dictionaries(TEXTS, children, max_size=3)),
+                               st.dictionaries(KEYS, children, max_size=3)),
     max_leaves=8)
-METADATA = st.dictionaries(st.one_of(st.just("seed"), TEXTS), VALUES, max_size=4)
+METADATA = st.dictionaries(st.one_of(st.just("seed"), KEYS), VALUES, max_size=4)
 
 
 @st.composite
@@ -332,11 +379,44 @@ def test_column_report_renders_as_its_records(columns, fmt):
         assert render(columns, fmt) == expected
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("metadata, kind", [({1: 2}, "int"), ({"seed": 0, 1: 2}, "int"),
+                                            ({"seed": 0, "tol": {None: 1.0}}, "NoneType")])
+def test_a_key_that_is_not_str_is_refused_in_either_format(fmt, metadata, kind):
+    with pytest.raises(TypeError) as caught:
+        render([ReportRecord("x", 1, metadata=metadata)], fmt)
+    assert str(caught.value) == f"report keys must be str, not {kind}"
+    # A column report refuses it as its records do: in its first row, before
+    # the non-finite float of a later row.
+    with pytest.raises(TypeError) as caught:
+        render(report([0.5, math.nan, 0.5], metadata=metadata), fmt)
+    assert str(caught.value) == f"report keys must be str, not {kind}"
+
+
 class TestColumnReport:
     def test_a_column_must_hold_one_value_per_id(self):
         with pytest.raises(InvalidInputError) as caught:
             ColumnReport("rate", [5, 7], {"A": [1.0, 2.0]}, {"power": [1.0]}, {})
         assert str(caught.value) == "power: expected 2 values, one per id, got shape (1,)"
+
+    def test_rows_take_their_shapes_in_the_order_given(self):
+        shapes = [([4, 2], {"A": [1.0, 2.0]}, {"role": ["helped", "unpaired"]}),
+                  ([9], {"A": [0.5]}, {"pair_with": [4], "efficiency": [0.25]})]
+        columns = ColumnReport.of_shapes("pair", shapes, [0, 1, 0], {"seed": 0})
+        assert [rec.channel_id for rec in columns] == [4, 9, 2]
+        assert columns[1] == ReportRecord("pair", 9, {"A": 0.5},
+                                          {"pair_with": 4, "efficiency": 0.25}, {"seed": 0})
+        assert type(columns[1].outputs["pair_with"]) is int
+        for fmt in ("csv", "json"):
+            assert render(columns, fmt) == render(list(columns), fmt)
+        # The first non-finite float in report order is named, whatever its shape.
+        shapes[0][1]["A"][1] = shapes[1][1]["A"][0] = math.nan
+        with pytest.raises(NumericalError, match=r"channel_id 9\): inputs\.A is nan"):
+            render(ColumnReport.of_shapes("pair", shapes, [0, 1, 0], {"seed": 0}), "csv")
+        with pytest.raises(InvalidInputError, match="^order: expected each shape once"):
+            ColumnReport.of_shapes("pair", shapes, [0, 1, 1], {"seed": 0})
+        with pytest.raises(InvalidInputError, match="^columns: expected a str name for each$"):
+            ColumnReport("rate", [1], {1: [1.0]}, {}, {})
 
     def test_compares_as_the_list_of_its_records(self):
         columns = report([0.5, 0.5, 0.5])

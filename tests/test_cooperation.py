@@ -150,7 +150,11 @@ class TestFeasibleSets:
 
     def test_classified_bank_is_immutable_and_equals_a_list(self):
         _, disqualified = classify(FIVE_AGENTS)
-        assert isinstance(disqualified, tuple)
+        # Held by column: each column a tuple, and no row can be replaced.
+        columns = (disqualified.ids, disqualified.main_snr, disqualified.eaves_snr)
+        assert all(isinstance(column, tuple) for column in columns)
+        with pytest.raises(TypeError):
+            disqualified[0] = disqualified[1]
         assert disqualified == sorted(FIVE_AGENTS, key=lambda ch: ch.main_snr)
         assert classify([])[1] == [] and not classify([])[1] != []
 
