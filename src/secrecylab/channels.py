@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _check_nonnegative, _check_positive, _finite_numbers
+from .errors import (InvalidInputError, _check_nonnegative, _check_positive, _finite_float,
+                     _finite_number, _finite_numbers)
 
 
 def _check_gain(field, formula, gain):
@@ -73,17 +74,22 @@ class GaussianWiretapChannel:
 class GaussianBank:
     """Static AWGN links held as columns: ids, noise variances and power gains.
 
-    ``ids`` is a list with one id per link.  ``sigma_m_sq`` and
-    ``sigma_w_sq`` are read-only float arrays, and ``gains`` is the pair
+    ``ids`` is a list with one id per link.  Each variance column is a
+    sequence of Python ints and floats, the numbers
+    :class:`GaussianWiretapChannel` takes (a bool, a str or an int beyond
+    the float range is not one), or a numpy array of floats or ints, which
+    is checked in one vectorized pass.  The bank holds ``sigma_m_sq`` and
+    ``sigma_w_sq`` as read-only float arrays, and ``gains`` as the pair
     ``(1/sigma_m_sq, 1/sigma_w_sq)`` of read-only arrays.  Each link obeys
-    the rule of :class:`GaussianWiretapChannel`: both variances positive and
-    finite, and both gains finite.
+    the rule of that class: both variances positive and finite, and both
+    gains finite.
 
     Raises
     ------
     InvalidInputError
-        A variance breaks that rule (named with its row, e.g.
-        ``sigma_m_sq[3]``), or a column does not hold one value per id.
+        A variance breaks that rule, or a column does not hold one value
+        per id.  The message names the first bad row, e.g.
+        ``sigma_m_sq[3]: expected a finite number, got True``.
     """
 
     def __init__(self, ids, sigma_m_sq, sigma_w_sq):
@@ -92,14 +98,20 @@ class GaussianBank:
         self.sigma_w_sq, gain_w = self._variances("sigma_w_sq", sigma_w_sq)
         self.gains = (gain_m, gain_w)
 
-    def _variances(self, name, values):
+    def _variances(self, name, given):
         """One variance column and its gain column, both read-only."""
+        values = given
+        if not (isinstance(given, np.ndarray) and given.dtype.kind in "fiu"):
+            values = given = list(given)
+            if not _finite_numbers(given):  # a value that is not a number goes in as NaN
+                values = [value if _finite_number(value) else math.nan for value in given]
         values = _one_per_id(name, np.array(values, dtype=float), len(self.ids))
         with np.errstate(divide="ignore", over="ignore"):
             gain = 1.0 / values
         bad = ~((gain > 0.0) & (gain < math.inf))
         if bad.any():
             i = int(bad.argmax())
+            _finite_float(f"{name}[{i}]", given[i] if isinstance(given, list) else values[i].item())
             raise InvalidInputError(
                 f"{name}[{i}]: expected a positive variance whose power gain "
                 f"1/{name} is a finite float, got {values[i].item()!r}")

@@ -162,10 +162,10 @@ def greedy_pairing(disqualified):
     -------
     PairingPlan
     """
-    bank = disqualified
+    bank = given = AgentBank.of(disqualified)  # gathered once; a SortedBank is taken as it is
     if not isinstance(bank, SortedBank):
-        bank = SortedBank(disqualified)
-        if bank.ids != tuple(AgentBank.of(disqualified).ids):
+        bank = SortedBank(given)
+        if bank.ids != tuple(given.ids):
             raise InvalidInputError(
                 "disqualified bank must be sorted by ascending (main_snr, id); "
                 "use classify() to obtain the sorted bank")

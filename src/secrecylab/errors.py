@@ -47,16 +47,21 @@ class NumericalError(RuntimeError):
     """A solver failed to converge to its documented tolerance."""
 
 
-def _finite_float(name, value):
-    """``value`` as a float; it must be a finite int or float, not a bool."""
+def _finite_number(value):
+    """Whether ``value`` is a finite int or float, not a bool."""
     # Comparing an int with a float is exact, so ints beyond the float range fail here.
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and -_MAX <= value <= _MAX:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -_MAX <= value <= _MAX
+
+
+def _finite_float(name, value):
+    """``value`` as a float; it must be a :func:`_finite_number`."""
+    if _finite_number(value):
         return float(value)
     raise InvalidInputError(f"{name}: expected a finite number, got {value!r}")
 
 
 def _finite_numbers(values):
-    """Whether every value passes the type test of :func:`_finite_float`, and
+    """Whether every value passes the type test of :func:`_finite_number`, and
     every int its range test.
 
     The rule over a whole column, without a message: each value is an int or

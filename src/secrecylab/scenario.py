@@ -30,19 +30,23 @@ Every channel may carry an optional integer ``id`` (default: its 1-based
 position); ids must be unique.
 
 The ``gaussian`` and ``agent-snr`` entries are checked and held by column:
-their fields, types and values, and every id, are checked over whole
-columns, and each type's bank (a :class:`~secrecylab.channels.GaussianBank`
-or an :class:`~secrecylab.channels.AgentBank`) is kept inside the
-scenario's :class:`ChannelList`.  When any check fails, the entries are
-checked again one by one from the first, so the error raised is the first
-in file order, with the message of the per-entry rules; only then, and for
-``fading`` and ``discrete`` entries, are entries built one by one.  A
-report about a bank's rows is a :class:`ColumnReport`, whose float columns
-are each checked once for finiteness.  The record writers write it: per
-row shape, one template record, with a slot in its id and in each column
-field, goes through the CSV row writer or the JSON writer once, and each
-row fills the slots with its own texts.  So the bytes and the messages are
-those the same rows give as :class:`ReportRecord` objects.
+the loader checks their fields and every id over whole columns, and each
+type's bank (a :class:`~secrecylab.channels.GaussianBank` or an
+:class:`~secrecylab.channels.AgentBank`), which owns the rule for its
+values, checks them as it is built; it is kept inside the scenario's
+:class:`ChannelList`.  When any check fails, the entries are checked again
+one by one from the first, so the error raised is the first in file order,
+with the message of the per-entry rules; only then, and for ``fading`` and
+``discrete`` entries, are entries built one by one.  A report about a
+bank's rows is a :class:`ColumnReport`, whose float columns are each
+checked once for finiteness.  The record writers write it: per row shape,
+one template record, with a slot in its id and in each column field, is
+laid out once, and each row fills the slots with its own texts.  A CSV
+line is built cell by cell: each cell but a slot is quoted by the
+:mod:`csv` row writer, and each column value that is not an int, a bool
+or None goes through the same quoting.  A record of the tail is a template
+with no slot.  So the bytes and the messages are those the same rows give
+as :class:`ReportRecord` objects.
 """
 
 import bisect
@@ -55,7 +59,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
-from string import Formatter
 
 import numpy as np
 
@@ -77,14 +80,15 @@ from .errors import (
     _check_count,
     _check_positive,
     _check_seed,
-    _finite_numbers,
 )
 
 SCHEMA_VERSION = 1
 
+#: The record field that holds each CSV column after ``channel_id``.
+_CSV_FIELDS = {"A": "inputs", "E": "inputs", "power": "outputs", "rate_bits": "outputs",
+               "pair_with": "outputs", "efficiency": "outputs", "seed": "metadata"}
 #: Fixed CSV column set, in order.
-CSV_COLUMNS = ("experiment", "channel_id", "A", "E", "power", "rate_bits", "pair_with",
-               "efficiency", "seed")
+CSV_COLUMNS = ("experiment", "channel_id", *_CSV_FIELDS)
 
 _TOP_LEVEL_KEYS = {"schema_version", "seed", "budget", "samples", "channels"}
 
@@ -294,14 +298,15 @@ class ColumnReport(Sequence):
         return [i for i, s in enumerate(self.order) if s == shape][row]
 
     def _rows(self, id_text, column_texts, template_parts):
-        """The texts of each row, as a tuple, in report order.
+        """The texts of each row, as a tuple, in report order, then those of each tail record.
 
         Each shape with rows has one template record, whose id and each
         column field hold a :class:`_Slot`.  ``template_parts(template)``
         gives its text as parts: literal text at even places and slot
         numbers at odd ones.  Slot ``k`` takes row ``i``'s text from
         ``fills[k][i]``: ``id_text`` of each id for the id, and
-        ``column_texts`` of each column for its fields.
+        ``column_texts`` of each column for its fields.  A tail record is a
+        template with no slot.
         """
         texts = []
         for ids, inputs, outputs in self.shapes:
@@ -314,7 +319,8 @@ class ColumnReport(Sequence):
                                     dict(zip(outputs, slots[1 + len(inputs):])), self.metadata)
             fills = [map(id_text, ids), *map(column_texts, columns)]
             texts.append(_filled(template_parts(template), fills, len(ids)))
-        return texts[0] if self.order is None else map(next, map(texts.__getitem__, self.order))
+        rows = texts[0] if self.order is None else map(next, map(texts.__getitem__, self.order))
+        return chain(rows, *(_filled(template_parts(rec), [], 1) for rec in self.tail))
 
 
 class Suffixes(Sequence):
@@ -353,12 +359,8 @@ class _Slot(str):
     """A field of a :class:`ColumnReport`'s template record, which each row
     fills with its own text.
 
-    Its text is its slot number between NULs, which JSON never writes raw;
-    ``str`` of a slot is the slot itself, so a CSV cell keeps its type.
+    Its text is its slot number between NULs, which JSON never writes raw.
     """
-
-    def __str__(self):
-        return self
 
 
 #: Each channel ``type``: the class it builds and its required fields in the
@@ -382,7 +384,7 @@ def _channel_args(ctx, entry):
     if not isinstance(entry, dict):
         raise ScenarioValidationError(f"{ctx}: expected an object")
     kind = entry.get("type")
-    if kind not in CHANNEL_SCHEMA:
+    if not isinstance(kind, str) or kind not in CHANNEL_SCHEMA:
         raise ScenarioValidationError(
             f"{ctx}.type: unknown channel type {kind!r}; expected one of "
             f"{sorted(CHANNEL_SCHEMA)}")
@@ -465,39 +467,37 @@ def _channel_entries(raw_channels, source):
 def _channel_columns(raw_channels, source):
     """The channels, with the entries of each type in :data:`_BANKS` checked and held by column.
 
-    Checks those entries' shape, field types and values, and every id, over
-    whole columns; builds every other entry as :func:`_channel_entries`
-    does.  Accepts exactly what that accepts.  Returns None where any check
-    fails (or an entry is of a subclass of dict), so that
-    :func:`_channel_entries` names the first failure.
+    Checks those entries' fields, and every id, over whole columns, and
+    leaves their values to the banks; builds every other entry as
+    :func:`_channel_entries` does.  Accepts exactly what that accepts.
+    Returns None where any check fails (or an entry is of a subclass of
+    dict), so that :func:`_channel_entries` names the first failure.
     """
     held = {kind: ([], []) for kind in _BANKS}   # type -> its entries and their positions
     others = {}
-    for pos, entry in enumerate(raw_channels):
-        if type(entry) is not dict:
+    # Each error caught is a failed check: a missing field (KeyError), a type
+    # that is a list or a dict (TypeError), a bad value or a bad other entry.
+    try:
+        for pos, entry in enumerate(raw_channels):
+            if type(entry) is not dict:
+                return None
+            rows = held.get(entry.get("type"))
+            if rows is not None:
+                rows[0].append(entry)
+                rows[1].append(pos)
+            else:
+                others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
+        ids = [entry.get("id", pos + 1) for pos, entry in enumerate(raw_channels)]
+        if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)):
             return None
-        rows = held.get(entry.get("type"))
-        if rows is not None:
-            rows[0].append(entry)
-            rows[1].append(pos)
-            continue
-        try:
-            others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
-        except ScenarioValidationError:
-            return None
-    ids = [entry.get("id", pos + 1) for pos, entry in enumerate(raw_channels)]
-    if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)):
-        return None
-    banks = {}
-    for kind, (rows, positions) in held.items():
-        try:
+        banks = {}
+        for kind, (rows, positions) in held.items():
             columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA[kind][1]]
-            if not (all(row.keys() <= _ALLOWED_KEYS[kind] for row in rows)
-                    and all(map(_finite_numbers, columns))):
+            if not all(row.keys() <= _ALLOWED_KEYS[kind] for row in rows):
                 return None
             banks[kind] = (_BANKS[kind]([ids[pos] for pos in positions], *columns), positions)
-        except (KeyError, InvalidInputError):
-            return None
+    except (KeyError, TypeError, InvalidInputError, ScenarioValidationError):
+        return None
     return ChannelList(banks, others)
 
 
@@ -539,19 +539,17 @@ def _csv_cell(value):
     return str(value)
 
 
-#: The record field that holds each of :data:`CSV_COLUMNS` after ``channel_id``.
-_CSV_FIELDS = {"A": "inputs", "E": "inputs", "power": "outputs", "rate_bits": "outputs",
-               "pair_with": "outputs", "efficiency": "outputs", "seed": "metadata"}
-
-
-def _record_to_csv_row(rec):
-    # One cell per name of CSV_COLUMNS, in order.
-    return [_csv_cell(rec.experiment), _csv_cell(rec.channel_id),
-            *(_csv_cell(getattr(rec, part).get(key)) for key, part in _CSV_FIELDS.items())]
+def _csv_quoted(text):
+    """A CSV cell's text as the :mod:`csv` row writer of a report writes it."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow([text])
+    return line.getvalue()[:-1] if text else ""  # the writer quotes a row of one empty cell
 
 
 #: Types of value that hold no float.
 _NO_FLOATS = frozenset((str, int, bool, type(None)))
+#: Types of value whose CSV text is never quoted.
+_UNQUOTED = frozenset((int, bool, type(None)))
 
 
 def _nonfinite_field(value):
@@ -630,8 +628,12 @@ _JSON_SEP = ",\n  "
 
 
 def _float_texts(values):
-    """The JSON texts of finite floats, as :func:`_json_text` renders one."""
+    """The JSON texts of finite floats: each rounded to 12 significant digits
+    and shown as the ``repr`` of the rounded value."""
     texts = [f"{value:.12g}" for value in values]
+    # Text with a point and no exponent is already repr(float(text)): no
+    # shorter decimal names the double nearest a 12-digit one, and repr
+    # writes numbers of this size without an exponent too.
     return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
 
 
@@ -640,19 +642,12 @@ def _json_text(value, indent):
     writes it, with each float, finite, rounded to 12 significant digits and
     shown as the ``repr`` of the rounded value."""
     kind = type(value)
-    if kind is float:
-        text = f"{value:.12g}"
-        # Text with a point and no exponent is already repr(float(text)):
-        # no shorter decimal names the double nearest a 12-digit one, and
-        # repr writes numbers of this size without an exponent too.
-        # _float_texts states the same rule for a column.
-        if "." not in text or "e" in text:
-            text = repr(float(text))
-        return text
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_texts((value,))[0]
     if value is None or kind is bool:
         return {None: "null", True: "true", False: "false"}[value]
     inner = indent + "  "
@@ -665,8 +660,6 @@ def _json_text(value, indent):
         return value if kind is _Slot else encode_basestring_ascii(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_text(float(value), indent)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -709,24 +702,28 @@ def _json_parts(template):
 
 
 def _csv_texts(column):
-    """The CSV cells of a column of a :class:`ColumnReport`."""
-    return map(_fmt12, column.tolist()) if type(column) is np.ndarray else map(_csv_cell, column)
+    """The CSV cells of a column of a :class:`ColumnReport`, each quoted as
+    :func:`_csv_parts` quotes a cell; a float, an int, a bool or None needs
+    no quoting."""
+    if type(column) is np.ndarray:
+        return map(_fmt12, column.tolist())
+    if isinstance(column, Suffixes) or not _UNQUOTED.issuperset(map(type, column)):
+        return map(_csv_quoted, map(_csv_cell, column))
+    return map(_csv_cell, column)
 
 
 def _csv_parts(template):
-    """A template record's CSV line, as the parts :func:`_filled` takes."""
-    # Each slot cell goes in as a numbered format field and each other cell
-    # with its braces doubled; parsing the line as a format string gives
-    # back the literal text between the slots, as written.
-    line = io.StringIO()
-    csv.writer(line, lineterminator="\n").writerow(
-        [f"{{{cell[1:-1]}}}" if type(cell) is _Slot else cell.replace("{", "{{").replace("}", "}}")
-         for cell in _record_to_csv_row(template)])
-    parts = [""]
-    for literal, slot, _spec, _conv in Formatter().parse(line.getvalue()):
-        parts[-1] += literal
-        if slot is not None:
-            parts += [slot, ""]
+    """A template record's CSV line, one cell per name of :data:`CSV_COLUMNS`,
+    as the parts :func:`_filled` takes: each slot cell is found by its
+    place, and each other cell is quoted by :func:`_csv_quoted`."""
+    parts = [""]  # each cell followed by a comma, the last one's replaced by the line's end
+    for cell in (template.experiment, template.channel_id,
+                 *(getattr(template, part).get(key) for key, part in _CSV_FIELDS.items())):
+        if type(cell) is _Slot:
+            parts += [cell[1:-1], ","]
+        else:
+            parts[-1] += _csv_quoted(_csv_cell(cell)) + ","
+    parts[-1] = parts[-1][:-1] + "\n"
     return parts
 
 
@@ -746,17 +743,12 @@ def render(records, format):
     for rec in records.tail:
         _check_finite(rec)
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        buf.writelines(map("".join, records._rows(str, _csv_texts, _csv_parts)))
-        writer.writerows(map(_record_to_csv_row, records.tail))
-        return buf.getvalue()
+        return "".join([",".join(CSV_COLUMNS) + "\n",
+                        *chain.from_iterable(records._rows(str, _csv_texts, _csv_parts))])
     # Each record as json.dumps(indent=2, sort_keys=True) lays it out in the
     # top-level list, each followed by the separator; the texts of all rows
     # are joined once, with the last separator replaced by the list's end.
-    texts = ["[\n  ", *chain.from_iterable(records._rows(int.__repr__, _json_texts, _json_parts)),
-             *(_json_text(vars(rec), "  ") + _JSON_SEP for rec in records.tail)]
+    texts = ["[\n  ", *chain.from_iterable(records._rows(int.__repr__, _json_texts, _json_parts))]
     texts[-1] = texts[-1][:-len(_JSON_SEP)] + "\n]\n"
     return "".join(texts) if len(texts) > 1 else "[]\n"
 

@@ -32,7 +32,7 @@ from secrecylab import (
     run,
     to_agent_channel,
 )
-from secrecylab.channels import GaussianBank
+from secrecylab.channels import AgentBank, GaussianBank
 from secrecylab.scenario import (
     CHANNEL_SCHEMA,
     ColumnReport,
@@ -52,7 +52,7 @@ def per_entry_channels(raw_channels, source):
         if not isinstance(entry, dict):
             raise ScenarioValidationError(f"{ctx}: expected an object")
         kind = entry.get("type")
-        if kind not in CHANNEL_SCHEMA:
+        if not isinstance(kind, str) or kind not in CHANNEL_SCHEMA:
             raise ScenarioValidationError(
                 f"{ctx}.type: unknown channel type {kind!r}; expected one of "
                 f"{sorted(CHANNEL_SCHEMA)}")
@@ -105,7 +105,8 @@ def mutate(draw, entries):
     i = draw(st.integers(0, len(entries) - 1))
     kind = draw(st.sampled_from(MUTATIONS))
     entry = entries[i]
-    fields = FIELDS.get(entry.get("type"), (("a",), None))[0] if isinstance(entry, dict) else ()
+    # str(): a type mutated before may be a list or a dict, which no dict key can be.
+    fields = FIELDS.get(str(entry.get("type")), (("a",), None))[0] if isinstance(entry, dict) else ()
     if kind == "non-object":
         entries[i] = draw(st.sampled_from([None, "gaussian", [1.0, 2.0], 3]))
     elif kind == "bad-fading":
@@ -120,7 +121,7 @@ def mutate(draw, entries):
         entry[draw(st.sampled_from(["gain", "sigma_m_sq", "main_snr"]))] = 1.0
     elif kind == "type":
         entry["type"] = draw(st.sampled_from(["gausian", "gaussian", "fading", "agent-snr",
-                                              "discrete", None, 1]))
+                                              "discrete", None, 1, [1], {"a": 1}]))
     elif kind == "id":
         entry["id"] = draw(st.sampled_from([True, False, 2.5, "7", None]))
     else:  # duplicate: the id another entry has, explicitly or by position
@@ -278,6 +279,22 @@ class TestGaussianBank:
             GaussianBank([1, 2], [1.0], [1.0, 2.0])
         assert str(caught.value) == "sigma_m_sq: expected 2 values, one per id, got shape (1,)"
 
+    def test_names_the_first_bad_row_by_the_rule_of_a_link(self):
+        for column, message in [
+                ([1.0, True, -1.0], "sigma_m_sq[1]: expected a finite number, got True"),
+                ([-1.0, True], "sigma_m_sq[0]: expected a positive variance whose power gain "
+                               "1/sigma_m_sq is a finite float, got -1.0"),
+                ([2, 10 ** 400], f"sigma_m_sq[1]: expected a finite number, got {10 ** 400}"),
+                (np.array([1.0, np.nan]), "sigma_m_sq[1]: expected a finite number, got nan"),
+                (["2.0", 1.0], "sigma_m_sq[0]: expected a finite number, got '2.0'")]:
+            with pytest.raises(InvalidInputError) as caught:
+                GaussianBank(range(len(column)), column, [2.0] * len(column))
+            assert str(caught.value) == message
+        # A numpy array of ints is a column of numbers; one of bools is not.
+        assert GaussianBank([1], np.array([2]), [3.0]).sigma_m_sq.tolist() == [2.0]
+        with pytest.raises(InvalidInputError, match=r"^sigma_w_sq\[0\]: expected a finite number"):
+            GaussianBank([1], [2.0], np.array([True]))
+
     def test_columns_are_read_only(self):
         bank = GaussianBank([1], [1.0], [2.0])
         for column in (bank.sigma_m_sq, *bank.gains):
@@ -299,6 +316,41 @@ class TestGaussianBank:
                 gaussian_secrecy_rate(budget, ch) for ch in channels]
 
 
+#: Values on which a bank and one link or agent must agree: numbers of
+#: every kind, and values that are no number.
+ENTRY_VALUES = st.one_of(
+    st.sampled_from([True, False, "2.0", None, 10 ** 400, -(10 ** 400), 1e-320, 5.5e-309, 0, 0.0,
+                     -1, -1.5, math.inf, -math.inf, math.nan, np.float64(2.5)]),
+    st.integers(), st.floats())
+
+
+def raised(build):
+    """The InvalidInputError ``build()`` raises, or None."""
+    try:
+        build()
+    except InvalidInputError as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["gaussian", "agent-snr"]), ENTRY_VALUES, ENTRY_VALUES)
+def test_a_bank_accepts_exactly_what_its_entry_accepts(kind, first, second):
+    if kind == "gaussian":
+        bank = raised(lambda: GaussianBank([1], [first], [second]))
+        entry = raised(lambda: GaussianWiretapChannel(first, second))
+    else:
+        bank = raised(lambda: AgentBank([1], [first], [second]))
+        entry = raised(lambda: AgentChannel(1, first, second))
+    assert (bank is None) == (entry is None)
+    if bank is not None:
+        # The bank names the row; an agent bank gives the agent's message.
+        assert str(bank).split(":")[0] in ("sigma_m_sq[0]", "sigma_w_sq[0]", "main_snr[0]",
+                                           "eaves_snr[0]")
+        if kind == "agent-snr":
+            assert str(bank) == str(entry).replace(":", "[0]:", 1)
+
+
 def report(rate_bits, sigma_w_sq=(2.0, 3.0, 4.0), metadata=None):
     metadata = {"seed": 0} if metadata is None else metadata
     summary = ReportRecord(experiment="rate", channel_id="summary",
@@ -315,6 +367,8 @@ FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1e22, 1e-7, 12345678
 TEXTS = st.one_of(st.text(st.sampled_from(list('{}",\n\r\0\\ a0') + ["é", "€", "\x01"]),
                           max_size=6),
                   st.text(max_size=4))
+#: The values of a column that holds no float.
+NOT_FLOATS = st.one_of(TEXTS, st.integers(), st.booleans(), st.none())
 #: Values of a shared metadata dict, nested, with a ``seed`` key at times.
 #: Dict keys: text, and at times an int or None, which no report may hold.
 KEYS = st.one_of(TEXTS, TEXTS, TEXTS, st.sampled_from([1, -2, None]))
@@ -328,12 +382,14 @@ METADATA = st.dictionaries(st.one_of(st.just("seed"), KEYS), VALUES, max_size=4)
 
 @st.composite
 def column_reports(draw):
-    """A report with zero to three rows, columns that may fall in the A and E
-    cells of CSV, metadata of any JSON-able shape and up to two tail records."""
+    """A report with zero to three rows, columns of floats or of other values
+    that may fall in any cell of CSV, metadata of any JSON-able shape and up
+    to two tail records."""
     n = draw(st.integers(0, 3))
 
     def columns(names):
-        return {key: draw(st.lists(FLOATS, min_size=n, max_size=n))
+        return {key: draw(st.lists(draw(st.sampled_from([FLOATS, NOT_FLOATS])),
+                                   min_size=n, max_size=n))
                 for key in draw(st.lists(st.sampled_from(names), unique=True))}
 
     metadata = draw(METADATA)
@@ -364,6 +420,9 @@ def with_text(text):
 @example(with_text("}{0}{"), "csv")
 @example(with_text("\0" "1\0"), "json")
 @example(with_text('"\0,\r\n'), "json")
+# Column texts that CSV must quote.
+@example(ColumnReport("pair", [1, 2], {}, {"pair_with": ["a,b", 'x"y']}, {"seed": 0}), "csv")
+@example(ColumnReport("pair", [1], {"A": ["\n"]}, {"efficiency": [""]}, {"seed": 0}), "csv")
 # A report with no rows shares its metadata with no row: a non-finite float there is not written.
 @example(ColumnReport("rate", [], {"A": []}, {"power": []}, {"tol": math.inf},
                       tail=[ReportRecord("rate", "summary", metadata={"seed": 0})]), "json")
@@ -417,6 +476,11 @@ class TestColumnReport:
             ColumnReport.of_shapes("pair", shapes, [0, 1, 1], {"seed": 0})
         with pytest.raises(InvalidInputError, match="^columns: expected a str name for each$"):
             ColumnReport("rate", [1], {1: [1.0]}, {}, {})
+
+    @pytest.mark.parametrize("ids", [[1.5], ["3"], [True], [2, False], [None]])
+    def test_ids_must_be_ints_and_not_bools(self, ids):
+        with pytest.raises(InvalidInputError, match="^ids: expected an int for each row$"):
+            ColumnReport("rate", ids, {}, {}, {})
 
     def test_compares_as_the_list_of_its_records(self):
         columns = report([0.5, 0.5, 0.5])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecylab import cli, harness, mutual_information
-from secrecylab.errors import NumericalError
+from secrecylab.errors import NumericalError, UsageError
 
 
 def write(tmp_path, doc, name="scn.scenario"):
@@ -330,6 +330,26 @@ class TestExitCodes:
                                capsys)
         assert code == cli.EXIT_VALIDATION
         assert "sigma_m_sq" in err
+
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}])
+    def test_a_channel_type_that_is_no_str_is_validation_error(self, tmp_path, capsys, kind):
+        doc = {"schema_version": 1, "channels": [{"type": kind}]}
+        path = write(tmp_path, doc)
+        code, _, err = run_cli(["pair", "--scenario", path], capsys)
+        assert code == cli.EXIT_VALIDATION
+        assert err == (f"error: {path}.channels[0].type: unknown channel type {kind!r}; "
+                       "expected one of ['agent-snr', 'discrete', 'fading', 'gaussian']\n")
+
+    @pytest.mark.parametrize("doc", [[], "scenario", 1])
+    def test_a_top_level_that_is_no_object_is_validation_error(self, tmp_path, capsys, doc):
+        path = write(tmp_path, doc)
+        code, _, err = run_cli(["rate", "--scenario", path, "--budget", "1"], capsys)
+        assert (code, err) == (cli.EXIT_VALIDATION,
+                               f"error: {path}: top level must be an object\n")
+
+    def test_run_rejects_an_unknown_command(self):
+        with pytest.raises(UsageError, match="^unknown command 'nope'; expected one of "):
+            harness.run("nope", None)
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         code, _, _ = run_cli(

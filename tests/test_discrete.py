@@ -184,6 +184,18 @@ class TestTypes:
             DiscreteWiretapChannel(main=bsc(0.1),
                                    eaves=[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
 
+    def test_channel_matrices_must_be_finite_and_two_dimensional(self):
+        with pytest.raises(InvalidInputError, match=r"^main: must be 2-dimensional, got shape "
+                                                    r"\(1, 2, 2\)$"):
+            DiscreteWiretapChannel(main=[bsc(0.1)], eaves=bsc(0.3))
+        with pytest.raises(InvalidInputError, match="^eaves: contains non-finite entries$"):
+            DiscreteWiretapChannel(main=bsc(0.1), eaves=[[0.5, 0.5], [math.nan, 1.0]])
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+    def test_bsc_crossover_must_be_a_probability(self, p):
+        with pytest.raises(InvalidInputError, match=r"^crossover probability must be in \[0, 1\]"):
+            bsc(p)
+
 
 class TestMutualInformation:
     def test_independent_uniform_binary(self):

@@ -1,5 +1,7 @@
 """Scenario loading/validation and report serialization."""
 
+import csv
+import io
 import json
 import math
 import pathlib
@@ -417,3 +419,48 @@ def test_json_report_bytes_match_json_dumps(records):
     expected = json.dumps([_round_floats(vars(rec)) for rec in records],
                           indent=2, sort_keys=True) + "\n"
     assert render(records, "json") == expected
+
+
+def _csv_cell(value):
+    """Reference text of one CSV cell, before the csv module quotes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+#: Text that CSV quotes, writes raw, or that a writer could take for a marker.
+CSV_TEXTS = st.one_of(st.text(st.sampled_from(list('{}",\n\r\0 a')), max_size=6),
+                      st.text(max_size=4))
+CSV_VALUES = st.one_of(VALUES, CSV_TEXTS)
+
+
+@st.composite
+def csv_records(draw):
+    """Records whose CSV fields hold values of any JSON-able kind, or are absent."""
+    def fields(names):
+        return {key: draw(CSV_VALUES) for key in names if draw(st.booleans())}
+
+    return [ReportRecord(experiment=draw(CSV_TEXTS),
+                         channel_id=draw(st.one_of(st.integers(), CSV_TEXTS)),
+                         inputs=fields(["A", "E", "sigma_m_sq"]),
+                         outputs=fields(["power", "rate_bits", "pair_with", "efficiency"]),
+                         metadata=fields(["seed", "versions"]))
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_records())
+def test_csv_report_bytes_match_the_csv_writer(records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(map(_csv_cell, [
+            rec.experiment, rec.channel_id, rec.inputs.get("A"), rec.inputs.get("E"),
+            *map(rec.outputs.get, ["power", "rate_bits", "pair_with", "efficiency"]),
+            rec.metadata.get("seed")]))
+    assert render(records, "csv") == buf.getvalue()
