@@ -22,7 +22,7 @@ from secrecylab import (
 from secrecylab.harness import bundled_scenario_path
 
 scenario = load_scenario(bundled_scenario_path("fig4.scenario"))
-bank = [agent for _pos, agent in scenario.agent_bank()]
+_positions, bank = scenario.agents()
 qualified, disqualified = classify(bank)
 
 print(f"bank of {len(bank)} agents: {len(qualified)} qualified, "

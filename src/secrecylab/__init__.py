@@ -10,7 +10,9 @@ Library layout:
 - :mod:`secrecylab.cooperation`: qualification, greedy helper pairing,
   matching oracle, secrecy-efficiency metrics
 - :mod:`secrecylab.scenario` / :mod:`secrecylab.harness` /
-  :mod:`secrecylab.cli`: scenario files, experiment runs, reports
+  :mod:`secrecylab.report` / :mod:`secrecylab.cli`: scenario files,
+  experiment runs, report records and their CSV/JSON writers, the command
+  line
 """
 
 __version__ = "0.1.0"
@@ -72,7 +74,8 @@ from .errors import (
     UnsupportedSizeError,
     UsageError,
 )
-from .scenario import ColumnReport, ReportRecord, Scenario, emit, load_scenario
+from .report import ColumnReport, ReportRecord, emit
+from .scenario import Scenario, load_scenario
 from .harness import run, substream
 
 import types as _types

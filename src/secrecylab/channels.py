@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (InvalidInputError, _check_nonnegative, _check_positive, _finite_float,
-                     _finite_number, _finite_numbers)
+                     _finite_number, _finite_numbers, _one_per_id)
 
 
 def _check_gain(field, formula, gain):
@@ -33,14 +33,6 @@ def _check_gain(field, formula, gain):
     if not 0.0 < gain < math.inf:
         raise InvalidInputError(
             f"{field}: expected a positive finite power gain {formula}, got {gain!r}")
-
-
-def _one_per_id(name, column, n):
-    """``column``, an array or a sequence, if it holds one value for each of ``n`` ids."""
-    shape = column.shape if hasattr(column, "shape") else (len(column),)
-    if shape == (n,):
-        return column
-    raise InvalidInputError(f"{name}: expected {n} values, one per id, got shape {shape}")
 
 
 @dataclass(frozen=True)

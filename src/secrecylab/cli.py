@@ -32,7 +32,8 @@ import sys
 
 from .errors import InvalidInputError, NumericalError, UsageError, _check_seed
 from .harness import COMMANDS, DEFAULT_GRID_STEP, DEFAULT_SAMPLES, run
-from .scenario import load_scenario, emit
+from .report import emit
+from .scenario import load_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -2,8 +2,8 @@
 
 All validation failures derive from :class:`ValueError` so callers that do
 not care about the fine-grained category can catch the builtin.  Each rule
-about a single argument value (a number, a count, a seed, a grid step) is
-written once, here, and raises :class:`InvalidInputError` with a message
+about a single argument value (a number, a count, a seed, a grid step, the
+length of a column of per-id values) is written once, here, and raises :class:`InvalidInputError` with a message
 that starts with the value's name (``"<name>: expected ..."``), so a caller
 can prefix where the value came from.  Booleans are never numbers.  This
 module imports nothing else from the package, nor numpy.
@@ -73,6 +73,14 @@ def _finite_numbers(values):
     if int not in kinds:
         return kinds <= {float}
     return kinds <= {int, float} and all(-_MAX <= v <= _MAX for v in values if type(v) is int)
+
+
+def _one_per_id(name, column, n):
+    """``column``, an array or a sequence, if it holds one value for each of ``n`` ids."""
+    shape = column.shape if hasattr(column, "shape") else (len(column),)
+    if shape == (n,):
+        return column
+    raise InvalidInputError(f"{name}: expected {n} values, one per id, got shape {shape}")
 
 
 def _check_positive(name, value):

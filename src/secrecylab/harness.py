@@ -1,8 +1,8 @@
 """Experiment orchestration: maps CLI commands onto library operations.
 
 Each command consumes a :class:`~secrecylab.scenario.Scenario` plus a few
-options and returns a list of :class:`~secrecylab.scenario.ReportRecord`,
-or a :class:`~secrecylab.scenario.ColumnReport` that holds the rows as
+options and returns a list of :class:`~secrecylab.report.ReportRecord`,
+or a :class:`~secrecylab.report.ColumnReport` that holds the rows as
 columns.  ``rate`` and ``allocate`` work on the scenario's gaussian bank:
 one rate-kernel call or one water-fill over the whole bank.  ``pair``,
 ``fig4`` and ``pick-prob`` work on its agent bank
@@ -49,14 +49,8 @@ from .errors import (
     _check_grid_step,
     _check_positive,
 )
-from .scenario import (
-    CHANNEL_SCHEMA,
-    SCHEMA_VERSION,
-    ColumnReport,
-    ReportRecord,
-    Suffixes,
-    load_scenario,
-)
+from .report import ColumnReport, ReportRecord, Suffixes
+from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, load_scenario
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_GRID_STEP = 1e-3
@@ -101,7 +95,7 @@ def _bank_report(command, bank, outputs, metadata, tail=()):
 
 
 def _run_rate(command, bank, options):
-    outputs = {"power": np.full(len(bank), options.budget),
+    outputs = {"power": [options.budget] * len(bank),
                "rate_bits": bank.secrecy_rates(options.budget)}
     return _bank_report(command, bank, outputs, _meta(options.seed))
 
@@ -140,9 +134,9 @@ def _run_fading(command, entries, options):
 
 def _agent_shape(bank, **outputs):
     """Rows about the agents of a bank, as a ColumnReport shape; their inputs
-    are the agents' SNR pairs."""
-    return bank.ids, {"A": np.asarray(bank.main_snr, dtype=float),
-                      "E": np.asarray(bank.eaves_snr, dtype=float)}, outputs
+    are the agents' SNR pairs, as floats even where the scenario gave ints."""
+    return bank.ids, {"A": list(map(float, bank.main_snr)),
+                      "E": list(map(float, bank.eaves_snr))}, outputs
 
 
 def _run_pair(command, bank, options):
@@ -257,7 +251,7 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     -------
     list of ReportRecord, or ColumnReport
         ``rate``, ``allocate``, ``pair``, ``fig4`` and ``pick-prob`` return
-        their rows as a :class:`~secrecylab.scenario.ColumnReport`, a
+        their rows as a :class:`~secrecylab.report.ColumnReport`, a
         sequence of the same records that compares equal to their list.
     """
     if command not in COMMANDS:

@@ -23,7 +23,8 @@ from secrecylab import (
     pr_picking_k,
     run,
 )
-from secrecylab.scenario import SCHEMA_VERSION, ColumnReport, Suffixes, parse_scenario, render
+from secrecylab.report import ColumnReport, Suffixes, render
+from secrecylab.scenario import SCHEMA_VERSION, parse_scenario
 
 
 def bits(snr):
@@ -173,7 +174,7 @@ FIVE = {"schema_version": 1, "channels": [
     "pick-prob")
 def test_column_runners_write_the_records_bytes(doc, command):
     scenario = parse_scenario(doc)
-    agents = [agent for _pos, agent in scenario.agent_bank()]
+    agents = list(scenario.agents()[1])
     columns = run(command, scenario) if agents else None
     if agents:
         assert isinstance(columns, ColumnReport)

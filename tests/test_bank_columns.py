@@ -33,14 +33,8 @@ from secrecylab import (
     to_agent_channel,
 )
 from secrecylab.channels import AgentBank, GaussianBank
-from secrecylab.scenario import (
-    CHANNEL_SCHEMA,
-    ColumnReport,
-    ScenarioChannel,
-    _channel_columns,
-    emit,
-    render,
-)
+from secrecylab.report import ColumnReport, emit, render
+from secrecylab.scenario import CHANNEL_SCHEMA, ScenarioChannel, _channel_columns
 
 
 def per_entry_channels(raw_channels, source):
@@ -218,7 +212,7 @@ def test_column_loader_agrees_with_the_per_entry_loader(entries):
         agents = [(pos, ch if kind == "agent-snr" else to_agent_channel(ch, cid))
                   for pos, (kind, cid, ch) in enumerate(expected)
                   if kind in ("agent-snr", "fading")]
-        assert scenario.agent_bank() == agents
+        assert list(zip(*scenario.agents())) == agents
         pair = cli_run(["pair", "--scenario", path, "--format", "json", "--out", out])
         if agents:
             assert pair == (cli.EXIT_OK, "")
@@ -256,7 +250,7 @@ class TestScenarioChannels:
     def test_views_keep_file_positions(self, tmp_path):
         scenario = self.load(tmp_path)
         assert [(pos, sc.id) for pos, sc in scenario.of_kind("gaussian")] == [(0, 21), (2, 3)]
-        assert [(pos, agent.id) for pos, agent in scenario.agent_bank()] == [(1, 2)]
+        assert [(pos, agent.id) for pos, agent in zip(*scenario.agents())] == [(1, 2)]
         assert scenario.gaussian_bank().ids == [21, 3]
 
     def test_a_scenario_built_from_entries_holds_them_as_columns(self, tmp_path):

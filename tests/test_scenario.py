@@ -21,7 +21,7 @@ from secrecylab import (
     load_scenario,
 )
 from secrecylab.harness import bundled_scenario_path
-from secrecylab.scenario import CSV_COLUMNS, render
+from secrecylab.report import CSV_COLUMNS, render
 
 
 def write_scenario(tmp_path, doc, name="test.scenario"):
@@ -218,7 +218,7 @@ class TestBundledScenario:
     def test_fig4_scenario_parses_and_classifies(self):
         scenario = load_scenario(bundled_scenario_path("fig4.scenario"))
         assert len(scenario.channels) == 9
-        bank = [agent for _pos, agent in scenario.agent_bank()]
+        _positions, bank = scenario.agents()
         qualified, disqualified = classify(bank)
         assert (len(qualified), len(disqualified)) == (3, 6)
 
@@ -329,7 +329,7 @@ class TestEmit:
     def test_scenario_numbers_survive_run_and_emit(self, tmp_path):
         """Numeric scenario fields round-trip into reports at 12 digits."""
         from secrecylab import run
-        from secrecylab.scenario import render
+        from secrecylab.report import render
 
         awkward = 2.12345678901234567
         doc = {"schema_version": 1,
@@ -455,12 +455,17 @@ def csv_records(draw):
 @settings(max_examples=200, deadline=None)
 @given(csv_records())
 def test_csv_report_bytes_match_the_csv_writer(records):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    def line(cells):
+        # A writer quotes the characters of its line terminator: with "\r\n",
+        # a cell holding either line break is quoted (RFC 4180).
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        return buf.getvalue()[:-2] + "\n"
+
+    expected = [line(CSV_COLUMNS)]
     for rec in records:
-        writer.writerow(map(_csv_cell, [
+        expected.append(line(map(_csv_cell, [
             rec.experiment, rec.channel_id, rec.inputs.get("A"), rec.inputs.get("E"),
             *map(rec.outputs.get, ["power", "rate_bits", "pair_with", "efficiency"]),
-            rec.metadata.get("seed")]))
-    assert render(records, "csv") == buf.getvalue()
+            rec.metadata.get("seed")])))
+    assert render(records, "csv") == "".join(expected)
