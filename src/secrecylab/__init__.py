@@ -2,13 +2,15 @@
 
 Library layout:
 
-- :mod:`secrecylab.channels`: channel types and single-link secrecy rates
+- :mod:`secrecylab.channels`: gaussian and fading link types and
+  single-link secrecy rates
 - :mod:`secrecylab.allocation`: water-filling budget splits and fading
   power policies with Monte Carlo calibration
 - :mod:`secrecylab.discrete`: finite-alphabet rates, grid capacity search,
   eavesdropper aggregation
-- :mod:`secrecylab.cooperation`: qualification, greedy helper pairing,
-  matching oracle, secrecy-efficiency metrics
+- :mod:`secrecylab.cooperation`: the agent model (agents, agent banks,
+  qualification), greedy helper pairing, matching oracle,
+  secrecy-efficiency metrics; imports no numpy
 - :mod:`secrecylab.scenario` / :mod:`secrecylab.harness` /
   :mod:`secrecylab.report` / :mod:`secrecylab.cli`: scenario files,
   experiment runs, report records and their CSV/JSON writers, the command
@@ -18,16 +20,12 @@ Library layout:
 __version__ = "0.1.0"
 
 from .channels import (
-    AgentBank,
-    AgentChannel,
     ChannelState,
     FadingWiretapChannel,
     GaussianBank,
     GaussianWiretapChannel,
     gaussian_secrecy_rate,
     instantaneous_fading_secrecy_rate,
-    is_qualified,
-    to_agent_channel,
 )
 from .allocation import (
     AllocationResult,
@@ -50,6 +48,8 @@ from .discrete import (
     secrecy_rate_discrete,
 )
 from .cooperation import (
+    AgentBank,
+    AgentChannel,
     FeasibleSet,
     PairingPlan,
     SortedBank,
@@ -58,11 +58,13 @@ from .cooperation import (
     efficiency_qualified,
     feasible_set,
     greedy_pairing,
+    is_qualified,
     max_matching_oracle,
     pick_probability_monte_carlo,
     pr_picking_k,
     qualified_rate,
     qualified_rates,
+    to_agent_channel,
 )
 from .errors import (
     InvalidInputError,

@@ -1,15 +1,16 @@
 """Wiretap channel primitives.
 
 A wiretap link carries one transmission to a legitimate receiver while an
-eavesdropper observes a second, noisier copy.  This module holds the channel
-data types used everywhere else plus the single-link secrecy-rate formulas:
+eavesdropper observes a second, noisier copy.  This module holds the
+gaussian and fading link types, the fading slot state and the single-link
+secrecy-rate formulas:
 
 - :func:`gaussian_secrecy_rate` for a static AWGN link, and
   :meth:`GaussianBank.secrecy_rates` for a bank of them held as columns,
-- :func:`instantaneous_fading_secrecy_rate` for one fading slot,
-- :func:`is_qualified` / :func:`to_agent_channel` for the SNR-based
-  classification used by the cooperation machinery, and
-  :class:`AgentBank` for a bank of agents held as columns.
+- :func:`instantaneous_fading_secrecy_rate` for one fading slot.
+
+The agent model (:class:`~secrecylab.cooperation.AgentChannel`, its bank,
+and a fading link's SNR pair) lives in :mod:`secrecylab.cooperation`.
 
 All rates are in bits per channel use (base-2 logarithms) and negative
 secrecy rates clamp to zero, matching the capacity interpretation.  Both
@@ -19,7 +20,6 @@ arguments and safe to call concurrently.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +137,8 @@ class FadingWiretapChannel:
     distributed power).  The per-slot rate and power formulas treat the drawn
     gains as effective, noise-normalized SNR factors; ``sigma_m_sq`` and
     ``sigma_w_sq`` enter only the static qualification test
-    (:func:`is_qualified`, :func:`to_agent_channel`), whose power gains
+    (:func:`~secrecylab.cooperation.is_qualified`,
+    :func:`~secrecylab.cooperation.to_agent_channel`), whose power gains
     ``a/sigma_m_sq, b/sigma_w_sq`` must be positive finite floats.
     """
 
@@ -165,80 +166,6 @@ class ChannelState:
     def __post_init__(self):
         _check_nonnegative("a_draw", self.a_draw)
         _check_nonnegative("b_draw", self.b_draw)
-
-
-@dataclass(frozen=True)
-class AgentChannel:
-    """One agent's link summarized as a pair of SNRs.
-
-    ``main_snr`` is the agent's own link SNR, ``eaves_snr`` the SNR of the
-    eavesdropper listening to that agent.  Within a bank, ids must be unique.
-    """
-
-    id: int
-    main_snr: float
-    eaves_snr: float
-
-    def __post_init__(self):
-        _check_positive("main_snr", self.main_snr)
-        _check_positive("eaves_snr", self.eaves_snr)
-
-
-class AgentBank(Sequence):
-    """Agents held as columns: ``ids``, ``main_snr`` and ``eaves_snr``, each a list.
-
-    Row ``i`` is the agent ``AgentChannel(ids[i], main_snr[i], eaves_snr[i])``,
-    which indexing builds; a slice gives a bank.  Each SNR obeys that
-    class's rule and is kept as given, so an int SNR stays an int.  A bank
-    compares equal to a list or tuple of the same agents in the same order.
-
-    Raises
-    ------
-    InvalidInputError
-        An SNR breaks that rule (named with its row, e.g. ``main_snr[3]``),
-        or a column does not hold one value per id.
-    """
-
-    def __init__(self, ids, main_snr, eaves_snr):
-        self.ids = list(ids)
-        self.main_snr, self.eaves_snr = (self._snrs(name, values) for name, values in
-                                         (("main_snr", main_snr), ("eaves_snr", eaves_snr)))
-
-    def _snrs(self, name, values):
-        values = _one_per_id(name, list(values), len(self.ids))
-        if not (_finite_numbers(values) and all(0 < v < math.inf for v in values)):
-            for row, value in enumerate(values):
-                _check_positive(f"{name}[{row}]", value)
-        return values
-
-    @staticmethod
-    def of(agents):
-        """A bank of the given agents, in their order; a bank is taken as it is."""
-        if isinstance(agents, AgentBank):
-            return agents
-        rows = [(ch.id, ch.main_snr, ch.eaves_snr) for ch in agents]
-        return AgentBank(*(list(zip(*rows)) or ((), (), ())))
-
-    def take(self, rows):
-        """The agents at the given row numbers, in that order, as a new bank.
-
-        Its values are this bank's, so they are not checked again.
-        """
-        bank = object.__new__(AgentBank)
-        bank.ids, bank.main_snr, bank.eaves_snr = (
-            [column[row] for row in rows] for column in (self.ids, self.main_snr, self.eaves_snr))
-        return bank
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            return self.take(range(len(self))[row])
-        return AgentChannel(self.ids[row], self.main_snr[row], self.eaves_snr[row])
-
-    def __eq__(self, other):
-        return isinstance(other, (list, tuple, AgentBank)) and tuple(self) == tuple(other)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -295,24 +222,3 @@ def instantaneous_fading_secrecy_rate(power, state):
     """
     _check_nonnegative("power", power)
     return float(_secrecy_rate(power, state.a_draw, state.b_draw))
-
-
-def is_qualified(ch):
-    """Whether a fading link can sustain a positive secrecy rate on average.
-
-    True iff the noise-normalized main gain strictly exceeds the
-    noise-normalized eavesdropper gain: ``a/sigma_m_sq > b/sigma_w_sq``.
-    Equality counts as disqualified.
-    """
-    return ch.a / ch.sigma_m_sq > ch.b / ch.sigma_w_sq
-
-
-def to_agent_channel(ch, id):
-    """Summarize a fading link as an :class:`AgentChannel` SNR pair.
-
-    ``main_snr = a/sigma_m_sq`` and ``eaves_snr = b/sigma_w_sq``, so
-    ``is_qualified(ch)`` holds exactly when ``main_snr > eaves_snr``.
-    """
-    return AgentChannel(id=id,
-                        main_snr=ch.a / ch.sigma_m_sq,
-                        eaves_snr=ch.b / ch.sigma_w_sq)

@@ -6,24 +6,28 @@ Usage::
                [--budget X] [--grid-step X] [--format {csv,json}] [--out PATH]
 
 Commands: rate, allocate, allocate-fading, ergodic, pair, discrete-capacity,
-pick-prob, fig4.  ``fig4`` runs the bundled nine-agent cooperation scenario
+pick-prob, fig4.  fig4 runs the bundled nine-agent cooperation scenario
 (three qualified channels plus six disqualified ones that pair up) when no
-scenario is given.  ``discrete-capacity`` searches the input distribution
+scenario is given.  discrete-capacity searches the input distribution
 alone, with no prefix channel, so its rate is the secrecy capacity only
 where the main link is less noisy than the eavesdropper's, and a lower
 bound elsewhere.
 
-Seed priority: ``--seed`` beats the ``SECRECY_LAB_SEED`` environment
-variable, which beats the scenario's ``seed`` field (default 0).  Each is a
-64-bit unsigned integer.
+Seed priority: --seed beats the SECRECY_LAB_SEED environment variable,
+which beats the scenario's seed field (default 0).  Each is a 64-bit
+unsigned integer.
 
-Exit codes: 0 success; 2 usage error (bad arguments, missing required
-option, a seed outside [0, 2**64)); 3 validation error (unreadable or
-invalid scenario, content mismatch, a budget that is not positive and
-finite, a sample count below 1, a grid step outside [1e-3, 0.1], unwritable
-output); 4 numerical failure (a solver missed its tolerance, such as a
-fading budget missed by more than 1 %, or a report would hold a non-finite
-number other than the zero-secrecy sentinel).
+Exit codes:
+  0  success
+  2  usage error: bad arguments, a missing required option, a seed outside
+     [0, 2**64)
+  3  validation error: an unreadable or invalid scenario, a content
+     mismatch, a budget that is not positive and finite, a sample count
+     below 1 or too large for memory, a grid step outside [1e-3, 0.1], an
+     unwritable output
+  4  numerical failure: a solver missed its tolerance, such as a fading
+     budget missed by more than 1 %, or a report would hold a non-finite
+     number
 """
 
 import argparse
@@ -42,6 +46,10 @@ EXIT_NUMERICAL = 4
 
 SEED_ENV_VAR = "SECRECY_LAB_SEED"
 
+#: The text after the options in ``--help``: this docstring from its
+#: command list on (none where docstrings are stripped, as under -OO).
+_EPILOG = __doc__ and __doc__[__doc__.index("Commands:"):]
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -50,7 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     parser = _Parser(prog="secrecylab",
-                     description="Secrecy-capacity experiments on wiretap channel banks.")
+                     description="Secrecy-capacity experiments on wiretap channel banks.",
+                     epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=COMMANDS,
                         help="experiment to run")
     parser.add_argument("--scenario", metavar="PATH",
@@ -105,6 +114,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

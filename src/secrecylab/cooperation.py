@@ -10,24 +10,139 @@ jam its eavesdropper), and provides an exhaustive maximum-matching oracle
 that measures how far the greedy rule falls short of the most pairs any
 strategy can form: on some banks it pairs fewer.
 
+The agent model lives here too: an :class:`AgentChannel` is one agent's
+SNR pair, an :class:`AgentBank` holds agents as columns and owns the rule
+that their ids are unique, and :func:`to_agent_channel` gives a fading
+link's SNR pair.  Every function that reads agents takes a bank, or a
+sequence of agents that it gathers into one, so a repeated id is rejected
+where the bank is built.
+
 Secrecy-efficiency metrics compare the secret rate to the raw capacity
 spent obtaining it.  For a cooperating pair the helper's whole capacity goes
 to jamming, so the pair's efficiency ``log2(1+A_helped) /
 [log2(1+A_helped) + log2(1+A_helper)]`` is strictly below one half and
 approaches it only as the two SNRs coincide.
+
+This module imports nothing else from the package but
+:mod:`secrecylab.errors`; numpy is imported only by
+:func:`pick_probability_monte_carlo`, for its random generator.
 """
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .channels import AgentBank
-from .errors import InvalidInputError, InvalidPairError, UnsupportedSizeError, _check_count
+from .errors import (InvalidInputError, InvalidPairError, UnsupportedSizeError, _check_count,
+                     _check_positive, _finite_numbers, _one_per_id)
 
 #: Exhaustive matching uses a bitmask table of size 2**k.
 _MAX_ORACLE_AGENTS = 12
+
+
+@dataclass(frozen=True)
+class AgentChannel:
+    """One agent's link summarized as a pair of SNRs.
+
+    ``main_snr`` is the agent's own link SNR, ``eaves_snr`` the SNR of the
+    eavesdropper listening to that agent.  Within a bank, ids must be unique
+    (:class:`AgentBank` checks it).
+    """
+
+    id: int
+    main_snr: float
+    eaves_snr: float
+
+    def __post_init__(self):
+        _check_positive("main_snr", self.main_snr)
+        _check_positive("eaves_snr", self.eaves_snr)
+
+
+class AgentBank(Sequence):
+    """Agents held as columns: ``ids``, ``main_snr`` and ``eaves_snr``, each a list.
+
+    Row ``i`` is the agent ``AgentChannel(ids[i], main_snr[i], eaves_snr[i])``,
+    which indexing builds; a slice gives a bank.  Each SNR obeys that
+    class's rule and is kept as given, so an int SNR stays an int.  The ids
+    are unique.  A bank compares equal to a list or tuple of the same agents
+    in the same order.
+
+    Raises
+    ------
+    InvalidInputError
+        An id repeats (named as ``duplicate agent id 7``, for the first id
+        seen twice), an SNR breaks that rule (named with its row, e.g.
+        ``main_snr[3]``), or a column does not hold one value per id.
+    """
+
+    def __init__(self, ids, main_snr, eaves_snr):
+        self.ids = list(ids)
+        if len(set(self.ids)) < len(self.ids):
+            seen = set()
+            for agent_id in self.ids:
+                if agent_id in seen:
+                    raise InvalidInputError(f"duplicate agent id {agent_id}")
+                seen.add(agent_id)
+        self.main_snr, self.eaves_snr = (self._snrs(name, values) for name, values in
+                                         (("main_snr", main_snr), ("eaves_snr", eaves_snr)))
+
+    def _snrs(self, name, values):
+        values = _one_per_id(name, list(values), len(self.ids))
+        if not (_finite_numbers(values) and all(0 < v < math.inf for v in values)):
+            for row, value in enumerate(values):
+                _check_positive(f"{name}[{row}]", value)
+        return values
+
+    @staticmethod
+    def of(agents):
+        """A bank of the given agents, in their order; a bank is taken as it is."""
+        if isinstance(agents, AgentBank):
+            return agents
+        rows = [(ch.id, ch.main_snr, ch.eaves_snr) for ch in agents]
+        return AgentBank(*(list(zip(*rows)) or ((), (), ())))
+
+    def take(self, rows):
+        """The agents at the given row numbers, in that order, as a new bank.
+
+        Its values are this bank's, so they are not checked again; the rows
+        must not repeat.
+        """
+        bank = object.__new__(AgentBank)
+        bank.ids, bank.main_snr, bank.eaves_snr = (
+            [column[row] for row in rows] for column in (self.ids, self.main_snr, self.eaves_snr))
+        return bank
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, row):
+        if isinstance(row, slice):
+            return self.take(range(len(self))[row])
+        return AgentChannel(self.ids[row], self.main_snr[row], self.eaves_snr[row])
+
+    def __eq__(self, other):
+        return isinstance(other, (list, tuple, AgentBank)) and tuple(self) == tuple(other)
+
+
+def is_qualified(ch):
+    """Whether a fading link can sustain a positive secrecy rate on average.
+
+    True iff the noise-normalized main gain strictly exceeds the
+    noise-normalized eavesdropper gain: ``a/sigma_m_sq > b/sigma_w_sq``.
+    Equality counts as disqualified.
+    """
+    return ch.a / ch.sigma_m_sq > ch.b / ch.sigma_w_sq
+
+
+def to_agent_channel(ch, id):
+    """Summarize a fading link as an :class:`AgentChannel` SNR pair.
+
+    ``main_snr = a/sigma_m_sq`` and ``eaves_snr = b/sigma_w_sq``, so
+    ``is_qualified(ch)`` holds exactly when ``main_snr > eaves_snr``.
+    """
+    return AgentChannel(id=id,
+                        main_snr=ch.a / ch.sigma_m_sq,
+                        eaves_snr=ch.b / ch.sigma_w_sq)
 
 
 class FeasibleSet:
@@ -65,14 +180,6 @@ class PairingPlan:
     efficiencies: dict = field(default_factory=dict)
 
 
-def _check_unique_ids(ids):
-    seen = set()
-    for agent_id in ids:
-        if agent_id in seen:
-            raise InvalidInputError(f"duplicate agent id {agent_id}")
-        seen.add(agent_id)
-
-
 class SortedBank(AgentBank):
     """Agents sorted by ascending (main_snr, id), with the index feasible sets bisect.
 
@@ -80,7 +187,7 @@ class SortedBank(AgentBank):
     sorts once; greedy pairing bisects the same index.  Its columns are
     tuples, so the index can never disagree with the agents it holds.  It
     compares equal to a list or tuple of the same agents in the same order.
-    Ids must be unique.
+    Ids must be unique, as in any bank.
     """
 
     def __init__(self, agents):
@@ -88,8 +195,6 @@ class SortedBank(AgentBank):
         rows = sorted(zip(bank.main_snr, bank.ids, bank.eaves_snr))
         self.main_snr, self.ids, self.eaves_snr = map(tuple, zip(*rows)) if rows else ((),) * 3
         self._pos = dict(zip(self.ids, range(len(rows))))
-        if len(self._pos) < len(rows):
-            _check_unique_ids(self.ids)
 
 
 def classify(bank):
@@ -111,7 +216,6 @@ def classify(bank):
         ``(qualified, disqualified)``
     """
     bank = AgentBank.of(bank)
-    _check_unique_ids(bank.ids)
     keep = [a > e for a, e in zip(bank.main_snr, bank.eaves_snr)]
     return (bank.take([row for row, k in enumerate(keep) if k]),
             SortedBank(bank.take([row for row, k in enumerate(keep) if not k])))
@@ -204,7 +308,8 @@ def max_matching_oracle(disqualified):
 
     Parameters
     ----------
-    disqualified : sequence of AgentChannel
+    disqualified : AgentBank or sequence of AgentChannel
+        Ids must be unique.
 
     Returns
     -------
@@ -214,9 +319,8 @@ def max_matching_oracle(disqualified):
     if k > _MAX_ORACLE_AGENTS:
         raise UnsupportedSizeError(
             f"exhaustive matching supports up to {_MAX_ORACLE_AGENTS} agents, got {k}")
-    _check_unique_ids([ch.id for ch in disqualified])
-    a = [ch.main_snr for ch in disqualified]
-    e = [ch.eaves_snr for ch in disqualified]
+    bank = AgentBank.of(disqualified)
+    a, e = bank.main_snr, bank.eaves_snr
     adj = [0] * k
     for x in range(k):
         for y in range(k):
@@ -362,6 +466,8 @@ def pick_probability_monte_carlo(sets, target_id, trials, seed):
         >= 1.
     seed : int or numpy.random.SeedSequence
     """
+    import numpy as np  # here, so that the agent model loads without numpy
+
     _check_count("trials", trials)
     rng = np.random.default_rng(seed)
     hits = 0

@@ -60,11 +60,12 @@ class ColumnReport(Sequence):
     A shape is ``(ids, inputs, outputs)``: its row ``i`` stands for the
     record ``ReportRecord(experiment, ids[i], {key: inputs[key][i]},
     {key: outputs[key][i]}, metadata)``.  ``ids`` are ints; ``inputs`` and
-    ``outputs`` map str field names to columns with one value per id.  A
-    column holding a float is held as a list of floats, each value
-    converted by ``float`` once, here, and so is any array (anything with
-    an ``astype`` method), through ``astype(float)``; a column of ints,
-    strs, bools and Nones, or a :class:`Suffixes`, is kept as it is.
+    ``outputs`` map str field names to columns with one value per id (a
+    str or bytes is one value, not a column).  A column holding a float is
+    held as a list of floats, each value converted by ``float`` once, here,
+    and so is any array (anything with an ``astype`` method), through
+    ``astype(float)``; a column of ints, strs, bools and Nones, or a
+    :class:`Suffixes`, is kept as it is.
     ``metadata`` is shared by every row.  Built here, a report has one
     shape; built by :meth:`of_shapes`, its rows take their shapes in a
     given order.  The records in ``tail`` (a summary row, say) follow the
@@ -102,8 +103,8 @@ class ColumnReport(Sequence):
             raise InvalidInputError("ids: expected an int for each row")
         if not all(isinstance(key, str) for key in (*inputs, *outputs)):
             raise InvalidInputError("columns: expected a str name for each")
-        return ids, *({key: _column(_one_per_id(key, values, len(ids)))
-                       for key, values in d.items()} for d in (inputs, outputs))
+        return ids, *({key: _column(key, values, len(ids)) for key, values in d.items()}
+                      for d in (inputs, outputs))
 
     def __len__(self):
         return sum(len(ids) for ids, _inputs, _outputs in self.shapes) + len(self.tail)
@@ -186,8 +187,12 @@ class _Floats(list):
     """A float column of a :class:`ColumnReport`: a list of floats."""
 
 
-def _column(values):
-    """A column of a :class:`ColumnReport`, as it holds it."""
+def _column(name, values, n):
+    """A column of a :class:`ColumnReport` with one value for each of ``n`` ids, as it holds it."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise InvalidInputError(
+            f"{name}: expected a column of values, got a {type(values).__name__}")
+    values = _one_per_id(name, values, n)
     if hasattr(values, "astype"):  # an array, of any number type
         return _Floats(values.astype(float).tolist())
     if isinstance(values, Suffixes) or _NO_FLOATS.issuperset(map(type, values)):

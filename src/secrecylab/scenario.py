@@ -28,7 +28,7 @@ position); ids must be unique.
 The ``gaussian`` and ``agent-snr`` entries are checked and held by column:
 the loader checks their fields and every id over whole columns, and each
 type's bank (a :class:`~secrecylab.channels.GaussianBank` or an
-:class:`~secrecylab.channels.AgentBank`), which owns the rule for its
+:class:`~secrecylab.cooperation.AgentBank`), which owns the rule for its
 values, checks them as it is built; it is kept inside the scenario's
 :class:`ChannelList`.  When any check fails, the entries are checked again
 one by one from the first, so the error raised is the first in file order,
@@ -41,14 +41,8 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .channels import (
-    AgentBank,
-    AgentChannel,
-    FadingWiretapChannel,
-    GaussianBank,
-    GaussianWiretapChannel,
-    to_agent_channel,
-)
+from .channels import FadingWiretapChannel, GaussianBank, GaussianWiretapChannel
+from .cooperation import AgentBank, AgentChannel, to_agent_channel
 from .discrete import DiscreteWiretapChannel
 from .errors import (
     InvalidInputError,
@@ -155,7 +149,7 @@ class Scenario:
         """The agent view of the scenario: the file positions and one AgentBank.
 
         Covers ``agent-snr`` entries directly and ``fading`` entries through
-        their noise-normalized SNRs (:func:`~secrecylab.channels.to_agent_channel`),
+        their noise-normalized SNRs (:func:`~secrecylab.cooperation.to_agent_channel`),
         in file order.
         """
         bank, positions = self.channels.banks["agent-snr"]

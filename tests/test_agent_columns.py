@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 from secrecylab import (
     AgentBank,
     AgentChannel,
+    InvalidInputError,
     ReportRecord,
     SortedBank,
+    UnsupportedSizeError,
     __version__,
     classify,
     feasible_set,
+    greedy_pairing,
+    max_matching_oracle,
     pr_picking_k,
+    qualified_rates,
     run,
 )
 from secrecylab.report import ColumnReport, Suffixes, render
@@ -209,6 +214,25 @@ class TestAgentBank:
         assert str(single.value) == message.replace("[1]", "")
         with pytest.raises(ValueError, match=r"^main_snr: expected 2 values, one per id"):
             AgentBank([1, 2], [1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("eaves_snr", [2.0, 0.0])  # the ids are checked before the SNRs
+    def test_a_bank_names_the_first_repeated_id(self, eaves_snr):
+        with pytest.raises(InvalidInputError, match="^duplicate agent id 3$"):
+            AgentBank([5, 3, 8, 3, 5], [1.0] * 5, [eaves_snr] * 5)
+
+    @pytest.mark.parametrize("read", [AgentBank.of, classify, greedy_pairing, max_matching_oracle,
+                                      qualified_rates, lambda agents: feasible_set(8, agents)])
+    def test_every_reader_rejects_a_repeated_id_through_the_bank(self, read):
+        agents = [AgentChannel(agent_id, 1.0, 2.0) for agent_id in [5, 3, 8, 3, 5]]
+        with pytest.raises(InvalidInputError, match="^duplicate agent id 3$"):
+            read(agents)
+
+    def test_the_oracle_checks_its_size_before_the_ids(self):
+        agents = [AgentChannel(agent_id % 12, 1.0, 2.0) for agent_id in range(13)]
+        with pytest.raises(UnsupportedSizeError):
+            max_matching_oracle(agents)
+        with pytest.raises(InvalidInputError, match="^duplicate agent id 0$"):
+            classify(agents)
 
     def test_classify_takes_a_bank_as_it_takes_a_list(self):
         bank = AgentBank([4, 9, 1, 6], [2.0, 2.0, 5.0, 1.0], [3.0, 2.0, 1.0, 1.5])

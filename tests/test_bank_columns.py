@@ -32,7 +32,8 @@ from secrecylab import (
     run,
     to_agent_channel,
 )
-from secrecylab.channels import AgentBank, GaussianBank
+from secrecylab.channels import GaussianBank
+from secrecylab.cooperation import AgentBank
 from secrecylab.report import ColumnReport, emit, render
 from secrecylab.scenario import CHANNEL_SCHEMA, ScenarioChannel, _channel_columns
 

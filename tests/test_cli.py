@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecylab import cli, harness, mutual_information
+from secrecylab import allocation, cli, harness, mutual_information
 from secrecylab.errors import NumericalError, UsageError
 
 
@@ -374,6 +374,22 @@ class TestExitCodes:
         assert code == cli.EXIT_NUMERICAL
         assert "solver diverged" in err
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "error: Unable to allocate 7.28 TiB for an array\n"),
+        (MemoryError(), "error: out of memory\n")])
+    def test_samples_too_many_for_memory_is_validation_error(self, tmp_path, capsys,
+                                                              monkeypatch, error, message):
+        def no_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(allocation, "_draw_states", no_memory)
+        path = write(tmp_path, {"schema_version": 1, "channels": [ONE_OF_EACH["fading"]]})
+        for command in ("allocate-fading", "ergodic"):
+            assert run_cli([command, "--scenario", path, "--budget", "1",
+                            "--samples", "1000000000000"], capsys) == (
+                cli.EXIT_VALIDATION, "", message)
+
     def test_unreachable_fading_budget_is_numerical_error(self, tmp_path, capsys):
         doc = {"schema_version": 1, "samples": 10000,
                "channels": [{"type": "fading", "a": 2.0, "b": 1.0,
@@ -688,3 +704,20 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("experiment,")
+
+
+def test_help_states_the_commands_seeds_and_exit_codes(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert done.value.code == 0
+    # The text after the options is the module docstring's, from its command list on.
+    assert out.endswith("\n\n" + cli.__doc__[cli.__doc__.index("Commands:"):])
+    words = " ".join(out.split())
+    assert "its rate is the secrecy capacity only where the main link is less noisy than " \
+           "the eavesdropper's, and a lower bound elsewhere" in words
+    for code, kind in ((cli.EXIT_OK, "success"), (cli.EXIT_USAGE, "usage error:"),
+                       (cli.EXIT_VALIDATION, "validation error:"),
+                       (cli.EXIT_NUMERICAL, "numerical failure:")):
+        assert f"\n  {code}  {kind}" in out
+    assert "too large for memory" in words

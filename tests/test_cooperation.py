@@ -512,3 +512,23 @@ class TestPickProbability:
                                              trials=20_000, seed=101)
         assert freq == again
         assert pr_picking_k([4, 2, 2]) == 0.8125
+
+
+#: The agent model run on a bank with qualified, boundary, paired and
+#: unpaired agents.
+AGENT_MODEL = """
+from secrecylab.cooperation import (AgentBank, classify, feasible_set, greedy_pairing,
+                                    max_matching_oracle, pr_picking_k, qualified_rates)
+bank = AgentBank([1, 2, 3, 4, 5, 6, 7, 8], [1.0, 2.0, 3, 6.0, 10.0, 4.0, 2.0, 0.5],
+                 [2.5, 5.0, 6.0, 8.0, 1.0, 3.0, 2.0, 9.0])
+qualified, disqualified = classify(bank)
+sets = [feasible_set(agent_id, disqualified) for agent_id in disqualified.ids]
+result = [list(qualified), list(disqualified), greedy_pairing(disqualified), sets,
+          qualified_rates(qualified), max_matching_oracle(disqualified),
+          pr_picking_k([len(fs) for fs in sets if len(fs) > 1])]
+"""
+
+
+def test_the_agent_model_needs_no_numpy(without_numpy):
+    assert without_numpy(AGENT_MODEL) == ["secrecylab", "secrecylab.cooperation",
+                                          "secrecylab.errors"]

@@ -2,54 +2,43 @@
 
 import csv
 import io
-import json
-import pathlib
-import subprocess
-import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import secrecylab.report
-# Suffixes is used by eval(TWO_SHAPES).
-from secrecylab.report import CSV_COLUMNS, ColumnReport, ReportRecord, Suffixes, render  # noqa: F401
+from secrecylab.errors import InvalidInputError
+from secrecylab.report import CSV_COLUMNS, ColumnReport, ReportRecord, render
 
-#: A two-shape report with a tail, cells that CSV quotes, an int column, a
-#: column of ints and floats and a Suffixes column, as source, so that a
-#: process with no numpy builds the same report.
-TWO_SHAPES = """ColumnReport.of_shapes(
+#: Renders a two-shape report with a tail, cells that CSV quotes, an int
+#: column, a column of ints and floats and a Suffixes column, in both formats.
+TWO_SHAPES = """
+from secrecylab.report import ColumnReport, ReportRecord, Suffixes, render
+report = ColumnReport.of_shapes(
     "pair",
     [([4, 2], {"A": [1.5, 2], "E": [0.25, 3.0]}, {"role": ["helped", 'a,"b"\\r']}),
      ([9], {"A": [7]}, {"pair_with": [4], "efficiency": [1 / 3],
                        "members": Suffixes([9, 4], [1])})],
     [0, 1, 0], {"seed": 3, "tolerances": {"tol": 1e-9}},
-    [ReportRecord("pair", "summary", outputs={"power": 2.5}, metadata={"seed": 3})])"""
-
-#: Imports the report module with numpy unimportable and the package's
-#: ``__init__`` not run; prints both renderings and the package modules loaded.
-NO_NUMPY = """
-import json, sys, types
-sys.modules["numpy"] = None
-package = types.ModuleType("secrecylab")
-package.__path__ = [sys.argv[1]]
-sys.modules["secrecylab"] = package
-from secrecylab.report import ColumnReport, ReportRecord, Suffixes, render
-report = eval(sys.argv[2])
-print(json.dumps([render(report, "csv"), render(report, "json"),
-                  sorted(name for name in sys.modules if name.startswith("secrecylab"))]))
+    [ReportRecord("pair", "summary", outputs={"power": 2.5}, metadata={"seed": 3})])
+result = [render(report, "csv"), render(report, "json")]
 """
 
 
-def test_report_needs_no_numpy():
-    package = pathlib.Path(secrecylab.report.__file__).parent
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, str(package), TWO_SHAPES],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    csv_text, json_text, modules = json.loads(proc.stdout)
-    report = eval(TWO_SHAPES)
-    assert csv_text == render(report, "csv")
-    assert json_text == render(report, "json")
-    assert modules == ["secrecylab", "secrecylab.errors", "secrecylab.report"]
+def test_report_needs_no_numpy(without_numpy):
+    assert without_numpy(TWO_SHAPES) == ["secrecylab", "secrecylab.errors", "secrecylab.report"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("text", ["ab", b"ab", bytearray(b"ab")])
+def test_a_str_or_bytes_is_no_column(fmt, text):
+    """A str or bytes is one value, not a column of its characters or bytes."""
+    message = f"^E: expected a column of values, got a {type(text).__name__}$"
+    with pytest.raises(InvalidInputError, match=message):
+        render(ColumnReport("x", [1, 2], {"A": [1.0, 2.0], "E": text}, {}, {"seed": 0}), fmt)
+    with pytest.raises(InvalidInputError, match=message.replace("E:", "role:")):
+        render(ColumnReport.of_shapes("x", [([1], {}, {}), ([2, 3], {}, {"role": text})],
+                                      [1, 0, 1], {"seed": 0}), fmt)
 
 
 #: Text made of the characters CSV must quote, and one it need not.
