@@ -76,15 +76,20 @@ class AgentBank(Sequence):
     """
 
     def __init__(self, ids, main_snr, eaves_snr):
-        self.ids = list(ids)
-        if len(set(self.ids)) < len(self.ids):
+        self.ids = self._unique(list(ids))
+        self.main_snr, self.eaves_snr = (self._snrs(name, values) for name, values in
+                                         (("main_snr", main_snr), ("eaves_snr", eaves_snr)))
+
+    @staticmethod
+    def _unique(ids):
+        """``ids``, a list, if no id repeats."""
+        if len(set(ids)) < len(ids):
             seen = set()
-            for agent_id in self.ids:
+            for agent_id in ids:
                 if agent_id in seen:
                     raise InvalidInputError(f"duplicate agent id {agent_id}")
                 seen.add(agent_id)
-        self.main_snr, self.eaves_snr = (self._snrs(name, values) for name, values in
-                                         (("main_snr", main_snr), ("eaves_snr", eaves_snr)))
+        return ids
 
     def _snrs(self, name, values):
         values = _one_per_id(name, list(values), len(self.ids))
@@ -104,12 +109,14 @@ class AgentBank(Sequence):
     def take(self, rows):
         """The agents at the given row numbers, in that order, as a new bank.
 
-        Its values are this bank's, so they are not checked again; the rows
-        must not repeat.
+        Its SNRs are this bank's, so they are not checked again.  The rows
+        must not repeat: a repeated row raises :class:`InvalidInputError`
+        naming its id, as a repeated id does in a new bank.
         """
         bank = object.__new__(AgentBank)
         bank.ids, bank.main_snr, bank.eaves_snr = (
             [column[row] for row in rows] for column in (self.ids, self.main_snr, self.eaves_snr))
+        self._unique(bank.ids)
         return bank
 
     def __len__(self):

@@ -92,7 +92,8 @@ class DiscreteWiretapChannel:
 
     ``main`` is |X| x |Y| (legitimate observation), ``eaves`` is |X| x |Z|
     (eavesdropper observation); the two observations are conditionally
-    independent given the input.
+    independent given the input.  Two channels are equal when their matrices
+    are, and hash alike then.
     """
 
     def __init__(self, main, eaves):
@@ -113,6 +114,14 @@ class DiscreteWiretapChannel:
         self.eaves.setflags(write=False)
         # h(main row x) - h(eaves row x): the per-input term of the rate kernel.
         self._entropy_gap = _entropies(main) - _entropies(eaves)
+
+    def __eq__(self, other):
+        return (isinstance(other, DiscreteWiretapChannel) and np.array_equal(self.main, other.main)
+                and np.array_equal(self.eaves, other.eaves))
+
+    def __hash__(self):
+        # Adding 0.0 turns -0.0 into 0.0, which it equals, so their bytes agree too.
+        return hash(tuple((m.shape, (m + 0.0).tobytes()) for m in (self.main, self.eaves)))
 
     @property
     def num_inputs(self):

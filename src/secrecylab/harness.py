@@ -48,6 +48,7 @@ from .errors import (
     _check_count,
     _check_grid_step,
     _check_positive,
+    _check_seed,
 )
 from .report import ColumnReport, ReportRecord, Suffixes
 from .scenario import CHANNEL_SCHEMA, SCHEMA_VERSION, load_scenario
@@ -230,11 +231,12 @@ COMMANDS = tuple(_TABLE)
 def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=None):
     """Execute one command against a scenario.
 
-    Checks the preconditions in this order: a scenario, then each option
-    given here (a positive finite budget, a positive sample count, a grid
-    step in ``[1e-3, 0.1]``) whichever command runs, then a budget for the
-    commands that spend one, then at least one channel of the kind the
-    command reads.
+    Checks the preconditions in this order: a scenario, then the seed,
+    given here or the scenario's (an integer in ``[0, 2**64)``), then each
+    other option given here (a positive finite budget, a positive sample
+    count, a grid step in ``[1e-3, 0.1]``) whichever command runs, then a
+    budget for the commands that spend one, then at least one channel of the
+    kind the command reads.
 
     Parameters
     ----------
@@ -263,7 +265,7 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
         raise UsageError(f"command '{command}' requires --scenario")
 
     options = SimpleNamespace(
-        seed=scenario.seed if seed is None else seed,
+        seed=_check_seed("seed", scenario.seed if seed is None else seed),
         budget=scenario.budget if budget is None else _check_positive("budget", budget),
         samples=((scenario.samples or DEFAULT_SAMPLES) if samples is None
                  else _check_count("samples", samples)),

@@ -30,10 +30,11 @@ the loader checks their fields and every id over whole columns, and each
 type's bank (a :class:`~secrecylab.channels.GaussianBank` or an
 :class:`~secrecylab.cooperation.AgentBank`), which owns the rule for its
 values, checks them as it is built; it is kept inside the scenario's
-:class:`ChannelList`.  When any check fails, the entries are checked again
-one by one from the first, so the error raised is the first in file order,
-with the message of the per-entry rules; only then, and for ``fading`` and
-``discrete`` entries, are entries built one by one.
+:class:`ChannelList`.  ``fading`` and ``discrete`` entries are built one by
+one.  When any check fails, the entries are checked again one by one from
+the first, so the error raised is the first in file order, with the message
+of the per-entry rules.  A :class:`Scenario` built in code goes through the
+same loader, with ``<scenario>`` in place of the file's path.
 """
 
 import bisect
@@ -74,23 +75,12 @@ class ChannelList(Sequence):
     file positions of its entries, in ascending order; indexing one of them
     builds its :class:`ScenarioChannel` on demand.  ``others`` maps the
     position of every other entry to its ScenarioChannel, in file order.
+    The loader builds it from checked entries, for a file and for a
+    :class:`Scenario` built in code alike.
     """
 
     def __init__(self, banks, others):
         self.banks, self.others = banks, others
-
-    @classmethod
-    def of(cls, channels):
-        """The list holding a sequence of :class:`ScenarioChannel`."""
-        channels = list(channels)
-        banks = {}
-        for kind, bank_cls in _BANKS.items():
-            held = [(pos, sc) for pos, sc in enumerate(channels) if sc.kind == kind]
-            columns = ([getattr(sc.channel, key) for _pos, sc in held]
-                       for key in CHANNEL_SCHEMA[kind][1])
-            banks[kind] = (bank_cls([sc.id for _pos, sc in held], *columns),
-                           [pos for pos, _sc in held])
-        return cls(banks, {pos: sc for pos, sc in enumerate(channels) if sc.kind not in _BANKS})
 
     def __len__(self):
         return len(self.others) + sum(len(bank) for bank, _positions in self.banks.values())
@@ -122,8 +112,13 @@ class ChannelList(Sequence):
 class Scenario:
     """A parsed experiment configuration.
 
-    ``channels`` is a :class:`ChannelList`; a sequence of
-    :class:`ScenarioChannel` given here is held as one.
+    ``channels`` is a :class:`ChannelList`.  A sequence of
+    :class:`ScenarioChannel` given here is checked exactly as a file is, with
+    ``<scenario>`` in place of its path: each is turned back into its file
+    entry (``type``, ``id`` and the fields of :data:`CHANNEL_SCHEMA` read off
+    the channel) and loaded, so the list holds equal copies of the channels,
+    and a repeated id or an unknown type raises the file's
+    :class:`~secrecylab.errors.ScenarioValidationError`.
     """
 
     channels: ChannelList
@@ -133,7 +128,12 @@ class Scenario:
 
     def __post_init__(self):
         if not isinstance(self.channels, ChannelList):
-            object.__setattr__(self, "channels", ChannelList.of(self.channels))
+            # An unknown type has no fields, and gets the loader's error for it.
+            entries = [{"type": sc.kind, "id": sc.id,
+                        **{key: getattr(sc.channel, key)
+                           for key in CHANNEL_SCHEMA.get(sc.kind, (None, ()))[1]}}
+                       for sc in self.channels]
+            object.__setattr__(self, "channels", _channel_list(entries, "<scenario>"))
 
     def gaussian_bank(self):
         """The ``gaussian`` channels as one GaussianBank, in file order."""
@@ -179,26 +179,6 @@ _ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, fields) in CHANNEL_
 _BANKS = {"gaussian": GaussianBank, "agent-snr": AgentBank}
 
 
-def _channel_args(ctx, entry):
-    """An entry's type, the class it builds and its field values."""
-    if not isinstance(entry, dict):
-        raise ScenarioValidationError(f"{ctx}: expected an object")
-    kind = entry.get("type")
-    if not isinstance(kind, str) or kind not in CHANNEL_SCHEMA:
-        raise ScenarioValidationError(
-            f"{ctx}.type: unknown channel type {kind!r}; expected one of "
-            f"{sorted(CHANNEL_SCHEMA)}")
-    if not _ALLOWED_KEYS[kind].issuperset(entry):
-        unknown = sorted(set(entry) - _ALLOWED_KEYS[kind])
-        raise ScenarioValidationError(
-            f"{ctx}: unknown field(s) {unknown} for type {kind!r}")
-    cls, fields = CHANNEL_SCHEMA[kind]
-    for key in fields:
-        if key not in entry:
-            raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
-    return kind, cls, [entry[key] for key in fields]
-
-
 def parse_scenario(doc, source="<scenario>"):
     """Validate a decoded scenario document and build a :class:`Scenario`.
 
@@ -231,47 +211,57 @@ def parse_scenario(doc, source="<scenario>"):
         raise ScenarioValidationError(
             f"{source}.channels: expected a non-empty list of channel objects")
 
-    channels = _channel_columns(raw_channels, source)
-    if channels is None:
-        channels = _channel_entries(raw_channels, source)
-    return Scenario(channels=channels, seed=seed, budget=budget, samples=samples)
+    return Scenario(channels=_channel_list(raw_channels, source), seed=seed, budget=budget,
+                    samples=samples)
 
 
 def _channel_entry(ctx, pos, entry):
     """The ScenarioChannel of the entry at ``pos``, checked on its own."""
-    kind, cls, args = _channel_args(ctx, entry)
+    if not isinstance(entry, dict):
+        raise ScenarioValidationError(f"{ctx}: expected an object")
+    kind = entry.get("type")
+    if not isinstance(kind, str) or kind not in CHANNEL_SCHEMA:
+        raise ScenarioValidationError(
+            f"{ctx}.type: unknown channel type {kind!r}; expected one of "
+            f"{sorted(CHANNEL_SCHEMA)}")
+    if not _ALLOWED_KEYS[kind].issuperset(entry):
+        unknown = sorted(set(entry) - _ALLOWED_KEYS[kind])
+        raise ScenarioValidationError(
+            f"{ctx}: unknown field(s) {unknown} for type {kind!r}")
+    cls, fields = CHANNEL_SCHEMA[kind]
+    for key in fields:
+        if key not in entry:
+            raise ScenarioValidationError(f"{ctx}.{key}: missing required field")
+    args = [entry[key] for key in fields]
     cid = entry.get("id", pos + 1)
     try:
         built = cls(cid, *args) if cls is AgentChannel else cls(*args)
     except InvalidInputError as exc:
         raise ScenarioValidationError(f"{ctx}.{exc}") from exc
-    if not isinstance(cid, int) or isinstance(cid, bool):
+    if type(cid) is not int:
         raise ScenarioValidationError(f"{ctx}.id: expected an integer, got {cid!r}")
     return ScenarioChannel(kind=kind, id=cid, channel=built)
 
 
-def _channel_entries(raw_channels, source):
-    """The channels, checked entry by entry; raises at the first failure in file order."""
-    channels = []
+def _raise_first_failure(raw_channels, source):
+    """Check the channels entry by entry and raise the first failure in file order."""
     seen_ids = set()
     for pos, entry in enumerate(raw_channels):
         ctx = f"{source}.channels[{pos}]"
-        sc = _channel_entry(ctx, pos, entry)
-        if sc.id in seen_ids:
-            raise ScenarioValidationError(f"{ctx}.id: duplicate channel id {sc.id}")
-        seen_ids.add(sc.id)
-        channels.append(sc)
-    return ChannelList.of(channels)
+        cid = _channel_entry(ctx, pos, entry).id
+        if cid in seen_ids:
+            raise ScenarioValidationError(f"{ctx}.id: duplicate channel id {cid}")
+        seen_ids.add(cid)
+    raise AssertionError(f"{source}.channels: the column checks fail where no entry does")
 
 
-def _channel_columns(raw_channels, source):
-    """The channels, with the entries of each type in :data:`_BANKS` checked and held by column.
+def _channel_list(raw_channels, source):
+    """The :class:`ChannelList` of a list of channel entries (dicts): its only builder.
 
-    Checks those entries' fields, and every id, over whole columns, and
-    leaves their values to the banks; builds every other entry as
-    :func:`_channel_entries` does.  Accepts exactly what that accepts.
-    Returns None where any check fails (or an entry is of a subclass of
-    dict), so that :func:`_channel_entries` names the first failure.
+    Checks the fields of the entries of each type in :data:`_BANKS`, and
+    every id, over whole columns, and leaves their values to the banks;
+    builds every other entry on its own.  Where any check fails, raises the
+    first failure in file order, as :func:`_raise_first_failure` names it.
     """
     held = {kind: ([], []) for kind in _BANKS}   # type -> its entries and their positions
     others = {}
@@ -279,26 +269,27 @@ def _channel_columns(raw_channels, source):
     # that is a list or a dict (TypeError), a bad value or a bad other entry.
     try:
         for pos, entry in enumerate(raw_channels):
-            if type(entry) is not dict:
-                return None
-            rows = held.get(entry.get("type"))
+            if type(entry) is not dict and isinstance(entry, dict):
+                entry = dict(entry)  # its items only: a default (a defaultdict's) fills no field
+            rows = held.get(entry.get("type")) if isinstance(entry, dict) else None
             if rows is not None:
                 rows[0].append(entry)
                 rows[1].append(pos)
             else:
                 others[pos] = _channel_entry(f"{source}.channels[{pos}]", pos, entry)
         ids = [entry.get("id", pos + 1) for pos, entry in enumerate(raw_channels)]
-        if not (set(map(type, ids)) <= {int} and len(set(ids)) == len(ids)):
-            return None
-        banks = {}
-        for kind, (rows, positions) in held.items():
-            columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA[kind][1]]
-            if not all(row.keys() <= _ALLOWED_KEYS[kind] for row in rows):
-                return None
-            banks[kind] = (_BANKS[kind]([ids[pos] for pos in positions], *columns), positions)
+        if set(map(type, ids)) <= {int} and len(set(ids)) == len(ids):
+            banks = {}
+            for kind, (rows, positions) in held.items():
+                if not all(row.keys() <= _ALLOWED_KEYS[kind] for row in rows):
+                    break
+                columns = [[row[key] for row in rows] for key in CHANNEL_SCHEMA[kind][1]]
+                banks[kind] = (_BANKS[kind]([ids[pos] for pos in positions], *columns), positions)
+            else:
+                return ChannelList(banks, others)
     except (KeyError, TypeError, InvalidInputError, ScenarioValidationError):
-        return None
-    return ChannelList(banks, others)
+        pass
+    _raise_first_failure(raw_channels, source)
 
 
 def load_scenario(path):

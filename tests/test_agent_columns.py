@@ -220,6 +220,12 @@ class TestAgentBank:
         with pytest.raises(InvalidInputError, match="^duplicate agent id 3$"):
             AgentBank([5, 3, 8, 3, 5], [1.0] * 5, [eaves_snr] * 5)
 
+    def test_take_rejects_a_repeated_row_by_its_id(self):
+        bank = AgentBank([1, 2, 3], [1, 2, 3], [2.5, 5, 6])
+        with pytest.raises(InvalidInputError, match="^duplicate agent id 1$"):
+            bank.take([0, 0, 1, 2])
+        assert bank.take([2, 0]) == [AgentChannel(3, 3, 6), AgentChannel(1, 1, 2.5)]
+
     @pytest.mark.parametrize("read", [AgentBank.of, classify, greedy_pairing, max_matching_oracle,
                                       qualified_rates, lambda agents: feasible_set(8, agents)])
     def test_every_reader_rejects_a_repeated_id_through_the_bank(self, read):

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import tempfile
+from collections import OrderedDict, defaultdict
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from secrecylab import (
     AgentChannel,
+    FadingWiretapChannel,
     GaussianWiretapChannel,
     InvalidInputError,
     NumericalError,
@@ -35,7 +37,7 @@ from secrecylab import (
 from secrecylab.channels import GaussianBank
 from secrecylab.cooperation import AgentBank
 from secrecylab.report import ColumnReport, emit, render
-from secrecylab.scenario import CHANNEL_SCHEMA, ScenarioChannel, _channel_columns
+from secrecylab.scenario import CHANNEL_SCHEMA, Scenario, ScenarioChannel, parse_scenario
 
 
 def per_entry_channels(raw_channels, source):
@@ -172,9 +174,6 @@ def test_column_loader_agrees_with_the_per_entry_loader(entries):
         except ScenarioValidationError as exc:
             expected, message = None, str(exc)
 
-        # The column path accepts exactly what the per-entry path accepts.
-        assert (_channel_columns(raw, path) is None) == (message is not None)
-
         rate = cli_run(["rate", "--scenario", path, "--budget", "1", "--format", "json",
                         "--out", out])
         if message is not None:
@@ -255,12 +254,57 @@ class TestScenarioChannels:
         assert scenario.gaussian_bank().ids == [21, 3]
 
     def test_a_scenario_built_from_entries_holds_them_as_columns(self, tmp_path):
-        from secrecylab import Scenario
-
         loaded = self.load(tmp_path)
         built = Scenario(channels=tuple(loaded.channels))
         assert built.channels == loaded.channels
         assert built.gaussian_bank().sigma_m_sq.tolist() == [1.0, 2.0]
+
+    def test_a_scenario_built_in_code_equals_the_file_it_came_from(self, tmp_path):
+        doc = {"schema_version": 1, "seed": 4, "channels": [
+            {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": 3.0}, *OTHERS]}
+        loaded = self.load(tmp_path, doc)
+        built = Scenario(channels=tuple(loaded.channels), seed=4)
+        assert built == loaded and hash(built) == hash(loaded)
+        # Its fading and discrete entries are equal copies of those given.
+        assert [sc.channel is loaded.channels[pos].channel
+                for pos, sc in built.channels.others.items()] == [False] * 3
+        # Two loads of a file with a discrete channel are equal too.
+        again = self.load(tmp_path, doc)
+        assert again == loaded and hash(again) == hash(loaded)
+
+    @pytest.mark.parametrize("channels, message", [
+        ([ScenarioChannel("gaussian", 1, GaussianWiretapChannel(1.0, 3.0)),
+          ScenarioChannel("gaussian", 1, GaussianWiretapChannel(2.0, 3.0))],
+         "<scenario>.channels[1].id: duplicate channel id 1"),
+        ([ScenarioChannel("gaussian", 1, GaussianWiretapChannel(1.0, 3.0)),
+          ScenarioChannel("fading", 1, FadingWiretapChannel(2.0, 1.0, 1.0, 1.0))],
+         "<scenario>.channels[1].id: duplicate channel id 1"),
+        ([ScenarioChannel("agent-snr", 3, AgentChannel(3, 1.0, 2.5)),
+          ScenarioChannel("agent-snr", 3, AgentChannel(3, 2.0, 5.0))],
+         "<scenario>.channels[1].id: duplicate channel id 3"),
+        ([ScenarioChannel("gausian", 1, GaussianWiretapChannel(1.0, 3.0))],
+         "<scenario>.channels[0].type: unknown channel type 'gausian'; expected one of "
+         "['agent-snr', 'discrete', 'fading', 'gaussian']"),
+        ([ScenarioChannel("gaussian", True, GaussianWiretapChannel(1.0, 3.0))],
+         "<scenario>.channels[0].id: expected an integer, got True")])
+    def test_a_scenario_built_in_code_is_checked_as_a_file_is(self, channels, message):
+        with pytest.raises(ScenarioValidationError) as caught:
+            Scenario(channels=channels)
+        assert str(caught.value) == message
+
+    def test_any_dict_is_an_entry(self):
+        doc = {"schema_version": 1, "channels": [*self.DOC["channels"], *OTHERS]}
+        ordered = dict(doc, channels=[OrderedDict(entry) for entry in doc["channels"]])
+        assert parse_scenario(ordered) == parse_scenario(doc)
+        ordered["channels"][1]["gain"] = 1.0
+        with pytest.raises(ScenarioValidationError, match=r"^<scenario>\.channels\[1\]: unknown "):
+            parse_scenario(ordered)
+        # A default fills no missing field.
+        for entry in ({"type": "gaussian", "sigma_m_sq": 1.0}, {"type": "agent-snr", "main_snr": 1.0},
+                      {"type": "fading", "a": 2.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}):
+            with pytest.raises(ScenarioValidationError, match=r"\.channels\[1\]\.\w+: missing"):
+                parse_scenario(dict(doc, channels=[doc["channels"][0],
+                                                   defaultdict(lambda: 1.0, entry)]))
 
 
 class TestGaussianBank:

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: commands, formats, seeds, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secrecylab import allocation, cli, harness, mutual_information
-from secrecylab.errors import NumericalError, UsageError
+from secrecylab.errors import InvalidInputError, NumericalError, UsageError
+from secrecylab.scenario import parse_scenario
 
 
 def write(tmp_path, doc, name="scn.scenario"):
@@ -304,6 +307,19 @@ class TestSeedPrecedence:
         code, _, err = run_cli(["pair", "--scenario", path], capsys)
         assert code == cli.EXIT_USAGE
         assert f"${cli.SEED_ENV_VAR}: expected a 64-bit unsigned integer" in err
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, "7", True, 1.5])
+    @pytest.mark.parametrize("command", ["rate", "allocate-fading"])
+    def test_run_checks_the_seed_given_or_taken_from_the_scenario(self, command, seed):
+        doc = {"schema_version": 1, "budget": 1.0, "samples": 1000,
+               "channels": [ONE_OF_EACH["gaussian"], ONE_OF_EACH["fading"]]}
+        scenario = parse_scenario(doc)
+        message = re.escape(f"seed: expected a 64-bit unsigned integer, got {seed!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            harness.run(command, scenario, seed=seed)
+        with pytest.raises(InvalidInputError, match=message):
+            harness.run(command, dataclasses.replace(scenario, seed=seed))
+        assert harness.run(command, scenario, seed=2 ** 64 - 1)[0].metadata["seed"] == 2 ** 64 - 1
 
 
 class TestExitCodes:

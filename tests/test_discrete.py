@@ -191,6 +191,15 @@ class TestTypes:
         with pytest.raises(InvalidInputError, match="^eaves: contains non-finite entries$"):
             DiscreteWiretapChannel(main=bsc(0.1), eaves=[[0.5, 0.5], [math.nan, 1.0]])
 
+    def test_channels_compare_and_hash_by_their_matrices(self):
+        ch = DiscreteWiretapChannel(main=[[1.0, 0.0], [0.0, 1.0]], eaves=bsc(0.3))
+        same = DiscreteWiretapChannel(main=[[1, -0.0], [-0.0, 1]], eaves=bsc(0.3).tolist())
+        assert ch == same and hash(ch) == hash(same)
+        assert ch != DiscreteWiretapChannel(main=ch.main, eaves=bsc(0.2))
+        assert ch != DiscreteWiretapChannel(main=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                            eaves=bsc(0.3))
+        assert ch != ch.main
+
     @pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
     def test_bsc_crossover_must_be_a_probability(self, p):
         with pytest.raises(InvalidInputError, match=r"^crossover probability must be in \[0, 1\]"):
