@@ -34,11 +34,15 @@ analytic slope ``dP/dt = (1 - k P / (2 w)) / (v + w)``, ``w = sqrt(1 + t
 k)``, falling back to doubling or bisection when a step leaves the bracket;
 a bracket wider than a factor of 4 is bisected at its geometric mean.
 Calibration stops within 4 ulps of the budget; the water-fill runs until
-the bracket collapses.  Each evaluation walks the slots in blocks of
-``2**14`` through a few preallocated buffers, and the slot terms are built
-in place in the buffers of the compressed draws.  Calibration memory thus
-peaks at four float arrays over the active slots (or at the two draws while
-they are compressed): about 29 bytes per sample on a link with ``a = 10 b``.
+the bracket collapses.  Each evaluation walks the active slots' gains in
+blocks of ``2**14`` and builds each block's terms, powers and slopes in a
+few preallocated block buffers, so no term array spans the sample.
+Calibration first compacts the active slots block by block inside the
+draws' own buffers, so its memory peaks at the two draws: about 17 bytes
+per sample at ``10**6`` samples, on any link.  With more active slots than
+one block, it first solves on a strided subsample of about ``2**11`` of
+them to 1e-3 of the budget and starts the full-sample search there, which
+then takes about 4 evaluations.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -61,6 +65,12 @@ _RESIDUAL_ULPS = 4
 #: The threshold solver evaluates the slots in blocks of this many, so its
 #: temporaries stay cache-sized at any sample size.
 _SLOT_BLOCK = 2 ** 14
+
+#: Calibration on more active slots than one block first solves on a strided
+#: subsample of about this many of them, to this fraction of the budget, and
+#: starts its full-sample search from that threshold.
+_SUBSAMPLE_SLOTS = 2 ** 11
+_SUBSAMPLE_REL_TOL = 1e-3
 
 #: Documented accuracy of fading calibration: the calibration-sample mean
 #: power is within this fraction of the average budget.
@@ -103,7 +113,8 @@ class FadingPolicy:
     slot with a positive-rate opportunity; the threshold is then ``inf`` and
     the policy allocates nothing.  ``avg_power`` is the mean power the
     policy spends on its calibration sample and ``iterations`` the number of
-    full-sample evaluations calibration made (both 0 when not calibrated).
+    full-sample evaluations calibration made, not counting those on its
+    subsample (both 0 when not calibrated).
     """
 
     lam: float
@@ -201,9 +212,9 @@ def awgn_waterfill(channels, budget):
     on = a > b
     if not np.any(on):
         return AllocationResult(powers=powers, lam=0.0, sum_rate=0.0, rates=powers.copy())
-    terms = _slot_terms(a[on], b[on])
-    t = _solve_threshold(terms, len(channels), budget / len(channels), 0.0)[0]
-    powers[on] = _slot_power(t, *terms)[0]
+    gains = a[on], b[on]
+    t = _solve_threshold(*gains, len(channels), budget / len(channels), 0.0)[0]
+    powers[on] = _slot_power(t, *_slot_terms(*gains))[0]
     residual = abs(powers.sum() - budget)
     if not residual <= AWGN_BUDGET_TOL:
         raise NumericalError(
@@ -220,44 +231,46 @@ def _slot_power(t, u, v, k, out=None):
     """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
 
     For slots with ``g = a - b > 0``, given ``u = 2/g``, ``v = (a + b)/g``
-    and ``k = 2 b a/g``, returns ``(p, w)`` with ``w = sqrt(1 + t k)`` and
-    ``p = max(t - u, 0) / (v + w)``: zero exactly when ``t <= u``.  ``out``
-    is an optional ``(p, w)`` pair of arrays to write the results into.
+    and ``k = 2 b a/g``, returns ``(p, w, d)`` with ``w = sqrt(1 + t k)``,
+    the denominator ``d = v + w`` and ``p = max(t - u, 0) / d``: zero
+    exactly when ``t <= u``.  ``out`` is an optional ``(p, w, d)`` of arrays
+    to write the results into.
     """
-    p, w = out or (None, None)
+    p, w, d = out or (None, None, None)
     w = np.sqrt(np.add(1.0, np.multiply(t, k, out=w), out=w), out=w)
     p = np.maximum(np.subtract(t, u, out=p), 0.0, out=p)
-    return np.divide(p, v + w, out=p), w
+    d = np.add(v, w, out=d)
+    return np.divide(p, d, out=p), w, d
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_slope(p, w, v, k, out):
-    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w)``, written into ``out``.
+def _slot_slope(p, w, d, k, out):
+    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w, d)``, written into ``out``.
 
     The slope is 0 where ``p = 0``.
     """
     s = np.multiply(0.5, k, out=out)
     np.subtract(1.0, np.divide(np.multiply(s, p, out=s), w, out=s), out=s)
-    np.divide(s, v + w, out=s)
+    np.divide(s, d, out=s)
     np.copyto(s, 0.0, where=~(p > 0.0))
     return s
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _slot_terms(a, b):
+def _slot_terms(a, b, out=None):
     """The per-slot constants ``(u, v, k)`` of :func:`_slot_power`, for ``a > b``.
 
     Each is a ratio to ``g = a - b``, so no term squares a gain or multiplies
-    two of them.  Takes ownership of ``a`` and ``b``: ``k`` is built in
-    ``a``'s buffer with ``b``'s as scratch, and ``u`` in ``g``'s, so only
-    ``g`` and ``v`` take new memory and a large calibration sample peaks at
-    four arrays of its active slots.
+    two of them.  ``out`` is an optional ``(u, v, k, scratch)`` of arrays
+    shaped like ``a`` to build them in.  By default ``k`` is built in
+    ``a``'s buffer with ``b``'s as scratch, so the caller hands over the
+    gains and only ``u`` and ``v`` take new memory.
     """
-    g = a - b
-    v = np.add(a, b)
-    v /= g
+    u, v, k, scratch = out or (None, None, a, b)
+    g = np.subtract(a, b, out=u)
+    v = np.divide(np.add(a, b, out=v), g, out=v)
     # (a/g) * 2b: the two products of 2.0 * b * (a / g), so k is bit-identical.
-    k = np.multiply(np.divide(a, g, out=a), np.multiply(2.0, b, out=b), out=a)
+    k = np.multiply(np.divide(a, g, out=k), np.multiply(2.0, b, out=scratch), out=k)
     return np.divide(2.0, g, out=g), v, k
 
 
@@ -292,42 +305,51 @@ def _mean(powers, n):
     return total / n if total < math.inf else float((powers / n).sum())
 
 
-def _block_evaluator(terms, n):
+def _block_evaluator(a, b, n):
     """``t -> (mean power, mean dP/dt)`` over ``n`` slots, evaluated in blocks.
 
-    ``terms`` are the :func:`_slot_terms` of the slots with ``a > b``; the
-    others add nothing.  Each call walks the slots in blocks of
-    :data:`_SLOT_BLOCK` through three preallocated block buffers, so its
-    temporaries stay cache-sized, and adds the per-block means and slopes.
+    ``a`` and ``b`` are the gains of the slots with ``a > b``; the others add
+    nothing.  Each call walks the slots in blocks of :data:`_SLOT_BLOCK`,
+    builds each block's :func:`_slot_terms` and then its powers and slopes
+    in seven preallocated block buffers, and adds the per-block means and
+    slopes.  So no term array spans the whole sample, and the temporaries
+    stay cache-sized; the gains are only read.
     """
-    edges = range(_SLOT_BLOCK, len(terms[0]), _SLOT_BLOCK)
-    blocks = list(zip(*(np.split(term, edges) for term in terms)))
-    buffers = np.empty((3, min(len(terms[0]), _SLOT_BLOCK)))
+    edges = range(_SLOT_BLOCK, len(a), _SLOT_BLOCK)
+    blocks = list(zip(np.split(a, edges), np.split(b, edges)))
+    buffers = np.empty((7, min(len(a), _SLOT_BLOCK)))
     sums = np.empty((2, len(blocks)))
 
     def mean_power_and_slope(t):
-        for i, (u, v, k) in enumerate(blocks):
-            p, w, s = buffers[:, :len(u)]
-            _slot_power(t, u, v, k, out=(p, w))
-            sums[:, i] = _mean(p, n), _slot_slope(p, w, v, k, out=s).sum()
+        for i, (a, b) in enumerate(blocks):
+            u, v, k, p, w, d, s = buffers[:, :len(a)]
+            _slot_terms(a, b, out=(u, v, k, p))
+            _slot_power(t, u, v, k, out=(p, w, d))
+            sums[:, i] = _mean(p, n), _slot_slope(p, w, d, k, out=s).sum()
         return float(sums[0].sum()), float(sums[1].sum()) / n
 
     return mean_power_and_slope
 
 
-def _solve_threshold(terms, n, target, residual_tol):
+def _solve_threshold(a, b, n, target, residual_tol, gap=None, start=0.0):
     """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
 
-    ``terms`` are the :func:`_slot_terms` of the slots with ``a > b``; the
-    others spend nothing.  Stops once the mean power is within
-    ``residual_tol`` of the target, when the bracket collapses, or after
-    :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean power, evaluations)``
-    for the evaluated ``t`` whose mean power came closest to the target.
+    ``a`` and ``b`` are the gains of the slots with ``a > b``; the others
+    spend nothing.  ``gap`` is ``max(a - b)``, taken from the gains when not
+    given; no slot spends below ``t = 2 / gap``.  The search starts at
+    ``start`` where that lies inside its first bracket.  Stops once the mean
+    power is within ``residual_tol`` of the target, when the bracket
+    collapses, or after :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean
+    power, evaluations)`` for the evaluated ``t`` whose mean power came
+    closest to the target.
     """
-    mean_power_and_slope = _block_evaluator(terms, n)
+    mean_power_and_slope = _block_evaluator(a, b, n)
+    if gap is None:
+        gap = float((a - b).max())
     # Every slot spends at most t/2, so the mean power at lo is within target.
-    lo, hi = max(float(terms[0].min()), 2.0 * target), math.inf
-    t = lo
+    # 2/x rounds monotonically, so 2/gap is the least u of the slots.
+    lo, hi = max(2.0 / gap, 2.0 * target), math.inf
+    t = max(lo, start)
     for iterations in range(1, _MAX_NEWTON + 1):
         power, slope = mean_power_and_slope(t)
         residual = power - target
@@ -365,14 +387,36 @@ def _draw_states(ch, samples, seed):
     return rng.exponential(ch.a, samples), rng.exponential(ch.b, samples)
 
 
+def _compact_active(a, b):
+    """Move the slots with ``a > b`` to the front of ``a`` and ``b``, in order and in place.
+
+    Walks the draws in blocks of :data:`_SLOT_BLOCK`, so only block-sized
+    copies are made.  Returns views of the active slots in the draws' own
+    buffers and ``max(a - b)`` over them (0.0 when there are none).
+    """
+    active, gap = 0, 0.0
+    for i in range(0, len(a), _SLOT_BLOCK):
+        block_a, block_b = a[i:i + _SLOT_BLOCK], b[i:i + _SLOT_BLOCK]
+        keep = block_a > block_b
+        kept_a, kept_b = block_a[keep], block_b[keep]
+        if len(kept_a):
+            gap = max(gap, float((kept_a - kept_b).max()))
+            a[active:active + len(kept_a)] = kept_a
+            b[active:active + len(kept_b)] = kept_b
+            active += len(kept_a)
+    return a[:active], b[:active], gap
+
+
 def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     """Find the threshold whose average spent power meets the budget.
 
     Draws one calibration sample of slot states and solves
     ``mean P(t) = avg_budget`` for ``t = 1/lam`` by safeguarded Newton steps
-    with the analytic slope.  The sample is fixed before the search, so the
-    result is deterministic given the seed; the mean power is continuous and
-    strictly increasing in ``t`` wherever it is positive.
+    with the analytic slope, started from the root of a strided subsample of
+    the active slots when they fill more than one block.  The sample is
+    fixed before the search, so the result is deterministic given the seed;
+    the mean power is continuous and strictly increasing in ``t`` wherever
+    it is positive.
 
     Parameters
     ----------
@@ -389,8 +433,9 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     FadingPolicy
         Calibrated policy, carrying the calibration-sample mean power
         (``avg_power``) and the number of full-sample evaluations
-        (``iterations``).  If no drawn slot has ``a_draw > b_draw`` the
-        budget is unreachable at any threshold; the returned policy carries
+        (``iterations``; the subsample's are not counted).  If no drawn
+        slot has ``a_draw > b_draw`` the budget is unreachable at any
+        threshold; the returned policy carries
         ``zero_secrecy=True`` and an infinite threshold, and allocates zero
         power everywhere.
 
@@ -408,19 +453,18 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     _check_positive("avg_budget", avg_budget)
     _check_count("samples", samples)
 
-    a, b = _draw_states(ch, samples, seed)
-    keep = a > b
-    if not np.any(keep):
+    a, b, gap = _compact_active(*_draw_states(ch, samples, seed))
+    if not len(a):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
-    # Compress one draw at a time, so each full draw is freed before the next
-    # copy is made; the search needs only the slot terms.
-    a = a[keep]
-    b = b[keep]
-    del keep
-    terms = _slot_terms(a, b)
-    del a, b
+    start = 0.0
+    if len(a) > _SLOT_BLOCK:
+        # The subsample stands for all active slots: scale n to its share.
+        stride = len(a) // _SUBSAMPLE_SLOTS
+        sub_a, sub_b = a[::stride], b[::stride]
+        start = _solve_threshold(sub_a, sub_b, samples * len(sub_a) / len(a), avg_budget,
+                                 _SUBSAMPLE_REL_TOL * avg_budget)[0]
     best_t, best_p, iterations = _solve_threshold(
-        terms, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget))
+        a, b, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget), gap, start)
 
     if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
         raise NumericalError(

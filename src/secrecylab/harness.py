@@ -232,11 +232,12 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     """Execute one command against a scenario.
 
     Checks the preconditions in this order: a scenario, then the seed,
-    given here or the scenario's (an integer in ``[0, 2**64)``), then each
-    other option given here (a positive finite budget, a positive sample
-    count, a grid step in ``[1e-3, 0.1]``) whichever command runs, then a
-    budget for the commands that spend one, then at least one channel of the
-    kind the command reads.
+    given here or the scenario's (an integer in ``[0, 2**64)``), then the
+    budget and the sample count, each given here or the scenario's (a
+    positive finite number, a positive integer), and a grid step given here
+    (in ``[1e-3, 0.1]``), whichever command runs, then a budget for the
+    commands that spend one, then at least one channel of the kind the
+    command reads.
 
     Parameters
     ----------
@@ -264,11 +265,12 @@ def run(command, scenario, *, budget=None, samples=None, grid_step=None, seed=No
     if scenario is None:
         raise UsageError(f"command '{command}' requires --scenario")
 
+    budget = scenario.budget if budget is None else budget
+    samples = scenario.samples if samples is None else samples
     options = SimpleNamespace(
         seed=_check_seed("seed", scenario.seed if seed is None else seed),
-        budget=scenario.budget if budget is None else _check_positive("budget", budget),
-        samples=((scenario.samples or DEFAULT_SAMPLES) if samples is None
-                 else _check_count("samples", samples)),
+        budget=None if budget is None else _check_positive("budget", budget),
+        samples=DEFAULT_SAMPLES if samples is None else _check_count("samples", samples),
         grid_step=(DEFAULT_GRID_STEP if grid_step is None
                    else _check_grid_step("grid_step", grid_step)))
     if spends_budget and options.budget is None:

@@ -115,10 +115,11 @@ class Scenario:
     ``channels`` is a :class:`ChannelList`.  A sequence of
     :class:`ScenarioChannel` given here is checked exactly as a file is, with
     ``<scenario>`` in place of its path: each is turned back into its file
-    entry (``type``, ``id`` and the fields of :data:`CHANNEL_SCHEMA` read off
-    the channel) and loaded, so the list holds equal copies of the channels,
-    and a repeated id or an unknown type raises the file's
-    :class:`~secrecylab.errors.ScenarioValidationError`.
+    entry (:func:`_file_entry`) and loaded, so the list holds equal copies of
+    the channels, and a repeated id, an unknown type or a channel without its
+    type's fields raises the file's
+    :class:`~secrecylab.errors.ScenarioValidationError`.  So does an item
+    that is no ScenarioChannel.
     """
 
     channels: ChannelList
@@ -128,11 +129,7 @@ class Scenario:
 
     def __post_init__(self):
         if not isinstance(self.channels, ChannelList):
-            # An unknown type has no fields, and gets the loader's error for it.
-            entries = [{"type": sc.kind, "id": sc.id,
-                        **{key: getattr(sc.channel, key)
-                           for key in CHANNEL_SCHEMA.get(sc.kind, (None, ()))[1]}}
-                       for sc in self.channels]
+            entries = [_file_entry(pos, sc) for pos, sc in enumerate(self.channels)]
             object.__setattr__(self, "channels", _channel_list(entries, "<scenario>"))
 
     def gaussian_bank(self):
@@ -177,6 +174,22 @@ _ALLOWED_KEYS = {kind: {"type", "id", *fields} for kind, (_, fields) in CHANNEL_
 #: The channel types held by column, and the bank that holds each; a bank
 #: takes the ids and then the type's fields, in the order of CHANNEL_SCHEMA.
 _BANKS = {"gaussian": GaussianBank, "agent-snr": AgentBank}
+
+
+def _file_entry(pos, sc):
+    """The file entry of the :class:`ScenarioChannel` at ``pos`` of a Scenario built in code.
+
+    Holds ``type``, ``id`` and each field of :data:`CHANNEL_SCHEMA` that the
+    channel has, so the loader names a missing one.  A type that is no
+    known one has no fields, and gets the loader's error for it.
+    """
+    if not isinstance(sc, ScenarioChannel):
+        raise ScenarioValidationError(f"<scenario>.channels[{pos}]: expected a ScenarioChannel, "
+                                      f"got {type(sc).__name__}")
+    known = isinstance(sc.kind, str) and sc.kind in CHANNEL_SCHEMA
+    fields = CHANNEL_SCHEMA[sc.kind][1] if known else ()
+    return {"type": sc.kind, "id": sc.id,
+            **{key: getattr(sc.channel, key) for key in fields if hasattr(sc.channel, key)}}
 
 
 def parse_scenario(doc, source="<scenario>"):

@@ -24,11 +24,13 @@ from secrecylab import (
     power_at_lambda,
     sum_secrecy_rate,
 )
+from secrecylab import allocation
 from secrecylab.allocation import (
     _RESIDUAL_ULPS,
     _SLOT_BLOCK,
     AWGN_BUDGET_TOL,
     _block_evaluator,
+    _compact_active,
     _fading_power_array,
     _slot_terms,
 )
@@ -405,6 +407,33 @@ class TestPowerOfTwoScaling:
         assert scaled.sum_rate == base.sum_rate
 
 
+#: Fading links ``(a, b)``: strong, marginal and adverse, and one whose every slot is active.
+LINKS = [(5.0, 0.5), (1.2, 1.2), (0.9, 2.5), (1.0, 1e-12)]
+LINK_IDS = ["strong", "marginal", "adverse", "all-active"]
+
+
+def bisected_lambda(a, b, budget):
+    """The threshold whose mean power over the draws ``(a, b)`` is closest to
+    the budget, by plain bisection on ``lam`` to the float grid."""
+    on = a > b
+    u, v, k = whole_array_terms(a[on], b[on])
+
+    def mean_power(lam):
+        t = 1.0 / lam
+        return (np.maximum(t - u, 0.0) / (v + np.sqrt(1.0 + t * k))).sum() / len(a)
+
+    lo, hi = 1e-12, float((a - b).max())    # nothing is active above hi/2
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mean_power(mid) >= budget:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda v: abs(mean_power(v) - budget))
+
+
 class TestCalibration:
     def test_meets_budget_on_calibration_sample(self):
         policy = calibrate_fading_lambda(FADING, avg_budget=1.0,
@@ -477,30 +506,38 @@ class TestCalibration:
             1.0, 2_000, seed=0)
         assert (sentinel.avg_power, sentinel.iterations) == (0.0, 0)
 
-    @pytest.mark.parametrize("gains", [(5.0, 0.5), (1.2, 1.2), (0.9, 2.5)],
-                             ids=["strong", "marginal", "adverse"])
+    @pytest.mark.parametrize("gains", LINKS[:3], ids=LINK_IDS[:3])
     @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
     def test_matches_plain_bisection(self, gains, budget):
         ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
         rng = np.random.default_rng(17)
         a = rng.exponential(ch.a, 10_000)
         b = rng.exponential(ch.b, 10_000)
-
-        def mean_power(lam):
-            return _fading_power_array(lam, a, b).mean()
-
-        lo, hi = 1e-12, float((a - b).max())    # nothing is active above hi/2
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if mean_power(mid) >= budget:
-                lo = mid
-            else:
-                hi = mid
-        bisected = min((lo, hi), key=lambda v: abs(mean_power(v) - budget))
         policy = calibrate_fading_lambda(ch, budget, 10_000, seed=17)
-        assert policy.lam == pytest.approx(bisected, rel=1e-9)
+        assert policy.lam == pytest.approx(bisected_lambda(a, b, budget), rel=1e-9)
+
+    @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
+    @pytest.mark.parametrize("samples", [10 ** 5, 10 ** 6])
+    def test_subsample_start_matches_plain_bisection(self, gains, samples, monkeypatch):
+        """Past one block of active slots, the full-sample search starts from a subsample root."""
+        solves = []
+
+        def counted(*args):
+            solves.append(len(args[0]))
+            return solve(*args)
+
+        solve = allocation._solve_threshold
+        monkeypatch.setattr(allocation, "_solve_threshold", counted)
+        ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
+        budget = 2.0
+        policy = calibrate_fading_lambda(ch, budget, samples, seed=29)
+        rng = np.random.default_rng(29)
+        a = rng.exponential(ch.a, samples)
+        b = rng.exponential(ch.b, samples)
+        assert len(solves) == 2 and solves[0] < 2 * allocation._SUBSAMPLE_SLOTS < solves[1]
+        assert policy.lam == pytest.approx(bisected_lambda(a, b, budget), rel=1e-9)
+        assert abs(policy.avg_power - budget) <= _RESIDUAL_ULPS * math.ulp(budget)
+        assert policy.iterations <= 5
 
     def test_unreachable_budget_raises(self):
         # Far below the power of the first slot to activate.
@@ -553,13 +590,15 @@ class TestBlockedCalibration:
         a = rng.exponential(5.0, active)
         b = a * rng.uniform(0.0, 0.99, active)
         n = active + 1000      # slots with a <= b spend nothing but count in the mean
-        evaluate = _block_evaluator(_slot_terms(a.copy(), b.copy()), n)
+        gains = a.copy(), b.copy()
+        evaluate = _block_evaluator(*gains, n)
         u = whole_array_terms(a, b)[0]
         for t in [*np.quantile(u, [0.01, 0.5, 0.99]), 10.0 * u.max()]:
             power, slope = evaluate(t)
             want_power, want_slope = whole_array_mean_power_and_slope(t, a, b, n)
             assert power == pytest.approx(want_power, rel=1e-13)
             assert slope == pytest.approx(want_slope, rel=1e-13)
+        np.testing.assert_array_equal(gains, (a, b))   # the gains are only read
 
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
     @pytest.mark.parametrize("budget", [0.1, 1.0, 10.0])
@@ -575,6 +614,21 @@ class TestBlockedCalibration:
         assert policy.avg_power == pytest.approx(
             _fading_power_array(policy.lam, a, b).mean(), rel=1e-13)
 
+    @pytest.mark.parametrize("samples", BLOCK_EDGES)
+    def test_compaction_keeps_the_active_slots_in_order(self, samples):
+        rng = np.random.default_rng(samples)
+        a, b = rng.exponential(1.0, (2, samples))
+        a[::1000] = math.inf          # an overflowed draw is active, with u = 0
+        want = a[a > b], b[a > b]
+        kept_a, kept_b, gap = _compact_active(a, b)
+        np.testing.assert_array_equal((kept_a, kept_b), want)
+        assert np.shares_memory(kept_a, a) and np.shares_memory(kept_b, b)  # in place
+        assert gap == (want[0] - want[1]).max() == math.inf
+        assert _compact_active(np.ones(5), np.ones(5))[2:] == (0.0,)
+        a, b = rng.exponential(1.0, (2, samples))
+        assert 2.0 / _compact_active(a.copy(), b.copy())[2] == whole_array_terms(
+            a[a > b], b[a > b])[0].min()
+
     def test_slot_terms_match_the_out_of_place_form(self):
         rng = np.random.default_rng(11)
         a, b = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (2, 100_000)))
@@ -584,9 +638,11 @@ class TestBlockedCalibration:
         for got, want in zip(_slot_terms(a.copy(), b.copy()), expected):
             np.testing.assert_array_equal(got, want)
 
-    def test_calibration_peak_memory(self):
-        """At 10**6 samples the traced peak stays within 32 bytes per sample."""
-        ch = FadingWiretapChannel(a=5.0, b=0.5, sigma_m_sq=1.0, sigma_w_sq=1.0)
+    @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
+    def test_calibration_peak_memory(self, gains):
+        """At 10**6 samples the traced peak stays within 20 bytes per sample:
+        the two draws, compacted in place, and a few block buffers."""
+        ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
         samples = 10 ** 6
         tracemalloc.start()
         try:
@@ -594,7 +650,7 @@ class TestBlockedCalibration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * samples
+        assert peak <= 20 * samples
 
 
 class TestErgodicCapacity:

@@ -286,7 +286,16 @@ class TestScenarioChannels:
          "<scenario>.channels[0].type: unknown channel type 'gausian'; expected one of "
          "['agent-snr', 'discrete', 'fading', 'gaussian']"),
         ([ScenarioChannel("gaussian", True, GaussianWiretapChannel(1.0, 3.0))],
-         "<scenario>.channels[0].id: expected an integer, got True")])
+         "<scenario>.channels[0].id: expected an integer, got True"),
+        ([ScenarioChannel("gaussian", 1, GaussianWiretapChannel(1.0, 3.0)),
+          ScenarioChannel(["gaussian"], 2, GaussianWiretapChannel(1.0, 3.0))],
+         "<scenario>.channels[1].type: unknown channel type ['gaussian']; expected one of "
+         "['agent-snr', 'discrete', 'fading', 'gaussian']"),
+        ([ScenarioChannel("fading", 1, GaussianWiretapChannel(1.0, 3.0))],
+         "<scenario>.channels[0].a: missing required field"),
+        ([ScenarioChannel("gaussian", 1, GaussianWiretapChannel(1.0, 3.0)),
+          GaussianWiretapChannel(2.0, 3.0)],
+         "<scenario>.channels[1]: expected a ScenarioChannel, got GaussianWiretapChannel")])
     def test_a_scenario_built_in_code_is_checked_as_a_file_is(self, channels, message):
         with pytest.raises(ScenarioValidationError) as caught:
             Scenario(channels=channels)

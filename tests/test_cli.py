@@ -321,6 +321,23 @@ class TestSeedPrecedence:
             harness.run(command, dataclasses.replace(scenario, seed=seed))
         assert harness.run(command, scenario, seed=2 ** 64 - 1)[0].metadata["seed"] == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("command", ["rate", "allocate", "allocate-fading"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("budget", 0.0, "budget: expected a positive value, got 0.0"),
+        ("budget", -1.0, "budget: expected a positive value, got -1.0"),
+        ("samples", 0, "samples: expected a positive integer, got 0")])
+    def test_run_checks_the_scenarios_own_budget_and_samples(self, command, field, value,
+                                                              message):
+        doc = {"schema_version": 1, "budget": 1.0, "samples": 1000,
+               "channels": [ONE_OF_EACH["gaussian"], ONE_OF_EACH["fading"]]}
+        scenario = dataclasses.replace(parse_scenario(doc), **{field: value})
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            harness.run(command, scenario)
+        # A value given to run takes the scenario's place, and is checked alike.
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            harness.run(command, parse_scenario(doc), **{field: value})
+        assert harness.run(command, scenario, **{field: doc[field]})
+
 
 class TestExitCodes:
     def test_missing_budget_is_usage_error(self, tmp_path, capsys):
