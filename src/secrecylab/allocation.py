@@ -305,19 +305,23 @@ def _mean(powers, n):
     return total / n if total < math.inf else float((powers / n).sum())
 
 
-def _block_evaluator(a, b, n):
+def _slot_blocks(a, b):
+    """``(a, b)`` split into views of at most :data:`_SLOT_BLOCK` slots each."""
+    edges = range(_SLOT_BLOCK, len(a), _SLOT_BLOCK)
+    return list(zip(np.split(a, edges), np.split(b, edges)))
+
+
+def _block_evaluator(blocks, n):
     """``t -> (mean power, mean dP/dt)`` over ``n`` slots, evaluated in blocks.
 
-    ``a`` and ``b`` are the gains of the slots with ``a > b``; the others add
-    nothing.  Each call walks the slots in blocks of :data:`_SLOT_BLOCK`,
-    builds each block's :func:`_slot_terms` and then its powers and slopes
-    in seven preallocated block buffers, and adds the per-block means and
-    slopes.  So no term array spans the whole sample, and the temporaries
-    stay cache-sized; the gains are only read.
+    ``blocks`` are the :func:`_slot_blocks` of the gains of the slots with
+    ``a > b``; the others add nothing.  Each call builds each block's
+    :func:`_slot_terms` and then its powers and slopes in seven preallocated
+    block buffers, and adds the per-block means and slopes.  So no term
+    array spans the whole sample, and the temporaries stay cache-sized; the
+    gains are only read.
     """
-    edges = range(_SLOT_BLOCK, len(a), _SLOT_BLOCK)
-    blocks = list(zip(np.split(a, edges), np.split(b, edges)))
-    buffers = np.empty((7, min(len(a), _SLOT_BLOCK)))
+    buffers = np.empty((7, len(blocks[0][0])))
     sums = np.empty((2, len(blocks)))
 
     def mean_power_and_slope(t):
@@ -331,21 +335,20 @@ def _block_evaluator(a, b, n):
     return mean_power_and_slope
 
 
-def _solve_threshold(a, b, n, target, residual_tol, gap=None, start=0.0):
+def _solve_threshold(a, b, n, target, residual_tol, start=0.0):
     """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
 
     ``a`` and ``b`` are the gains of the slots with ``a > b``; the others
-    spend nothing.  ``gap`` is ``max(a - b)``, taken from the gains when not
-    given; no slot spends below ``t = 2 / gap``.  The search starts at
-    ``start`` where that lies inside its first bracket.  Stops once the mean
-    power is within ``residual_tol`` of the target, when the bracket
-    collapses, or after :data:`_MAX_NEWTON` evaluations.  Returns ``(t, mean
-    power, evaluations)`` for the evaluated ``t`` whose mean power came
-    closest to the target.
+    spend nothing.  No slot spends below ``t = 2 / max(a - b)``.  The search
+    starts at ``start`` where that lies inside its first bracket.  Stops
+    once the mean power is within ``residual_tol`` of the target, when the
+    bracket collapses, or after :data:`_MAX_NEWTON` evaluations.  Returns
+    ``(t, mean power, evaluations)`` for the evaluated ``t`` whose mean
+    power came closest to the target.
     """
-    mean_power_and_slope = _block_evaluator(a, b, n)
-    if gap is None:
-        gap = float((a - b).max())
+    blocks = _slot_blocks(a, b)
+    mean_power_and_slope = _block_evaluator(blocks, n)
+    gap = max(float((a - b).max()) for a, b in blocks)
     # Every slot spends at most t/2, so the mean power at lo is within target.
     # 2/x rounds monotonically, so 2/gap is the least u of the slots.
     lo, hi = max(2.0 / gap, 2.0 * target), math.inf
@@ -392,19 +395,17 @@ def _compact_active(a, b):
 
     Walks the draws in blocks of :data:`_SLOT_BLOCK`, so only block-sized
     copies are made.  Returns views of the active slots in the draws' own
-    buffers and ``max(a - b)`` over them (0.0 when there are none).
+    buffers.
     """
-    active, gap = 0, 0.0
+    active = 0
     for i in range(0, len(a), _SLOT_BLOCK):
         block_a, block_b = a[i:i + _SLOT_BLOCK], b[i:i + _SLOT_BLOCK]
         keep = block_a > block_b
         kept_a, kept_b = block_a[keep], block_b[keep]
-        if len(kept_a):
-            gap = max(gap, float((kept_a - kept_b).max()))
-            a[active:active + len(kept_a)] = kept_a
-            b[active:active + len(kept_b)] = kept_b
-            active += len(kept_a)
-    return a[:active], b[:active], gap
+        a[active:active + len(kept_a)] = kept_a
+        b[active:active + len(kept_b)] = kept_b
+        active += len(kept_a)
+    return a[:active], b[:active]
 
 
 def calibrate_fading_lambda(ch, avg_budget, samples, seed):
@@ -453,7 +454,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     _check_positive("avg_budget", avg_budget)
     _check_count("samples", samples)
 
-    a, b, gap = _compact_active(*_draw_states(ch, samples, seed))
+    a, b = _compact_active(*_draw_states(ch, samples, seed))
     if not len(a):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
     start = 0.0
@@ -464,7 +465,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
         start = _solve_threshold(sub_a, sub_b, samples * len(sub_a) / len(a), avg_budget,
                                  _SUBSAMPLE_REL_TOL * avg_budget)[0]
     best_t, best_p, iterations = _solve_threshold(
-        a, b, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget), gap, start)
+        a, b, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget), start)
 
     if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
         raise NumericalError(

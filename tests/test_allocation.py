@@ -24,7 +24,6 @@ from secrecylab import (
     power_at_lambda,
     sum_secrecy_rate,
 )
-from secrecylab import allocation
 from secrecylab.allocation import (
     _RESIDUAL_ULPS,
     _SLOT_BLOCK,
@@ -32,7 +31,9 @@ from secrecylab.allocation import (
     _block_evaluator,
     _compact_active,
     _fading_power_array,
+    _slot_blocks,
     _slot_terms,
+    _solve_threshold,
 )
 
 
@@ -518,23 +519,15 @@ class TestCalibration:
 
     @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
     @pytest.mark.parametrize("samples", [10 ** 5, 10 ** 6])
-    def test_subsample_start_matches_plain_bisection(self, gains, samples, monkeypatch):
+    def test_subsample_start_matches_plain_bisection(self, gains, samples):
         """Past one block of active slots, the full-sample search starts from a subsample root."""
-        solves = []
-
-        def counted(*args):
-            solves.append(len(args[0]))
-            return solve(*args)
-
-        solve = allocation._solve_threshold
-        monkeypatch.setattr(allocation, "_solve_threshold", counted)
         ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
         budget = 2.0
         policy = calibrate_fading_lambda(ch, budget, samples, seed=29)
         rng = np.random.default_rng(29)
         a = rng.exponential(ch.a, samples)
         b = rng.exponential(ch.b, samples)
-        assert len(solves) == 2 and solves[0] < 2 * allocation._SUBSAMPLE_SLOTS < solves[1]
+        assert np.count_nonzero(a > b) > _SLOT_BLOCK
         assert policy.lam == pytest.approx(bisected_lambda(a, b, budget), rel=1e-9)
         assert abs(policy.avg_power - budget) <= _RESIDUAL_ULPS * math.ulp(budget)
         assert policy.iterations <= 5
@@ -591,7 +584,7 @@ class TestBlockedCalibration:
         b = a * rng.uniform(0.0, 0.99, active)
         n = active + 1000      # slots with a <= b spend nothing but count in the mean
         gains = a.copy(), b.copy()
-        evaluate = _block_evaluator(*gains, n)
+        evaluate = _block_evaluator(_slot_blocks(*gains), n)
         u = whole_array_terms(a, b)[0]
         for t in [*np.quantile(u, [0.01, 0.5, 0.99]), 10.0 * u.max()]:
             power, slope = evaluate(t)
@@ -620,14 +613,20 @@ class TestBlockedCalibration:
         a, b = rng.exponential(1.0, (2, samples))
         a[::1000] = math.inf          # an overflowed draw is active, with u = 0
         want = a[a > b], b[a > b]
-        kept_a, kept_b, gap = _compact_active(a, b)
+        kept_a, kept_b = _compact_active(a, b)
         np.testing.assert_array_equal((kept_a, kept_b), want)
         assert np.shares_memory(kept_a, a) and np.shares_memory(kept_b, b)  # in place
-        assert gap == (want[0] - want[1]).max() == math.inf
-        assert _compact_active(np.ones(5), np.ones(5))[2:] == (0.0,)
-        a, b = rng.exponential(1.0, (2, samples))
-        assert 2.0 / _compact_active(a.copy(), b.copy())[2] == whole_array_terms(
-            a[a > b], b[a > b])[0].min()
+        assert [len(kept) for kept in _compact_active(np.ones(5), np.ones(5))] == [0, 0]
+
+    @pytest.mark.parametrize("active", BLOCK_EDGES)
+    def test_search_starts_at_the_least_threshold(self, active):
+        """The solver's lower bound ``2 / max(a - b)``, taken block by block, is ``min u``."""
+        rng = np.random.default_rng(active)
+        a = rng.exponential(5.0, active)
+        b = a * rng.uniform(0.0, 0.99, active)
+        # A target this small is met at once, at the lower bound, where no slot spends.
+        assert _solve_threshold(a, b, active, 1e-300, 1.0) == (
+            whole_array_terms(a, b)[0].min(), 0.0, 1)
 
     def test_slot_terms_match_the_out_of_place_form(self):
         rng = np.random.default_rng(11)

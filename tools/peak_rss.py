@@ -1,10 +1,11 @@
 """Print the peak resident memory of one ``secrecylab`` CLI command, as its own process.
 
 Runs ``python -m secrecylab ARGS...`` on this checkout's ``src/`` by
-``fork`` and ``exec`` and prints, per run, the command's exit code and the
-``ru_maxrss`` that ``wait4`` reports for that process alone::
+``fork`` and ``exec`` and prints the command's exit code and the
+``ru_maxrss`` that ``wait4`` reports for that process alone; it exits with
+the command's exit code::
 
-    python tools/peak_rss.py --runs 3 allocate-fading --scenario single.scenario \\
+    python tools/peak_rss.py allocate-fading --scenario single.scenario \\
         --samples 1000000 --budget 2 --out /tmp/report.csv
 
 A process started by ``vfork`` (as ``subprocess`` starts one) shares its
@@ -41,17 +42,13 @@ def peak_rss(args):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=1, help="runs of the command (default 1)")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="the command and its options")
     options = parser.parse_args(argv)
-    if not options.args or options.runs < 1:
-        parser.error("give a command, and --runs of at least 1")
-    worst = 0
-    for _ in range(options.runs):
-        code, maxrss_kb = peak_rss(options.args)
-        print(f"exit {code}  peak_rss_mb {maxrss_kb / 1024:.1f}", flush=True)
-        worst = worst or code
-    return worst
+    if not options.args:
+        parser.error("give a command")
+    code, maxrss_kb = peak_rss(options.args)
+    print(f"exit {code}  peak_rss_mb {maxrss_kb / 1024:.1f}")
+    return code
 
 
 if __name__ == "__main__":
