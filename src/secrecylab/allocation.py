@@ -14,7 +14,8 @@ gains by a power of two scales ``P`` by its inverse, exactly.  The
 threshold is calibrated by Monte Carlo so that the calibration-sample mean
 power lands within 1 % of the average budget, else
 :class:`~secrecylab.errors.NumericalError` is raised.  The ergodic secrecy
-rate is the sample mean of the per-slot rates.
+rate is the sample mean of the per-slot rates on fresh draws, with its
+standard error.
 
 **Static AWGN banks.**  The sum secrecy rate
 ``sum_i [1/2 log2(1 + P_i/sigma_m_sq_i) - 1/2 log2(1 + P_i/sigma_w_sq_i)]``
@@ -43,6 +44,14 @@ per sample at ``10**6`` samples, on any link.  With more active slots than
 one block, it first solves on a strided subsample of about ``2**11`` of
 them to 1e-3 of the budget and starts the full-sample search there, which
 then takes about 4 evaluations.
+
+**The ergodic estimate walks the same blocks once.**  It compacts fresh
+draws as calibration does, builds each block's powers with the same
+kernels and rates with the rate kernel, and folds each block's count, mean
+and sum of squared deviations into running totals by the pairwise update
+of T. F. Chan, G. H. Golub and R. J. LeVeque ("Algorithms for computing
+the sample variance", 1983), the inactive slots entering as one group of
+zeros.  So it too peaks at the two draws, about 17 bytes per sample.
 
 Monte Carlo estimators take a seed and evaluate sequentially with
 numpy's PCG64 generator, so results are bit-reproducible.
@@ -307,8 +316,19 @@ def _mean(powers, n):
 
 def _slot_blocks(a, b):
     """``(a, b)`` split into views of at most :data:`_SLOT_BLOCK` slots each."""
-    edges = range(_SLOT_BLOCK, len(a), _SLOT_BLOCK)
-    return list(zip(np.split(a, edges), np.split(b, edges)))
+    return [(a[i:i + _SLOT_BLOCK], b[i:i + _SLOT_BLOCK]) for i in range(0, len(a), _SLOT_BLOCK)]
+
+
+def _block_powers(t, a, b, buffers):
+    """Powers at ``t`` of one block of slots with ``a > b``, built in preallocated rows.
+
+    The block's :func:`_slot_terms` and :func:`_slot_power` are written into
+    the first six rows of ``buffers``, whose rows hold at least ``len(a)``
+    entries; the gains are only read.  Returns ``(p, w, d, k)``.
+    """
+    u, v, k, p, w, d = buffers[:6, :len(a)]
+    _slot_terms(a, b, out=(u, v, k, p))
+    return (*_slot_power(t, u, v, k, out=(p, w, d)), k)
 
 
 def _block_evaluator(blocks, n):
@@ -316,8 +336,8 @@ def _block_evaluator(blocks, n):
 
     ``blocks`` are the :func:`_slot_blocks` of the gains of the slots with
     ``a > b``; the others add nothing.  Each call builds each block's
-    :func:`_slot_terms` and then its powers and slopes in seven preallocated
-    block buffers, and adds the per-block means and slopes.  So no term
+    powers (:func:`_block_powers`) and slopes in seven preallocated block
+    buffers, and adds the per-block means and slopes.  So no term
     array spans the whole sample, and the temporaries stay cache-sized; the
     gains are only read.
     """
@@ -326,10 +346,8 @@ def _block_evaluator(blocks, n):
 
     def mean_power_and_slope(t):
         for i, (a, b) in enumerate(blocks):
-            u, v, k, p, w, d, s = buffers[:, :len(a)]
-            _slot_terms(a, b, out=(u, v, k, p))
-            _slot_power(t, u, v, k, out=(p, w, d))
-            sums[:, i] = _mean(p, n), _slot_slope(p, w, d, k, out=s).sum()
+            p, w, d, k = _block_powers(t, a, b, buffers)
+            sums[:, i] = _mean(p, n), _slot_slope(p, w, d, k, out=buffers[6, :len(a)]).sum()
         return float(sums[0].sum()), float(sums[1].sum()) / n
 
     return mean_power_and_slope
@@ -385,26 +403,35 @@ def _midpoint(lo, hi):
 
 
 def _draw_states(ch, samples, seed):
-    """Exponential gain draws for ``samples`` slots of one fading link."""
+    """Exponential gain draws for ``samples`` slots of one fading link.
+
+    Bit-identical to ``rng.exponential(ch.a, samples), rng.exponential(ch.b,
+    samples)``: numpy draws ``exponential(scale)`` as ``scale`` times a
+    standard exponential, which is scaled here in place.  A scale near the
+    float maximum overflows some draws to ``inf``, as numpy's own does.
+    """
     rng = np.random.default_rng(seed)
-    return rng.exponential(ch.a, samples), rng.exponential(ch.b, samples)
+    a, b = rng.standard_exponential(samples), rng.standard_exponential(samples)
+    with np.errstate(over="ignore"):
+        a *= ch.a
+        b *= ch.b
+    return a, b
 
 
 def _compact_active(a, b):
     """Move the slots with ``a > b`` to the front of ``a`` and ``b``, in order and in place.
 
-    Walks the draws in blocks of :data:`_SLOT_BLOCK`, so only block-sized
-    copies are made.  Returns views of the active slots in the draws' own
-    buffers.
+    Walks the draws in blocks of :data:`_SLOT_BLOCK` and gathers each
+    block's active slots by index, so only block-sized copies are made.
+    Returns views of the active slots in the draws' own buffers.
     """
     active = 0
     for i in range(0, len(a), _SLOT_BLOCK):
         block_a, block_b = a[i:i + _SLOT_BLOCK], b[i:i + _SLOT_BLOCK]
-        keep = block_a > block_b
-        kept_a, kept_b = block_a[keep], block_b[keep]
-        a[active:active + len(kept_a)] = kept_a
-        b[active:active + len(kept_b)] = kept_b
-        active += len(kept_a)
+        keep = np.flatnonzero(block_a > block_b)
+        np.take(block_a, keep, out=a[active:active + len(keep)])
+        np.take(block_b, keep, out=b[active:active + len(keep)])
+        active += len(keep)
     return a[:active], b[:active]
 
 
@@ -479,7 +506,13 @@ def ergodic_secrecy_capacity(ch, policy, samples, seed):
     """Monte Carlo estimate of the long-run secrecy rate under a policy.
 
     Draws ``samples`` slot states, applies the policy's per-slot power rule
-    and averages the instantaneous secrecy rates.
+    and averages the instantaneous secrecy rates.  The slots with ``a > b``
+    are compacted to the front of the draws and walked in blocks of
+    :data:`_SLOT_BLOCK`: each block's terms and powers are built in
+    preallocated block buffers, and its rates' count, mean and sum of
+    squared deviations are folded into running totals by the pairwise
+    update of Chan, Golub and LeVeque; the other slots enter as one group
+    of zeros.  So memory peaks at the two draws, about 17 bytes per sample.
 
     Parameters
     ----------
@@ -502,12 +535,22 @@ def ergodic_secrecy_capacity(ch, policy, samples, seed):
         Any of the three is not finite.
     """
     _check_count("samples", samples)
-    a, b = _draw_states(ch, samples, seed)
-    p = _fading_power_array(policy.lam, a, b)
-    rates = _secrecy_rate(p, a, b)
-    estimate = float(rates.mean())
-    stderr = float(rates.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    power = _mean(p, samples)
+    a, b = _compact_active(*_draw_states(ch, samples, seed))
+    t = 1.0 / policy.lam
+    buffers = np.empty((6, min(len(a), _SLOT_BLOCK)))
+    # The inactive slots are one group of zeros: mean 0, no squared deviation.
+    count, estimate, m2, power = samples - len(a), 0.0, 0.0, 0.0
+    for a, b in _slot_blocks(a, b):
+        p = _block_powers(t, a, b, buffers)[0]
+        power += _mean(p, samples)
+        rates = _secrecy_rate(p, a, b)
+        block_mean = float(rates.mean())
+        block_m2 = float(np.square(np.subtract(rates, block_mean, out=rates), out=rates).sum())
+        count += len(a)
+        delta, share = block_mean - estimate, len(a) / count
+        estimate += delta * share
+        m2 += block_m2 + delta * delta * (count - len(a)) * share
+    stderr = math.sqrt(m2 / (samples - 1)) / math.sqrt(samples) if samples > 1 else 0.0
     if not math.isfinite(estimate + stderr + power):
         raise NumericalError(f"ergodic estimate is not finite: rate {estimate!r}, "
                              f"standard error {stderr!r}, mean power {power!r}")

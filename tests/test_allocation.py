@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,17 +25,20 @@ from secrecylab import (
     power_at_lambda,
     sum_secrecy_rate,
 )
+from secrecylab import allocation
 from secrecylab.allocation import (
     _RESIDUAL_ULPS,
     _SLOT_BLOCK,
     AWGN_BUDGET_TOL,
     _block_evaluator,
     _compact_active,
+    _draw_states,
     _fading_power_array,
     _slot_blocks,
     _slot_terms,
     _solve_threshold,
 )
+from secrecylab.channels import _secrecy_rate
 
 
 def random_bank(rng, n=3, lo=0.5, hi=5.0):
@@ -686,12 +690,21 @@ class TestErgodicCapacity:
         assert e1 == e2
 
     def test_reports_mean_power_of_the_same_draws(self):
+        """The power is within 2 ulps of the exactly rounded mean over the same
+        draws, and far from the mean over other draws."""
         policy = calibrate_fading_lambda(FADING, 1.0, 10_000, seed=2)
-        _rate, _stderr, power = ergodic_secrecy_capacity(FADING, policy, 10_000, seed=9)
-        rng = np.random.default_rng(9)
-        a = rng.exponential(FADING.a, 10_000)
-        b = rng.exponential(FADING.b, 10_000)
-        assert power == _fading_power_array(policy.lam, a, b).mean()
+
+        def exact_mean_power(samples, seed):
+            rng = np.random.default_rng(seed)
+            a = rng.exponential(FADING.a, samples)
+            b = rng.exponential(FADING.b, samples)
+            return math.fsum(_fading_power_array(policy.lam, a, b)) / samples
+
+        for samples in (10_000, 100_000):    # one block of active slots, and several
+            _rate, _stderr, power = ergodic_secrecy_capacity(FADING, policy, samples, seed=9)
+            exact = exact_mean_power(samples, 9)
+            assert abs(power - exact) <= 2 * math.ulp(exact)
+            assert abs(power - exact_mean_power(samples, 10)) > 1e9 * math.ulp(exact)
 
     def test_calibrated_policy_beats_constant_power_baseline(self):
         """Threshold policy vs spend-the-budget-whenever-qualified, paired draws."""
@@ -712,3 +725,91 @@ class TestErgodicCapacity:
                                           - np.log2(1 + p_base * b))).mean()
             wins += opt >= base
         assert wins == 20
+
+
+def whole_array_ergodic(lam, a, b):
+    """The ergodic estimate over whole arrays: the zero-padded power rule, the
+    rate kernel, and numpy's mean and sample standard deviation."""
+    p = _fading_power_array(lam, a, b)
+    rates = _secrecy_rate(p, a, b)
+    stderr = rates.std(ddof=1) / math.sqrt(len(a)) if len(a) > 1 else 0.0
+    return rates.mean(), stderr, p.mean()
+
+
+def mixed_draws(active, inactive, seed):
+    """Gain draws with exactly ``active`` slots where ``a > b``, shuffled among ``inactive`` others."""
+    rng = np.random.default_rng(seed)
+    a = rng.exponential(5.0, active + inactive)
+    b = a * np.concatenate([rng.uniform(0.0, 0.99, active), rng.uniform(1.0, 2.0, inactive)])
+    order = rng.permutation(active + inactive)
+    return a[order], b[order]
+
+
+class TestBlockedErgodic:
+    """The estimate walks the compacted draws in blocks and folds their statistics."""
+
+    @pytest.mark.parametrize("active, inactive", [
+        *((m, inactive) for m in BLOCK_EDGES for inactive in (0, 1000)), (0, 1000)])
+    def test_matches_whole_arrays_across_block_edges(self, monkeypatch, active, inactive):
+        a, b = mixed_draws(active, inactive, seed=active + inactive)
+        # The estimator compacts its draws in place: hand it copies.
+        monkeypatch.setattr(allocation, "_draw_states", lambda ch, samples, seed: (a.copy(), b.copy()))
+        # At t = 2 the slots with a - b > 1 spend: most active ones, not all.
+        policy = FadingPolicy(lam=0.5, channel=FADING)
+        got = ergodic_secrecy_capacity(FADING, policy, active + inactive, seed=0)
+        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("samples", [1, 2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_whole_arrays_on_one_or_two_samples(self, samples, seed):
+        policy = FadingPolicy(lam=0.05, channel=FADING)
+        rng = np.random.default_rng(seed)
+        a = rng.exponential(FADING.a, samples)
+        b = rng.exponential(FADING.b, samples)
+        got = ergodic_secrecy_capacity(FADING, policy, samples, seed)
+        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+
+    def test_matches_whole_arrays_where_the_rate_kernel_overflows(self):
+        """``p a`` passes the float maximum, so the rate takes its overflow form."""
+        ch = FadingWiretapChannel(a=1e10, b=1e-300, sigma_m_sq=1.0, sigma_w_sq=1.0)
+        policy = FadingPolicy(lam=1e-300, channel=ch)
+        samples = _SLOT_BLOCK + 1000
+        rng = np.random.default_rng(4)
+        a = rng.exponential(ch.a, samples)
+        b = rng.exponential(ch.b, samples)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(_fading_power_array(policy.lam, a, b) * a).all()
+        got = ergodic_secrecy_capacity(ch, policy, samples, seed=4)
+        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
+    def test_ergodic_peak_memory(self, gains):
+        """At 10**6 samples the traced peak stays within 20 bytes per sample:
+        the two draws, compacted in place, and a few block buffers."""
+        ch = FadingWiretapChannel(a=gains[0], b=gains[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
+        policy = calibrate_fading_lambda(ch, 2.0, 10_000, seed=7)
+        samples = 10 ** 6
+        tracemalloc.start()
+        try:
+            ergodic_secrecy_capacity(ch, policy, samples, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * samples
+
+
+class TestDrawStates:
+    @pytest.mark.parametrize("scales", [(5.0, 0.5), (8.2e307, 1.0), (1.0, 1e-310)],
+                             ids=["unit", "overflowing", "subnormal"])
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5,
+                                      np.random.SeedSequence(entropy=7, spawn_key=(1, 0))])
+    def test_bit_identical_to_numpy_exponential(self, scales, seed):
+        ch = FadingWiretapChannel(a=scales[0], b=scales[1], sigma_m_sq=1.0, sigma_w_sq=1.0)
+        rng = np.random.default_rng(seed)
+        want = rng.exponential(ch.a, 1000), rng.exponential(ch.b, 1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _draw_states(ch, 1000, seed)
+        assert [draw.tobytes() for draw in got] == [draw.tobytes() for draw in want]
+        if ch.a == 8.2e307:
+            assert np.isinf(want[0]).any()

@@ -40,3 +40,18 @@ def test_needs_a_command():
     proc = run_tool()
     assert proc.returncode == 2
     assert "give a command" in proc.stderr
+
+
+def test_ergodic_peaks_with_calibration(tmp_path):
+    """At 10**6 samples the ergodic estimate holds no more than calibration does:
+    ``ergodic`` (calibration, then the estimate) peaks within 2 MB of ``allocate-fading``."""
+    scenario = tmp_path / "fading.scenario"
+    scenario.write_text(json.dumps({"schema_version": 1, "channels": [
+        {"type": "fading", "a": 5.0, "b": 0.5, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}]}))
+    peaks = {}
+    for command in ("ergodic", "allocate-fading"):
+        proc = run_tool(command, "--scenario", str(scenario), "--samples", "1000000",
+                        "--budget", "2", "--seed", "7", "--out", str(tmp_path / f"{command}.csv"))
+        assert proc.returncode == 0, proc.stderr
+        peaks[command] = float(re.fullmatch(r"exit 0  peak_rss_mb (\d+\.\d)", proc.stdout.strip())[1])
+    assert peaks["ergodic"] <= peaks["allocate-fading"] + 2.0, peaks
