@@ -184,13 +184,24 @@ def _gains(channels):
 def awgn_waterfill(channels, budget):
     """Split a power budget across parallel AWGN links for maximum secrecy.
 
-    Solves for the threshold ``lam`` at which the links' optimal powers sum
-    to the budget, running the search until its bracket collapses.  When at
-    least one link is eligible, the powers sum to the budget within
-    :data:`AWGN_BUDGET_TOL` (1e-9); bracket collapse meets it for budgets
-    below 2**23, whose float spacing is finer than that.  When no link has a
-    strictly noisier eavesdropper the budget is unusable and an all-zero
-    allocation is returned.
+    Solves for the threshold ``t = 1/lam`` at which the links' optimal
+    powers sum to the budget, running the search until its bracket on ``t``
+    collapses to two neighbouring floats; the powers must then sum to the
+    budget within :data:`AWGN_BUDGET_TOL` (1e-9).  At collapse the sum can
+    still miss the budget by a part of the power that one float step of
+    ``t`` moves: ``ulp(t)`` times the summed ``1/(v + w)`` of the active
+    links (module docstring).  Where that step passes about 2e-9, as it can
+    from ``t`` near 2**24 on, a :class:`~secrecylab.errors.NumericalError` is
+    raised although the answer exists: the link ``(sigma_m_sq, sigma_w_sq)
+    = (2**24, 2**54)`` at budget 1 misses by 1.863e-09.  The tolerance is
+    absolute, so small budgets pass it inexactly: the first link to
+    activate, at ``t = u``, gets power in steps of about ``ulp(u) / (v +
+    w)``, 1.11e-16 on the link (1, 3).  A budget below that step gives
+    all-zero powers, and budgets up to about 1e6 times it lose relative
+    accuracy (1e-10 on that link is off from the 8th digit), at exit 0.
+    ROADMAP item 1 plans the relative fix.  When no link has a strictly
+    noisier eavesdropper the budget is unusable and an all-zero allocation
+    is returned.
 
     Parameters
     ----------
@@ -210,20 +221,20 @@ def awgn_waterfill(channels, budget):
         Empty bank or non-positive budget.
     NumericalError
         The allocation misses the budget by more than
-        :data:`AWGN_BUDGET_TOL` (budgets whose float spacing exceeds it).
+        :data:`AWGN_BUDGET_TOL`: one float step of ``t`` near the root moves
+        the powers by more than about twice that (see above).
     """
     if len(channels) == 0:
         raise InvalidInputError("channel list must not be empty")
     _check_positive("budget", budget)
 
     a, b = _gains(channels)
-    powers = np.zeros(len(channels))
     on = a > b
     if not np.any(on):
+        powers = np.zeros(len(channels))
         return AllocationResult(powers=powers, lam=0.0, sum_rate=0.0, rates=powers.copy())
-    gains = a[on], b[on]
-    t = _solve_threshold(*gains, len(channels), budget / len(channels), 0.0)[0]
-    powers[on] = _slot_power(t, *_slot_terms(*gains))[0]
+    t = _solve_threshold(a[on], b[on], len(channels), budget / len(channels), 0.0)[0]
+    powers = _power_array(t, a, b)
     residual = abs(powers.sum() - budget)
     if not residual <= AWGN_BUDGET_TOL:
         raise NumericalError(
@@ -283,13 +294,19 @@ def _slot_terms(a, b, out=None):
     return np.divide(2.0, g, out=g), v, k
 
 
+def _power_array(t, a, b):
+    """Per-slot powers at ``t = 1/lam`` of gain arrays ``a`` and ``b`` of one
+    shape: zero where ``a <= b``."""
+    out = np.zeros(a.shape)
+    on = a > b
+    out[on] = _slot_power(t, *_slot_terms(a[on], b[on]))[0]
+    return out
+
+
 def _fading_power_array(lam, a, b):
     """Vectorized per-slot power rule; ``a``/``b`` are gain arrays."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = np.zeros(a.shape)
-    on = a > b
-    out[on] = _slot_power(1.0 / lam, *_slot_terms(a[on], b[on]))[0]
-    return out
+    return _power_array(1.0 / lam, a, b)
 
 
 def fading_power(policy, state):

@@ -208,18 +208,13 @@ class _Slot(str):
     """
 
 
-def _fmt12(x):
-    """Render a float with 12 significant digits."""
-    return f"{x:.12g}"
-
-
 def _csv_cell(value):
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt12(value)
+        return f"{value:.12g}"
     return str(value)
 
 
@@ -239,34 +234,30 @@ def _nonfinite_field(value):
     """Name and value of the first non-finite float in a dict, list or tuple, or None.
 
     The name is the key path, each key as ``.key`` and each index as
-    ``[i]``, e.g. ``(".argmax_pmf[1]", nan)``.  Raises ``TypeError``, as the
-    JSON renderer does, for a dict key that is not a str, and for a value
-    that is not a str, int, float, None, dict, list or tuple.
+    ``[i]``, e.g. ``(".argmax_pmf[1]", nan)``.  Raises ``TypeError``, as
+    ``json.dumps`` does, for a dict key that is not a str, and for a value
+    that is not a str, int, float, None, dict, list or tuple; :func:`render`
+    checks each record here before a writer meets it.
     """
     if isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be str, not {type(key).__name__}")
         items = value.items()
-    elif _NO_FLOATS.issuperset(map(type, value)):
+    elif _NO_FLOATS.issuperset(map(type, value)):  # one pass over pick-prob row 0's long id tuple
         return None
     else:
         items = enumerate(value)
     for key, item in items:
-        kind = type(item)
-        if kind is float:
+        if isinstance(item, float):
             if not math.isfinite(item):
                 return _key_name(key), item
-        elif kind in _NO_FLOATS:
-            continue
         elif isinstance(item, (dict, list, tuple)):
             found = _nonfinite_field(item)
             if found is not None:
                 return _key_name(key) + found[0], found[1]
-        elif not isinstance(item, (str, int, float)):
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        elif isinstance(item, float) and not math.isfinite(item):
-            return _key_name(key), item
+        elif not (item is None or isinstance(item, (str, int))):
+            raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
     return None
 
 
@@ -322,27 +313,23 @@ def _float_texts(values):
 def _json_text(value, indent):
     """The text of a value at ``indent`` as ``json.dumps(indent=2, sort_keys=True)``
     writes it, with each float, finite, rounded to 12 significant digits and
-    shown as the ``repr`` of the rounded value."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
+    shown as the ``repr`` of the rounded value.  The value holds only the
+    types :func:`_nonfinite_field` lets pass."""
+    if type(value) is int:  # ahead of the ladder: pick-prob's JSON holds thousands of plain ints
         return int.__repr__(value)
+    if value is None or value is True or value is False:
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, str):
+        return value if type(value) is _Slot else encode_basestring_ascii(value)
     if isinstance(value, float):
         return _float_texts((value,))[0]
-    if value is None or kind is bool:
-        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
     inner = indent + "  "
     if isinstance(value, dict):
         return _json_block("{}", [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
                                   for key in sorted(value)], indent)
-    if isinstance(value, (list, tuple)):
-        return _json_block("[]", [_json_text(item, inner) for item in value], indent)
-    if isinstance(value, str):
-        return value if kind is _Slot else encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _json_block("[]", [_json_text(item, inner) for item in value], indent)
 
 
 def _json_block(brackets, items, indent):
@@ -387,7 +374,7 @@ def _csv_texts(column):
     """The CSV cells of a column of a :class:`ColumnReport`, each quoted by
     :func:`_csv_quoted`; a float needs no quoting."""
     if type(column) is _Floats:
-        return map(_fmt12, column)
+        return map("{:.12g}".format, column)
     return map(_csv_quoted, map(_csv_cell, column))
 
 

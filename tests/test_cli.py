@@ -739,6 +739,13 @@ def test_module_entry_point_runs():
     assert proc.stdout.startswith("experiment,")
 
 
+def test_cli_module_runs_as_a_script():
+    proc = subprocess.run([sys.executable, "-m", "secrecylab.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("\n\n" + cli.__doc__[cli.__doc__.index("Commands:"):])
+
+
 def test_help_states_the_commands_seeds_and_exit_codes(capsys):
     with pytest.raises(SystemExit) as done:
         cli.main(["--help"])

@@ -176,6 +176,11 @@ class TestTypes:
             DiscretePmf([0.5, -0.5, 1.0])
         DiscretePmf([0.25, 0.75])
 
+    def test_pmf_len_and_repr(self):
+        pmf = DiscretePmf([0.25, 0.75])
+        assert len(pmf) == 2
+        assert repr(pmf) == "DiscretePmf([0.25, 0.75])"
+
     def test_channel_rows_must_be_stochastic(self):
         with pytest.raises(InvalidInputError):
             DiscreteWiretapChannel(main=[[0.9, 0.2], [0.1, 0.9]],

@@ -44,6 +44,15 @@ class TestLoadScenario:
         assert scenario.channels[0].kind == "gaussian"
         assert scenario.channels[0].id == 1
 
+    def test_channel_list_repr_shows_banked_and_other_entries(self, tmp_path):
+        doc = dict(MINIMAL, channels=[*MINIMAL["channels"], {
+            "type": "fading", "a": 2.0, "b": 1.0, "sigma_m_sq": 1.0, "sigma_w_sq": 1.0}])
+        assert repr(load_scenario(write_scenario(tmp_path, doc)).channels) == (
+            "ChannelList([ScenarioChannel(kind='gaussian', id=1, "
+            "channel=GaussianWiretapChannel(sigma_m_sq=1.0, sigma_w_sq=3.0)), "
+            "ScenarioChannel(kind='fading', id=2, channel=FadingWiretapChannel("
+            "a=2.0, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0))])")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "nope.scenario")
