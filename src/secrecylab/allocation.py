@@ -37,7 +37,11 @@ a bracket wider than a factor of 4 is bisected at its geometric mean.
 Calibration stops within 4 ulps of the budget; the water-fill runs until
 the bracket collapses.  Each evaluation walks the active slots' gains in
 blocks of ``2**14`` and builds each block's terms, powers and slopes in a
-few preallocated block buffers, so no term array spans the sample.
+few preallocated block buffers, so no term array spans the sample.  One
+function, ``_block_powers``, forms the terms and powers of the root above,
+always in rows its caller hands it: a block's rows in the solver and the
+ergodic walk, rows as long as the active slots for the water-fill's final
+powers and the scalar power rules.
 Calibration first compacts the active slots block by block inside the
 draws' own buffers, so its memory peaks at the two draws: about 17 bytes
 per sample at ``10**6`` samples, on any link.  With more active slots than
@@ -47,7 +51,7 @@ then takes about 4 evaluations.
 
 **The ergodic estimate walks the same blocks once.**  It compacts fresh
 draws as calibration does, builds each block's powers with the same
-kernels and rates with the rate kernel, and folds each block's count, mean
+``_block_powers`` and rates with the rate kernel, and folds each block's count, mean
 and sum of squared deviations into running totals by the pairwise update
 of T. F. Chan, G. H. Golub and R. J. LeVeque ("Algorithms for computing
 the sample variance", 1983), the inactive slots entering as one group of
@@ -243,63 +247,12 @@ def awgn_waterfill(channels, budget):
     return AllocationResult(powers=powers, lam=1.0 / t, sum_rate=float(rates.sum()), rates=rates)
 
 
-# Thresholds near the float limit, and gain draws that overflowed, overflow
-# the slot kernels below; the callers' residual checks report the result,
-# so numpy need not warn.
-@np.errstate(over="ignore", invalid="ignore")
-def _slot_power(t, u, v, k, out=None):
-    """Cancellation-free per-slot power at ``t = 1/lam``, with its root term.
-
-    For slots with ``g = a - b > 0``, given ``u = 2/g``, ``v = (a + b)/g``
-    and ``k = 2 b a/g``, returns ``(p, w, d)`` with ``w = sqrt(1 + t k)``,
-    the denominator ``d = v + w`` and ``p = max(t - u, 0) / d``: zero
-    exactly when ``t <= u``.  ``out`` is an optional ``(p, w, d)`` of arrays
-    to write the results into.
-    """
-    p, w, d = out or (None, None, None)
-    w = np.sqrt(np.add(1.0, np.multiply(t, k, out=w), out=w), out=w)
-    p = np.maximum(np.subtract(t, u, out=p), 0.0, out=p)
-    d = np.add(v, w, out=d)
-    return np.divide(p, d, out=p), w, d
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _slot_slope(p, w, d, k, out):
-    """``dP/dt`` of the slots at :func:`_slot_power`'s ``(p, w, d)``, written into ``out``.
-
-    The slope is 0 where ``p = 0``.
-    """
-    s = np.multiply(0.5, k, out=out)
-    np.subtract(1.0, np.divide(np.multiply(s, p, out=s), w, out=s), out=s)
-    np.divide(s, d, out=s)
-    np.copyto(s, 0.0, where=~(p > 0.0))
-    return s
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _slot_terms(a, b, out=None):
-    """The per-slot constants ``(u, v, k)`` of :func:`_slot_power`, for ``a > b``.
-
-    Each is a ratio to ``g = a - b``, so no term squares a gain or multiplies
-    two of them.  ``out`` is an optional ``(u, v, k, scratch)`` of arrays
-    shaped like ``a`` to build them in.  By default ``k`` is built in
-    ``a``'s buffer with ``b``'s as scratch, so the caller hands over the
-    gains and only ``u`` and ``v`` take new memory.
-    """
-    u, v, k, scratch = out or (None, None, a, b)
-    g = np.subtract(a, b, out=u)
-    v = np.divide(np.add(a, b, out=v), g, out=v)
-    # (a/g) * 2b: the two products of 2.0 * b * (a / g), so k is bit-identical.
-    k = np.multiply(np.divide(a, g, out=k), np.multiply(2.0, b, out=scratch), out=k)
-    return np.divide(2.0, g, out=g), v, k
-
-
 def _power_array(t, a, b):
     """Per-slot powers at ``t = 1/lam`` of gain arrays ``a`` and ``b`` of one
     shape: zero where ``a <= b``."""
     out = np.zeros(a.shape)
     on = a > b
-    out[on] = _slot_power(t, *_slot_terms(a[on], b[on]))[0]
+    out[on] = _block_powers(t, a[on], b[on], np.empty((6, np.count_nonzero(on))))[0]
     return out
 
 
@@ -336,16 +289,31 @@ def _slot_blocks(a, b):
     return [(a[i:i + _SLOT_BLOCK], b[i:i + _SLOT_BLOCK]) for i in range(0, len(a), _SLOT_BLOCK)]
 
 
+# Thresholds near the float limit, and gain draws that overflowed, overflow
+# the slot terms below; the callers' residual checks report the result, so
+# numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def _block_powers(t, a, b, buffers):
-    """Powers at ``t`` of one block of slots with ``a > b``, built in preallocated rows.
+    """Powers at ``t = 1/lam`` of slots with ``a > b``, built in preallocated rows.
 
-    The block's :func:`_slot_terms` and :func:`_slot_power` are written into
-    the first six rows of ``buffers``, whose rows hold at least ``len(a)``
-    entries; the gains are only read.  Returns ``(p, w, d, k)``.
+    Writes the slot terms ``u, v, k`` of the module docstring, the root
+    term ``w = sqrt(1 + t k)``, the denominator ``d = v + w`` and the
+    powers ``p = max(t - u, 0) / d`` into the first six rows of
+    ``buffers``, whose rows hold at least ``len(a)`` entries; the gains are
+    only read.  Each term is a ratio to ``g = a - b``, so none squares a
+    gain or multiplies two.  The solver and the ergodic walk hand it one
+    block's rows at a time, :func:`_power_array` rows as long as all the
+    active slots.  Returns ``(p, w, d, k)``.
     """
     u, v, k, p, w, d = buffers[:6, :len(a)]
-    _slot_terms(a, b, out=(u, v, k, p))
-    return (*_slot_power(t, u, v, k, out=(p, w, d)), k)
+    g = np.subtract(a, b, out=u)
+    np.divide(np.add(a, b, out=v), g, out=v)
+    # (a/g) * 2b: the two products of 2.0 * b * (a / g), so k equals it bit for bit.
+    np.multiply(np.divide(a, g, out=k), np.multiply(2.0, b, out=p), out=k)
+    np.divide(2.0, g, out=u)
+    np.sqrt(np.add(1.0, np.multiply(t, k, out=w), out=w), out=w)
+    np.maximum(np.subtract(t, u, out=p), 0.0, out=p)
+    return np.divide(p, np.add(v, w, out=d), out=p), w, d, k
 
 
 def _block_evaluator(blocks, n):
@@ -353,10 +321,10 @@ def _block_evaluator(blocks, n):
 
     ``blocks`` are the :func:`_slot_blocks` of the gains of the slots with
     ``a > b``; the others add nothing.  Each call builds each block's
-    powers (:func:`_block_powers`) and slopes in seven preallocated block
-    buffers, and adds the per-block means and slopes.  So no term
-    array spans the whole sample, and the temporaries stay cache-sized; the
-    gains are only read.
+    powers (:func:`_block_powers`) and slopes ``dP/dt = (1 - k P / (2 w)) /
+    d``, 0 where ``P = 0``, in seven preallocated block buffers, and adds
+    the per-block means and slopes.  So no term array spans the whole
+    sample, and the temporaries stay cache-sized; the gains are only read.
     """
     buffers = np.empty((7, len(blocks[0][0])))
     sums = np.empty((2, len(blocks)))
@@ -364,7 +332,12 @@ def _block_evaluator(blocks, n):
     def mean_power_and_slope(t):
         for i, (a, b) in enumerate(blocks):
             p, w, d, k = _block_powers(t, a, b, buffers)
-            sums[:, i] = _mean(p, n), _slot_slope(p, w, d, k, out=buffers[6, :len(a)]).sum()
+            s = np.multiply(0.5, k, out=buffers[6, :len(a)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(1.0, np.divide(np.multiply(s, p, out=s), w, out=s), out=s)
+                np.divide(s, d, out=s)
+            np.copyto(s, 0.0, where=~(p > 0.0))
+            sums[:, i] = _mean(p, n), s.sum()
         return float(sums[0].sum()), float(sums[1].sum()) / n
 
     return mean_power_and_slope

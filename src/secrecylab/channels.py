@@ -172,15 +172,21 @@ class ChannelState:
 def _secrecy_rate(p, a, b):
     """Elementwise ``max(0, 1/2 log2((1 + p a) / (1 + p b)))`` for gains ``a, b``.
 
-    Where ``p a`` or ``p b`` overflows, the rate is taken in the equivalent
-    form ``1/2 (log2(a + 1/p) - log2(b + 1/p))``, which stays finite.  At
-    ``p = 0`` the rate is 0, also for an infinite gain.
+    Taken as ``log1p((a - b) / (1/p + b)) / (2 ln 2)``, which keeps its
+    relative accuracy near activation, where the ratio under the log is
+    close to 1, and stays finite where ``p a`` or ``p b`` overflows.  Where
+    that quotient overflows, or ``1/p + b`` does (``p`` below about 1e-292
+    on a gain near the float maximum), the rate is taken as ``1/2 (log2(a/2
+    + 1/2p) - log2(b/2 + 1/2p))``, in which no term overflows.  At ``p = 0``
+    the rate is 0, also for an infinite gain.
     """
-    rate = 0.5 * np.log2((1.0 + np.multiply(p, a)) / (1.0 + np.multiply(p, b)))
-    if not np.isfinite(rate).all():
-        q = 1.0 / p
-        rate = np.where(np.isfinite(rate), rate,
-                        np.where(p > 0, 0.5 * (np.log2(a + q) - np.log2(b + q)), 0.0))
+    q = np.divide(1.0, p)  # a Python 0.0 raises on 1.0 / p
+    s = q + b
+    rate = np.log1p((a - b) / s) / (2.0 * math.log(2.0))
+    far = ~np.isfinite(rate) | ((s == math.inf) & (p > 0))
+    if far.any():
+        rate = np.where(far, np.where(
+            p > 0, 0.5 * (np.log2(0.5 * a + 0.5 * q) - np.log2(0.5 * b + 0.5 * q)), 0.0), rate)
     return np.maximum(rate, 0.0)
 
 

@@ -6,8 +6,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 import secrecylab
+
+# Every run draws the same examples and neither reads nor writes the local
+# example database, so a result does not depend on what earlier runs stored.
+settings.register_profile("deterministic", database=None, derandomize=True)
+settings.load_profile("deterministic")
 
 #: Runs code with numpy unimportable and the package's ``__init__`` not run:
 #: a stub package whose path is ``sys.argv[1]`` stands in for it.  The code,

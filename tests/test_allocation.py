@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from secrecylab import (
@@ -31,11 +31,12 @@ from secrecylab.allocation import (
     _SLOT_BLOCK,
     AWGN_BUDGET_TOL,
     _block_evaluator,
+    _block_powers,
     _compact_active,
     _draw_states,
     _fading_power_array,
+    _power_array,
     _slot_blocks,
-    _slot_terms,
     _solve_threshold,
 )
 from secrecylab.channels import _secrecy_rate
@@ -374,7 +375,7 @@ class TestPowerOfTwoScaling:
     def test_fading_power_rule(self, gains, lam, data):
         a, b = np.array(gains).T
         on = a > b
-        u, v, k = _slot_terms(a[on], b[on])
+        u, v, k = whole_array_terms(a[on], b[on])
         lo, hi = shifts(up=[*a, *b, *(a - b)[on], *k, 1.0 / lam], down=[*u, lam])
         assume(lo <= hi)
         j = data.draw(st.integers(lo, hi), label="j")
@@ -395,7 +396,7 @@ class TestPowerOfTwoScaling:
             base = awgn_waterfill(bank, budget)
         except NumericalError:  # the float grid of t cannot meet the 1e-9 budget residual
             reject()
-        u, v, k = _slot_terms(a[on], b[on])
+        u, v, k = whole_array_terms(a[on], b[on])
         # The residual scales with the budget, so it bounds j from above.
         residual = abs(base.powers.sum() - budget)
         top = math.frexp(AWGN_BUDGET_TOL)[1] - math.frexp(residual)[1] - 1 if residual else 1000
@@ -544,6 +545,8 @@ class TestCalibration:
     @given(exponent=st.floats(min_value=-30.0, max_value=30.0),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
+    @example(exponent=-30.0, seed=1)
+    @example(exponent=-20.0, seed=1)
     def test_budget_met_or_raises(self, exponent, seed):
         budget = 10.0 ** exponent
         try:
@@ -558,6 +561,19 @@ class TestCalibration:
         b = rng.exponential(FADING.b, 2_000)
         assert _fading_power_array(policy.lam, a, b).mean() == pytest.approx(
             policy.avg_power, rel=1e-9)
+
+    @pytest.mark.parametrize("exponent", [-30.0, -20.0])
+    def test_tiny_budget_raises_or_spends_the_power_it_reports(self, exponent):
+        """``test_budget_met_or_raises``' examples, with no absolute tolerance
+        on the power the policy's threshold spends."""
+        try:
+            policy = calibrate_fading_lambda(FADING, 10.0 ** exponent, 2_000, seed=1)
+        except NumericalError:
+            return
+        rng = np.random.default_rng(1)
+        a, b = rng.exponential(FADING.a, 2_000), rng.exponential(FADING.b, 2_000)
+        assert _fading_power_array(policy.lam, a, b).mean() == pytest.approx(
+            policy.avg_power, rel=1e-9, abs=0.0)
 
 
 def whole_array_terms(a, b):
@@ -632,14 +648,31 @@ class TestBlockedCalibration:
         assert _solve_threshold(a, b, active, 1e-300, 1.0) == (
             whole_array_terms(a, b)[0].min(), 0.0, 1)
 
-    def test_slot_terms_match_the_out_of_place_form(self):
+    def test_block_terms_match_the_out_of_place_form(self):
         rng = np.random.default_rng(11)
         a, b = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (2, 100_000)))
         a, b = a[a > b], b[a > b]
         with np.errstate(over="ignore", invalid="ignore"):
             expected = whole_array_terms(a, b)
-        for got, want in zip(_slot_terms(a.copy(), b.copy()), expected):
-            np.testing.assert_array_equal(got, want)
+        buffers = np.empty((6, len(a)))
+        _block_powers(1.0, a, b, buffers)
+        np.testing.assert_array_equal(buffers[:3], expected)
+
+    @pytest.mark.parametrize("active", BLOCK_EDGES)
+    def test_power_array_is_the_blocked_powers(self, active):
+        """The whole-array powers are the per-block powers, concatenated, bit for bit."""
+        rng = np.random.default_rng(active)
+        a = rng.exponential(5.0, active)
+        b = a * rng.uniform(0.0, 0.99, active)
+        buffers = np.empty((6, _SLOT_BLOCK))
+        # 1000 slots with a <= b, spread among the others, get no power.
+        where = rng.integers(0, active, 1000)
+        all_a, all_b = np.insert(a, where, 1.0), np.insert(b, where, 2.0)
+        for t in np.quantile(whole_array_terms(a, b)[0], [0.01, 0.5, 0.99]):
+            want = np.zeros(len(all_a))
+            want[all_a > all_b] = np.concatenate(
+                [_block_powers(t, *block, buffers)[0].copy() for block in _slot_blocks(a, b)])
+            np.testing.assert_array_equal(_power_array(t, all_a, all_b), want)
 
     @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
     def test_calibration_peak_memory(self, gains):

@@ -1,5 +1,6 @@
 """Channel types and single-link secrecy-rate formulas."""
 
+import decimal
 import math
 
 import numpy as np
@@ -142,6 +143,14 @@ class TestInstantaneousFadingRate:
             instantaneous_fading_secrecy_rate(-0.5, ChannelState(1.0, 1.0))
 
 
+def decimal_rate(power, sigma_m_sq, sigma_w_sq):
+    """``1/2 log2(1 + P/sigma_m_sq) - 1/2 log2(1 + P/sigma_w_sq)`` of the floats
+    as given, evaluated to 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        p, m, w = map(decimal.Decimal, (power, sigma_m_sq, sigma_w_sq))
+        return float(((1 + p / m).ln() - (1 + p / w).ln()) / (2 * decimal.Decimal(2).ln()))
+
+
 class TestRateKernel:
     """The one elementwise rate kernel behind both scalar rate formulas."""
 
@@ -164,6 +173,27 @@ class TestRateKernel:
     def test_overflow_with_eavesdropper_ahead_clamps_to_zero(self):
         assert instantaneous_fading_secrecy_rate(1e300, ChannelState(1e9, 1e10)) == 0.0
         assert instantaneous_fading_secrecy_rate(1e300, ChannelState(1e10, 1e10)) == 0.0
+
+    def test_rate_of_nearly_equal_noises(self):
+        sigma_w_sq = 1.0 + 1e-15
+        rate = gaussian_secrecy_rate(1.0, GaussianWiretapChannel(1.0, sigma_w_sq))
+        assert rate == pytest.approx(decimal_rate(1.0, 1.0, sigma_w_sq), rel=1e-12, abs=0.0)
+
+    def test_rate_of_a_tiny_power(self):
+        # A gain of 0 is an infinite noise variance.
+        rate = instantaneous_fading_secrecy_rate(1e-17, ChannelState(1.0, 0.0))
+        assert rate == pytest.approx(decimal_rate(1e-17, 1.0, math.inf), rel=1e-12, abs=0.0)
+
+    def test_overflowing_eavesdropper_product(self):
+        # p b overflows and p (a - b) does not; 60 digits give 0.0687517618749674541...
+        rate = instantaneous_fading_secrecy_rate(1.8e298, ChannelState(1.1e10, 1e10))
+        assert rate == pytest.approx(0.06875176187496745, rel=1e-15)
+
+    def test_overflowing_inverse_power_sum(self):
+        # 1/p + b passes the float maximum while p a and p b stay moderate;
+        # 60 digits give 0.0351946639456989810...
+        rate = instantaneous_fading_secrecy_rate(1e-307, ChannelState(1.79e308, 1.7e308))
+        assert rate == pytest.approx(0.035194663945698985, rel=1e-11)
 
     def test_scalar_wrappers_equal_the_vector_kernel(self):
         rng = np.random.default_rng(12)

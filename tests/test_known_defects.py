@@ -6,25 +6,20 @@ to fail; ``strict=True`` turns the first one that passes into a failure, so
 its mending shows and the mark is removed with it.
 """
 
-import decimal
 import math
 
 import numpy as np
 import pytest
 
 from secrecylab import (
-    ChannelState,
     FadingWiretapChannel,
     GaussianWiretapChannel,
     awgn_waterfill,
     calibrate_fading_lambda,
-    gaussian_secrecy_rate,
-    instantaneous_fading_secrecy_rate,
 )
-from secrecylab.allocation import FADING_BUDGET_REL_TOL
+from secrecylab.allocation import FADING_BUDGET_REL_TOL, _fading_power_array
 
 THRESHOLD_SOLVE = pytest.mark.xfail(strict=True, reason="ROADMAP item 1a")
-RATE_KERNEL = pytest.mark.xfail(strict=True, reason="ROADMAP item 1b")
 
 
 @THRESHOLD_SOLVE
@@ -64,34 +59,29 @@ def test_power_of_two_scaling_into_subnormal_powers():
     np.testing.assert_array_equal(scaled.powers, np.ldexp(base.powers, j))
 
 
+def calibration_draws(ch, samples, seed):
+    """The gain draws ``calibrate_fading_lambda`` takes for ``samples`` and ``seed``."""
+    rng = np.random.default_rng(seed)
+    return rng.exponential(ch.a, samples), rng.exponential(ch.b, samples)
+
+
 @THRESHOLD_SOLVE
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
 def test_calibration_meets_a_tiny_budget(seed):
     # Today each of these seeds raises NumericalError; seed 1 passes.
-    budget = 1e-20
-    policy = calibrate_fading_lambda(FadingWiretapChannel(2.0, 1.0, 1.0, 1.0), budget,
-                                     10_000, seed)
+    budget, ch = 1e-20, FadingWiretapChannel(2.0, 1.0, 1.0, 1.0)
+    policy = calibrate_fading_lambda(ch, budget, 10_000, seed)
     assert abs(policy.avg_power - budget) <= FADING_BUDGET_REL_TOL * budget
+    # The threshold the policy carries spends the budget too.
+    spent = _fading_power_array(policy.lam, *calibration_draws(ch, 10_000, seed)).mean()
+    assert abs(spent - budget) <= FADING_BUDGET_REL_TOL * budget
 
 
-def decimal_rate(power, sigma_m_sq, sigma_w_sq):
-    """``1/2 log2(1 + P/sigma_m_sq) - 1/2 log2(1 + P/sigma_w_sq)`` of the floats
-    as given, evaluated to 60 digits."""
-    with decimal.localcontext(decimal.Context(prec=60)):
-        p, m, w = map(decimal.Decimal, (power, sigma_m_sq, sigma_w_sq))
-        return float(((1 + p / m).ln() - (1 + p / w).ln()) / (2 * decimal.Decimal(2).ln()))
-
-
-@RATE_KERNEL
-def test_rate_of_nearly_equal_noises():
-    # 4.00428e-16 bits; today 4.805e-16.
-    sigma_w_sq = 1.0 + 1e-15
-    rate = gaussian_secrecy_rate(1.0, GaussianWiretapChannel(1.0, sigma_w_sq))
-    assert rate == pytest.approx(decimal_rate(1.0, 1.0, sigma_w_sq), rel=1e-12, abs=0.0)
-
-
-@RATE_KERNEL
-def test_rate_of_a_tiny_power():
-    # A gain of 0 is an infinite noise variance.  Today the rate is 0.
-    rate = instantaneous_fading_secrecy_rate(1e-17, ChannelState(1.0, 0.0))
-    assert rate == pytest.approx(decimal_rate(1e-17, 1.0, math.inf), rel=1e-12, abs=0.0)
+@THRESHOLD_SOLVE
+def test_a_tiny_budget_policy_spends_the_power_it_reports():
+    # Today 1/lam lies one ulp above the solved t, so the policy's lam spends
+    # 1.00432e-18 on its own calibration draws, where avg_power says 1.00091e-18.
+    budget, ch = 1e-18, FadingWiretapChannel(2.0, 1.0, 1.0, 1.0)
+    policy = calibrate_fading_lambda(ch, budget, 2_000, 1)
+    spent = _fading_power_array(policy.lam, *calibration_draws(ch, 2_000, 1)).mean()
+    assert spent == pytest.approx(policy.avg_power, rel=1e-9, abs=0.0)
