@@ -174,19 +174,24 @@ def _secrecy_rate(p, a, b):
 
     Taken as ``log1p((a - b) / (1/p + b)) / (2 ln 2)``, which keeps its
     relative accuracy near activation, where the ratio under the log is
-    close to 1, and stays finite where ``p a`` or ``p b`` overflows.  Where
-    that quotient overflows, or ``1/p + b`` does (``p`` below about 1e-292
-    on a gain near the float maximum), the rate is taken as ``1/2 (log2(a/2
-    + 1/2p) - log2(b/2 + 1/2p))``, in which no term overflows.  At ``p = 0``
-    the rate is 0, also for an infinite gain.
+    close to 1, and stays finite where ``p a`` or ``p b`` overflows.  That
+    form fails where its quotient overflows (a rate that is not finite) or
+    where ``1/p + b`` overflows (a rate of 0 at a positive power: ``p``
+    below about 5.6e-309, or below about 1e-292 on a gain near the float
+    maximum).  Those rows, and the rows with ``a = b``, are recomputed.
+    Where ``1/p`` is finite, the rate is taken as ``1/2 (log2(a/2 + 1/2p) -
+    log2(b/2 + 1/2p))``, in which no term overflows.  Where it is not, ``p
+    a`` and ``p b`` are at most about 1 on finite gains, and the rate is
+    taken as ``log1p(p (a - b) / (1 + p b)) / (2 ln 2)``.
+    At ``p = 0`` the rate is 0, also for an infinite gain.
     """
     q = np.divide(1.0, p)  # a Python 0.0 raises on 1.0 / p
-    s = q + b
-    rate = np.log1p((a - b) / s) / (2.0 * math.log(2.0))
-    far = ~np.isfinite(rate) | ((s == math.inf) & (p > 0))
+    rate = np.log1p((a - b) / (q + b)) / (2.0 * math.log(2.0))
+    far = ~np.isfinite(rate) | ((rate == 0.0) & (p > 0))
     if far.any():
-        rate = np.where(far, np.where(
-            p > 0, 0.5 * (np.log2(0.5 * a + 0.5 * q) - np.log2(0.5 * b + 0.5 * q)), 0.0), rate)
+        half = 0.5 * (np.log2(0.5 * a + 0.5 * q) - np.log2(0.5 * b + 0.5 * q))
+        near = np.log1p(np.multiply(p, a - b) / (1.0 + np.multiply(p, b))) / (2.0 * math.log(2.0))
+        rate = np.select([~far, q < math.inf, p > 0], [rate, half, near], 0.0)
     return np.maximum(rate, 0.0)
 
 

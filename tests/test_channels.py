@@ -145,8 +145,8 @@ class TestInstantaneousFadingRate:
 
 def decimal_rate(power, sigma_m_sq, sigma_w_sq):
     """``1/2 log2(1 + P/sigma_m_sq) - 1/2 log2(1 + P/sigma_w_sq)`` of the floats
-    as given, evaluated to 60 digits."""
-    with decimal.localcontext(decimal.Context(prec=60)):
+    as given, evaluated to 400 digits, which keep 60 past a subnormal ``P/sigma``."""
+    with decimal.localcontext(decimal.Context(prec=400)):
         p, m, w = map(decimal.Decimal, (power, sigma_m_sq, sigma_w_sq))
         return float(((1 + p / m).ln() - (1 + p / w).ln()) / (2 * decimal.Decimal(2).ln()))
 
@@ -194,6 +194,15 @@ class TestRateKernel:
         # 60 digits give 0.0351946639456989810...
         rate = instantaneous_fading_secrecy_rate(1e-307, ChannelState(1.79e308, 1.7e308))
         assert rate == pytest.approx(0.035194663945698985, rel=1e-11)
+
+    @pytest.mark.parametrize("power", [1e-310, 5e-324])
+    @pytest.mark.parametrize("sigma_m_sq, sigma_w_sq", [(5.6e-309, 1.0), (1.0, 2.0)])
+    def test_rate_of_a_subnormal_power(self, power, sigma_m_sq, sigma_w_sq):
+        # 1/p overflows.  The gains are (1.78e308, 1) and (1, 0.5); on the
+        # second the rate is itself subnormal, so it is checked to one step.
+        rate = gaussian_secrecy_rate(power, GaussianWiretapChannel(sigma_m_sq, sigma_w_sq))
+        exact = decimal_rate(power, sigma_m_sq, sigma_w_sq)
+        assert rate == pytest.approx(exact, rel=1e-15, abs=5e-324)
 
     def test_scalar_wrappers_equal_the_vector_kernel(self):
         rng = np.random.default_rng(12)

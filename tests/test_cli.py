@@ -95,6 +95,16 @@ class TestCommands:
         [row] = csv_rows(out)
         assert float(row["rate_bits"]) == pytest.approx(0.5 * math.log2(10.0), abs=1e-11)
 
+    def test_rate_at_a_subnormal_budget(self, tmp_path, capsys):
+        doc = {"schema_version": 1,
+               "channels": [{"type": "gaussian", "sigma_m_sq": 5.6e-309, "sigma_w_sq": 1.0},
+                            {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": 2.0}]}
+        path = write(tmp_path, doc)
+        code, out, err = run_cli(["rate", "--scenario", path, "--budget", "1e-310"], capsys)
+        assert (code, err) == (0, "")
+        rates = [float(row["rate_bits"]) for row in csv_rows(out)]
+        assert rates == pytest.approx([0.0127675460536, 3.60673760222e-311], rel=1e-11)
+
     @pytest.mark.parametrize("main_snr", [1e-20, 1e-10])
     def test_pair_keeps_the_rate_of_tiny_snrs(self, tmp_path, capsys, main_snr):
         """``log2(1 + A)`` rounds to 0 or loses digits below ~1e-8; ``log1p`` does not."""
