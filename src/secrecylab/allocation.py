@@ -33,9 +33,13 @@ slots (the calibration sample, or the bank's links with target
 positive.  It is solved by safeguarded Newton steps on ``t`` with the
 analytic slope ``dP/dt = (1 - k P / (2 w)) / (v + w)``, ``w = sqrt(1 + t
 k)``, falling back to doubling or bisection when a step leaves the bracket;
-a bracket wider than a factor of 4 is bisected at its geometric mean.
-Calibration stops within 4 ulps of the budget; the water-fill runs until
-the bracket collapses.  Each evaluation walks the active slots' gains in
+a bracket wider than a factor of 4 is bisected at its geometric mean, and a
+step below one ulp of ``t`` moves ``t`` to its neighbour float.  Every solve
+stops under one rule: within 4 ulps of the target, else when the bracket
+closes on two neighbouring floats, else after 200 evaluations.  On more
+slots than one block, it starts from the root of a strided subsample of
+about ``2**11`` of them, solved the same way, and then takes about 4
+evaluations.  Each evaluation walks the active slots' gains in
 blocks of ``2**14`` and builds each block's terms, powers and slopes in a
 few preallocated block buffers, so no term array spans the sample.  One
 function, ``_block_powers``, forms the terms and powers of the root above,
@@ -44,10 +48,7 @@ ergodic walk, rows as long as the active slots for the water-fill's final
 powers and the scalar power rules.
 Calibration first compacts the active slots block by block inside the
 draws' own buffers, so its memory peaks at the two draws: about 17 bytes
-per sample at ``10**6`` samples, on any link.  With more active slots than
-one block, it first solves on a strided subsample of about ``2**11`` of
-them to 1e-3 of the budget and starts the full-sample search there, which
-then takes about 4 evaluations.
+per sample at ``10**6`` samples, on any link.
 
 **The ergodic estimate walks the same blocks once.**  It compacts fresh
 draws as calibration does, builds each block's powers with the same
@@ -72,18 +73,16 @@ from .errors import InvalidInputError, NumericalError, _check_count, _check_posi
 #: The threshold solver makes at most this many evaluations of the mean power.
 _MAX_NEWTON = 200
 
-#: Calibration stops once the mean power is this many ulps from the budget.
+#: The threshold solver stops once the mean power is this many ulps from its target.
 _RESIDUAL_ULPS = 4
 
 #: The threshold solver evaluates the slots in blocks of this many, so its
 #: temporaries stay cache-sized at any sample size.
 _SLOT_BLOCK = 2 ** 14
 
-#: Calibration on more active slots than one block first solves on a strided
-#: subsample of about this many of them, to this fraction of the budget, and
-#: starts its full-sample search from that threshold.
+#: A threshold solve on more slots than one block first solves on a strided
+#: subsample of about this many of them and starts from that threshold.
 _SUBSAMPLE_SLOTS = 2 ** 11
-_SUBSAMPLE_REL_TOL = 1e-3
 
 #: Documented accuracy of fading calibration: the calibration-sample mean
 #: power is within this fraction of the average budget.
@@ -126,8 +125,8 @@ class FadingPolicy:
     slot with a positive-rate opportunity; the threshold is then ``inf`` and
     the policy allocates nothing.  ``avg_power`` is the mean power the
     policy spends on its calibration sample and ``iterations`` the number of
-    full-sample evaluations calibration made, not counting those on its
-    subsample (both 0 when not calibrated).
+    full-sample evaluations its threshold search made (both 0 when not
+    calibrated).
     """
 
     lam: float
@@ -189,20 +188,21 @@ def awgn_waterfill(channels, budget):
     """Split a power budget across parallel AWGN links for maximum secrecy.
 
     Solves for the threshold ``t = 1/lam`` at which the links' optimal
-    powers sum to the budget, running the search until its bracket on ``t``
-    collapses to two neighbouring floats; the powers must then sum to the
-    budget within :data:`AWGN_BUDGET_TOL` (1e-9).  At collapse the sum can
-    still miss the budget by a part of the power that one float step of
-    ``t`` moves: ``ulp(t)`` times the summed ``1/(v + w)`` of the active
-    links (module docstring).  Where that step passes about 2e-9, as it can
-    from ``t`` near 2**24 on, a :class:`~secrecylab.errors.NumericalError` is
-    raised although the answer exists: the link ``(sigma_m_sq, sigma_w_sq)
-    = (2**24, 2**54)`` at budget 1 misses by 1.863e-09.  The tolerance is
-    absolute, so small budgets pass it inexactly: the first link to
-    activate, at ``t = u``, gets power in steps of about ``ulp(u) / (v +
-    w)``, 1.11e-16 on the link (1, 3).  A budget below that step gives
-    all-zero powers, and budgets up to about 1e6 times it lose relative
-    accuracy (1e-10 on that link is off from the 8th digit), at exit 0.
+    powers sum to the budget, by the threshold search of the module
+    docstring; the powers must then sum to the budget within
+    :data:`AWGN_BUDGET_TOL` (1e-9).  Where the bracket on ``t`` closes on
+    two neighbouring floats first, the sum can still miss the budget by a
+    part of the power that one float step of ``t`` moves: ``ulp(t)`` times
+    the summed ``1/(v + w)`` of the active links.  Where that step passes
+    about 2e-9, as it can from ``t`` near 2**24 on, a
+    :class:`~secrecylab.errors.NumericalError` is raised although the answer
+    exists: the link ``(sigma_m_sq, sigma_w_sq) = (2**24, 2**54)`` at
+    budget 1 misses by 1.863e-09.  The tolerance is absolute, so small
+    budgets pass it inexactly: the first link to activate, at ``t = u``,
+    gets power in steps of about ``ulp(u) / (v + w)``, 1.11e-16 on the link
+    (1, 3).  A budget below that step gives all-zero powers, and budgets up
+    to about 1e6 times it lose relative accuracy (1e-10 on that link is off
+    from the 8th digit), at exit 0.
     ROADMAP item 1 plans the relative fix.  When no link has a strictly
     noisier eavesdropper the budget is unusable and an all-zero allocation
     is returned.
@@ -237,7 +237,7 @@ def awgn_waterfill(channels, budget):
     if not np.any(on):
         powers = np.zeros(len(channels))
         return AllocationResult(powers=powers, lam=0.0, sum_rate=0.0, rates=powers.copy())
-    t = _solve_threshold(a[on], b[on], len(channels), budget / len(channels), 0.0)[0]
+    t = _solve_threshold(a[on], b[on], len(channels), budget / len(channels))[0]
     powers = _power_array(t, a, b)
     residual = abs(powers.sum() - budget)
     if not residual <= AWGN_BUDGET_TOL:
@@ -343,36 +343,47 @@ def _block_evaluator(blocks, n):
     return mean_power_and_slope
 
 
-def _solve_threshold(a, b, n, target, residual_tol, start=0.0):
+def _solve_threshold(a, b, n, target):
     """Solve ``sum P(t) / n = target`` for ``t = 1/lam`` over ``n`` slots.
 
     ``a`` and ``b`` are the gains of the slots with ``a > b``; the others
-    spend nothing.  No slot spends below ``t = 2 / max(a - b)``.  The search
-    starts at ``start`` where that lies inside its first bracket.  Stops
-    once the mean power is within ``residual_tol`` of the target, when the
-    bracket collapses, or after :data:`_MAX_NEWTON` evaluations.  Returns
-    ``(t, mean power, evaluations)`` for the evaluated ``t`` whose mean
-    power came closest to the target.
+    spend nothing.  No slot spends below ``t = 2 / max(a - b)``, where the
+    search starts, or, on more than one block of slots, at the root of a
+    strided subsample of about :data:`_SUBSAMPLE_SLOTS` of them, solved by
+    this function with ``n`` scaled to its share.  Each solve stops once the
+    mean power is within :data:`_RESIDUAL_ULPS` ulps of the target, else
+    when the bracket closes on two neighbouring floats, else after
+    :data:`_MAX_NEWTON` evaluations.  A Newton step below one ulp of ``t``
+    moves ``t`` to its neighbour toward the root.  Returns ``(t, mean
+    power, evaluations)`` for the evaluated ``t`` whose mean power came
+    closest to the target; the subsample's evaluations are not counted.
     """
     blocks = _slot_blocks(a, b)
-    mean_power_and_slope = _block_evaluator(blocks, n)
     gap = max(float((a - b).max()) for a, b in blocks)
     # Every slot spends at most t/2, so the mean power at lo is within target.
     # 2/x rounds monotonically, so 2/gap is the least u of the slots.
     lo, hi = max(2.0 / gap, 2.0 * target), math.inf
-    t = max(lo, start)
+    t = lo
+    if len(blocks) > 1:
+        stride = len(a) // _SUBSAMPLE_SLOTS
+        sub_a, sub_b = a[::stride], b[::stride]
+        # The subsample stands for all the slots: scale n to its share.
+        t = max(lo, _solve_threshold(sub_a, sub_b, n * len(sub_a) / len(a), target)[0])
+    mean_power_and_slope = _block_evaluator(blocks, n)
     for iterations in range(1, _MAX_NEWTON + 1):
         power, slope = mean_power_and_slope(t)
         residual = power - target
         if iterations == 1 or abs(residual) < abs(best_p - target):
             best_t, best_p = t, power
-        if abs(residual) <= residual_tol:
+        if abs(residual) <= _RESIDUAL_ULPS * math.ulp(target):
             break
         if residual < 0:
             lo = t
         else:
             hi = t
         step = t - residual / slope if slope > 0 else math.inf
+        if step == t:
+            step = math.nextafter(t, hi if residual < 0 else lo)
         if not lo < step < hi:
             step = 2.0 * lo if hi == math.inf else _midpoint(lo, hi)
         if step == lo or step == hi:
@@ -429,12 +440,10 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     """Find the threshold whose average spent power meets the budget.
 
     Draws one calibration sample of slot states and solves
-    ``mean P(t) = avg_budget`` for ``t = 1/lam`` by safeguarded Newton steps
-    with the analytic slope, started from the root of a strided subsample of
-    the active slots when they fill more than one block.  The sample is
-    fixed before the search, so the result is deterministic given the seed;
-    the mean power is continuous and strictly increasing in ``t`` wherever
-    it is positive.
+    ``mean P(t) = avg_budget`` for ``t = 1/lam`` by the threshold search of
+    the module docstring.  The sample is fixed before the search, so the
+    result is deterministic given the seed; the mean power is continuous and
+    strictly increasing in ``t`` wherever it is positive.
 
     Parameters
     ----------
@@ -451,7 +460,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     FadingPolicy
         Calibrated policy, carrying the calibration-sample mean power
         (``avg_power``) and the number of full-sample evaluations
-        (``iterations``; the subsample's are not counted).  If no drawn
+        (``iterations``; a subsample's are not counted).  If no drawn
         slot has ``a_draw > b_draw`` the budget is unreachable at any
         threshold; the returned policy carries
         ``zero_secrecy=True`` and an infinite threshold, and allocates zero
@@ -474,15 +483,7 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
     a, b = _compact_active(*_draw_states(ch, samples, seed))
     if not len(a):
         return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
-    start = 0.0
-    if len(a) > _SLOT_BLOCK:
-        # The subsample stands for all active slots: scale n to its share.
-        stride = len(a) // _SUBSAMPLE_SLOTS
-        sub_a, sub_b = a[::stride], b[::stride]
-        start = _solve_threshold(sub_a, sub_b, samples * len(sub_a) / len(a), avg_budget,
-                                 _SUBSAMPLE_REL_TOL * avg_budget)[0]
-    best_t, best_p, iterations = _solve_threshold(
-        a, b, samples, avg_budget, _RESIDUAL_ULPS * math.ulp(avg_budget), start)
+    best_t, best_p, iterations = _solve_threshold(a, b, samples, avg_budget)
 
     if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
         raise NumericalError(

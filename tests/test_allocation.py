@@ -29,6 +29,7 @@ from secrecylab import allocation
 from secrecylab.allocation import (
     _RESIDUAL_ULPS,
     _SLOT_BLOCK,
+    _SUBSAMPLE_SLOTS,
     AWGN_BUDGET_TOL,
     _block_evaluator,
     _block_powers,
@@ -39,7 +40,7 @@ from secrecylab.allocation import (
     _slot_blocks,
     _solve_threshold,
 )
-from secrecylab.channels import _secrecy_rate
+from secrecylab.channels import GaussianBank, _secrecy_rate
 
 
 def random_bank(rng, n=3, lo=0.5, hi=5.0):
@@ -63,6 +64,48 @@ def grid_best_rate(channels, budget, step=0.01):
         0.5 * (np.log2(1.0 + powers / sm) - np.log2(1.0 + powers / sw)),
     ).sum(axis=1)
     return float(rates.max())
+
+
+def record_evaluations(monkeypatch):
+    """Record each evaluation of the threshold solver as ``(slots walked, t)``, in order."""
+    calls = []
+    build = allocation._block_evaluator
+
+    def recording_evaluator(blocks, n):
+        evaluate = build(blocks, n)
+        slots = sum(len(a) for a, _ in blocks)
+
+        def recorded(t):
+            calls.append((slots, t))
+            return evaluate(t)
+
+        return recorded
+
+    monkeypatch.setattr(allocation, "_block_evaluator", recording_evaluator)
+    return calls
+
+
+def textbook_lambda(sigma_m_sq, sigma_w_sq, budget):
+    """Plain bisection on lam over the textbook root, vectorized over an
+    all-eligible bank, to the float grid."""
+    n_delta, n_sum = sigma_w_sq - sigma_m_sq, sigma_w_sq + sigma_m_sq
+
+    def spent(lam):
+        return np.maximum(0.5 * (np.sqrt(n_delta ** 2 + 2.0 * n_delta / lam) - n_sum), 0.0).sum()
+
+    hi = float((0.5 * (1.0 / sigma_m_sq - 1.0 / sigma_w_sq)).max())    # nothing spends here
+    lo = hi
+    while spent(lo) < budget:
+        lo *= 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if spent(mid) >= budget:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, hi), key=lambda v: abs(spent(v) - budget))
 
 
 class TestPowerAtLambda:
@@ -221,6 +264,34 @@ class TestWaterfill:
             np.testing.assert_allclose(result.powers, textbook_powers(bank, lam),
                                        rtol=1e-9, atol=1e-12)
             checked += 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("budget", [1.0, 10.0, 20.0, 200.0])
+    def test_ten_thousand_links_take_few_evaluations(self, monkeypatch, seed, budget):
+        """A Newton step below one ulp of ``t`` moves to the neighbour float
+        instead of bisecting the whole bracket."""
+        rng = np.random.default_rng(seed)
+        sigma_m_sq, sigma_w_sq = rng.uniform(0.5, 5.0, (2, 10_000))
+        calls = record_evaluations(monkeypatch)
+        awgn_waterfill(GaussianBank(range(10_000), sigma_m_sq, sigma_w_sq), budget)
+        assert len(calls) <= 12
+
+    @pytest.mark.parametrize("links", [_SLOT_BLOCK + 1, 3 * _SLOT_BLOCK + 7, 200_000])
+    @pytest.mark.parametrize("budget", [1.0, 100.0])
+    def test_past_one_block_starts_from_a_subsample(self, monkeypatch, links, budget):
+        """More eligible links than one block: the full-bank search starts from
+        the root of a strided subsample and needs few evaluations."""
+        rng = np.random.default_rng(links)
+        sigma_m_sq = rng.uniform(0.5, 5.0, links)
+        sigma_w_sq = sigma_m_sq * rng.uniform(1.05, 4.0, links)     # every link is eligible
+        calls = record_evaluations(monkeypatch)
+        result = awgn_waterfill(GaussianBank(range(links), sigma_m_sq, sigma_w_sq), budget)
+        assert abs(result.powers.sum() - budget) <= AWGN_BUDGET_TOL
+        assert result.lam == pytest.approx(textbook_lambda(sigma_m_sq, sigma_w_sq, budget),
+                                           rel=0, abs=1e-12)
+        subsample = len(range(0, links, links // _SUBSAMPLE_SLOTS))
+        assert {slots for slots, _ in calls} == {subsample, links}
+        assert sum(slots == links for slots, _ in calls) <= 6
 
     @given(exponent=st.floats(min_value=-30.0, max_value=30.0),
            links=st.integers(min_value=1, max_value=5),
@@ -578,6 +649,14 @@ def whole_array_mean_power_and_slope(t, a, b, n):
     return p.sum() / n, slope.sum() / n
 
 
+def neighbours(t, toward, count):
+    """``t`` and the ``count`` floats that follow it toward ``toward``."""
+    out = [t]
+    for _ in range(count):
+        out.append(math.nextafter(out[-1], toward))
+    return out
+
+
 BLOCK_EDGES = [_SLOT_BLOCK - 1, _SLOT_BLOCK, _SLOT_BLOCK + 1, 3 * _SLOT_BLOCK + 7]
 
 
@@ -626,14 +705,49 @@ class TestBlockedCalibration:
         assert [len(kept) for kept in _compact_active(np.ones(5), np.ones(5))] == [0, 0]
 
     @pytest.mark.parametrize("active", BLOCK_EDGES)
-    def test_search_starts_at_the_least_threshold(self, active):
-        """The solver's lower bound ``2 / max(a - b)``, taken block by block, is ``min u``."""
+    def test_search_starts_at_the_least_threshold(self, monkeypatch, active):
+        """The solver's lower bound ``2 / max(a - b)``, taken block by block, is
+        ``min u``.  With the widest gap in the last block, on a slot the strided
+        subsample keeps, the subsample's search and the full one both start there."""
         rng = np.random.default_rng(active)
         a = rng.exponential(5.0, active)
         b = a * rng.uniform(0.0, 0.99, active)
-        # A target this small is met at once, at the lower bound, where no slot spends.
-        assert _solve_threshold(a, b, active, 1e-300, 1.0) == (
-            whole_array_terms(a, b)[0].min(), 0.0, 1)
+        stride = active // _SUBSAMPLE_SLOTS
+        kept, widest = (active - 1) // stride * stride, np.argmax(a - b)
+        a[[kept, widest]], b[[kept, widest]] = a[[widest, kept]], b[[widest, kept]]
+        least = whole_array_terms(a, b)[0].min()
+        calls = record_evaluations(monkeypatch)
+        # No slot spends at the lower bound, and every t above it spends far
+        # more than this target: the result is the lower bound.
+        assert _solve_threshold(a, b, active, 1e-300)[:2] == (least, 0.0)
+        first = {}
+        for slots, t in calls:
+            first.setdefault(slots, t)
+        assert list(first.values()) == [least] * (1 if active <= _SLOT_BLOCK else 2)
+
+    @pytest.mark.parametrize("root, slope, want", [
+        # Every step is far below one ulp: climb from the lower bound, 2, float by float.
+        (2.0 + 3 * math.ulp(2.0), lambda t: 1e300, neighbours(2.0, math.inf, 3)),
+        # The first step lands on 4, above the root: descend float by float.
+        (4.0 - 3 * math.ulp(2.0), lambda t: 0.25 if t == 2.0 else 1e300,
+         [2.0, *neighbours(4.0, 0.0, 4)]),
+    ], ids=["up", "down"])
+    def test_a_step_below_one_ulp_moves_to_the_neighbour(self, monkeypatch, root, slope, want):
+        """A Newton step that rounds to ``t`` itself moves ``t`` one float toward
+        the root, from either side, until the bracket closes on two neighbours."""
+        seen = []
+
+        def step_evaluator(blocks, n):
+            def mean_power_and_slope(t):
+                seen.append(t)
+                return (1.5 if t >= root else 0.5), slope(t)
+
+            return mean_power_and_slope
+
+        monkeypatch.setattr(allocation, "_block_evaluator", step_evaluator)
+        # At target 1 the search starts at its lower bound, 2 * target.
+        _solve_threshold(np.array([3.0]), np.array([1.0]), 1, 1.0)
+        assert seen == want
 
     def test_block_terms_match_the_out_of_place_form(self):
         rng = np.random.default_rng(11)
