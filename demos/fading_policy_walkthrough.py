@@ -18,14 +18,14 @@ from secrecylab import (
     ergodic_secrecy_capacity,
     fading_power,
 )
-from secrecylab.allocation import _fading_power_array
+from secrecylab.allocation import _power_array
 
 ch = FadingWiretapChannel(a=2.0, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
 budget = 1.0
 samples = 100_000
 
 policy = calibrate_fading_lambda(ch, avg_budget=budget, samples=samples, seed=11)
-print(f"calibrated threshold: {policy.lam:.5f}  (average power target {budget})")
+print(f"calibrated threshold t = 1/lam: {policy.threshold:.5f}  (average power target {budget})")
 
 print("\nPower spent on a few example slot states (a_draw, b_draw):")
 for a_draw, b_draw in [(0.5, 1.0), (1.2, 1.0), (2.0, 1.0), (5.0, 1.0), (5.0, 0.1)]:
@@ -40,7 +40,7 @@ print(f"\nergodic secrecy rate: {estimate:.5f} +/- {stderr:.5f} bits/use")
 rng = np.random.default_rng(13)
 a = rng.exponential(ch.a, samples)
 b = rng.exponential(ch.b, samples)
-p_opt = _fading_power_array(policy.lam, a, b)
+p_opt = _power_array(policy.threshold, a, b)
 const = budget / (ch.a / (ch.a + ch.b))  # Pr(a_draw > b_draw) = a / (a + b)
 p_const = np.where(a > b, const, 0.0)
 

@@ -1,8 +1,8 @@
 """Splitting a power budget across parallel wiretap links.
 
 Walks through the secrecy water-filling allocator: which links get power,
-how the threshold moves with the budget, and a brute-force check that the
-solver's split really is the best one.
+how the Lagrange multiplier moves with the budget, and a brute-force check
+that the solver's split really is the best one.
 
 Run:  python3 demos/waterfilling_walkthrough.py
 """
@@ -25,7 +25,7 @@ for name, ch in zip("ABC", bank):
     print(f"  link {name}: {gaussian_secrecy_rate(2.0, ch):.4f}")
 
 print("\nBudget sweep:")
-print(f"{'budget':>8} {'P_A':>8} {'P_B':>8} {'P_C':>8} {'threshold':>10} {'sum rate':>9}")
+print(f"{'budget':>8} {'P_A':>8} {'P_B':>8} {'P_C':>8} {'multiplier':>10} {'sum rate':>9}")
 for budget in (0.5, 1.0, 2.0, 5.0, 10.0):
     r = awgn_waterfill(bank, budget)
     pa, pb, pc = r.powers
@@ -33,7 +33,7 @@ for budget in (0.5, 1.0, 2.0, 5.0, 10.0):
 
 print("""
 Small budgets go entirely to link A (largest noise gap); link B joins once
-the threshold drops below its activation point; link C never activates.
+the multiplier drops below its activation point; link C never activates.
 """)
 
 # Sanity-check the budget-10 split against an exhaustive grid.
@@ -55,7 +55,7 @@ print(f"best of {len(powers):,} grid points: {grid_rates.max():.6f} bits/use")
 print(f"solver - grid best:     {result.sum_rate - grid_rates.max():+.2e}")
 
 # The stationarity identity every funded link satisfies:
-print("\n(P + sigma_m_sq)(P + sigma_w_sq) * 2*threshold vs sigma_w_sq - sigma_m_sq:")
+print("\n(P + sigma_m_sq)(P + sigma_w_sq) * 2*lam vs sigma_w_sq - sigma_m_sq:")
 for name, ch, p in zip("ABC", bank, result.powers):
     if p > 0:
         lhs = (p + ch.sigma_m_sq) * (p + ch.sigma_w_sq) * 2 * result.lam

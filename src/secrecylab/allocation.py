@@ -1,8 +1,8 @@
 """Power allocation that maximizes secrecy rate across parallel links.
 
 **Fading links with known per-slot state.**  A slot with power gains
-``(a, b)`` spends, at threshold ``lambda``, with ``t = 1/lambda`` and
-``g = a - b``, the cancellation-free root
+``(a, b)`` spends, at threshold ``t = 1/lambda`` (``lambda`` is the
+Lagrange multiplier) and with ``g = a - b``, the cancellation-free root
 
     P(t) = max(t - u, 0) / (v + sqrt(1 + t k)),
     u = 2/g,  v = (a + b)/g,  k = 2 b a/g,
@@ -67,8 +67,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import FadingWiretapChannel, GaussianBank, _secrecy_rate
-from .errors import InvalidInputError, NumericalError, _check_count, _check_positive
+from .channels import GaussianBank, _secrecy_rate
+from .errors import (InvalidInputError, NumericalError, _check_count, _check_nonnegative,
+                     _check_positive)
 
 #: The threshold solver makes at most this many evaluations of the mean power.
 _MAX_NEWTON = 200
@@ -103,8 +104,9 @@ class AllocationResult:
         Per-link transmit power, same order as the input bank; >= 0, zero on
         every link whose eavesdropper is not strictly noisier.
     lam : float
-        The threshold (Lagrange multiplier) at which the powers were
-        evaluated; 0.0 when no link is eligible and nothing is allocated.
+        The Lagrange multiplier ``1/t`` of the threshold ``t`` at which the
+        powers were evaluated; 0.0 when no link is eligible and nothing is
+        allocated.
     sum_rate : float
         Achieved sum secrecy rate in bits per channel use.
     rates : numpy.ndarray
@@ -119,30 +121,37 @@ class AllocationResult:
 
 @dataclass(frozen=True)
 class FadingPolicy:
-    """Per-slot power rule for one fading link: threshold plus its channel.
+    """Per-slot power rule for one fading link: the threshold ``t`` it spends at.
 
-    ``zero_secrecy`` marks the degenerate case where calibration found no
-    slot with a positive-rate opportunity; the threshold is then ``inf`` and
-    the policy allocates nothing.  ``avg_power`` is the mean power the
-    policy spends on its calibration sample and ``iterations`` the number of
+    ``threshold`` is the ``t = 1/lambda`` of the module docstring's root, a
+    finite number >= 0, as the threshold search solved it.  A policy with
+    threshold 0 allocates nothing: calibration returns it when no slot has a
+    positive-rate opportunity.  ``avg_power`` is the mean power the policy
+    spends on its calibration sample and ``iterations`` the number of
     full-sample evaluations its threshold search made (both 0 when not
     calibrated).
     """
 
-    lam: float
-    channel: FadingWiretapChannel
-    zero_secrecy: bool = False
+    threshold: float
     avg_power: float = 0.0
     iterations: int = 0
 
     def __post_init__(self):
-        if self.zero_secrecy:
-            return
-        _check_positive("lam", self.lam)
+        _check_nonnegative("threshold", self.threshold)
+
+    @property
+    def lam(self):
+        """The multiplier ``1/threshold``; ``inf`` at threshold 0."""
+        return 1.0 / self.threshold if self.threshold else math.inf
+
+    @property
+    def zero_secrecy(self):
+        """Whether the threshold is 0, so the policy allocates nothing."""
+        return self.threshold == 0.0
 
 
 def power_at_lambda(ch, lam):
-    """Optimal power for one AWGN link at a given threshold.
+    """Optimal power for one AWGN link at a given multiplier.
 
     Returns ``1/2 (sqrt(n_delta^2 + 2 n_delta/lam) - n_sum)`` when the link
     is active, else 0.  The link is active exactly when
@@ -152,10 +161,10 @@ def power_at_lambda(ch, lam):
     ----------
     ch : GaussianWiretapChannel
     lam : float
-        Threshold, > 0.
+        Lagrange multiplier ``1/t``, > 0.
     """
     _check_positive("lam", lam)
-    return float(_fading_power_array(lam, *ch.gains))
+    return float(_power_array(1.0 / lam, *ch.gains))
 
 
 def sum_secrecy_rate(channels, powers):
@@ -248,33 +257,29 @@ def awgn_waterfill(channels, budget):
 
 
 def _power_array(t, a, b):
-    """Per-slot powers at ``t = 1/lam`` of gain arrays ``a`` and ``b`` of one
-    shape: zero where ``a <= b``."""
+    """Per-slot powers at threshold ``t`` of the gains ``a`` and ``b``,
+    broadcast against each other: zero where ``a <= b``."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     out = np.zeros(a.shape)
     on = a > b
     out[on] = _block_powers(t, a[on], b[on], np.empty((6, np.count_nonzero(on))))[0]
     return out
 
 
-def _fading_power_array(lam, a, b):
-    """Vectorized per-slot power rule; ``a``/``b`` are gain arrays."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return _power_array(1.0 / lam, a, b)
-
-
 def fading_power(policy, state):
     """Power spent on one fading slot under a calibrated policy.
 
     Zero whenever the slot offers no advantage (``a_draw <= b_draw``) or the
-    advantage is below the threshold (``a_draw - b_draw <= 2 lam``);
-    otherwise the water-filling root evaluated at the reciprocal gains.
+    advantage is too small for the policy's threshold ``t`` (``t (a_draw -
+    b_draw) <= 2``); otherwise the water-filling root evaluated at the
+    reciprocal gains.
 
     Parameters
     ----------
     policy : FadingPolicy
     state : ChannelState
     """
-    return float(_fading_power_array(policy.lam, state.a_draw, state.b_draw))
+    return float(_power_array(policy.threshold, state.a_draw, state.b_draw))
 
 
 def _mean(powers, n):
@@ -462,8 +467,8 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
         (``avg_power``) and the number of full-sample evaluations
         (``iterations``; a subsample's are not counted).  If no drawn
         slot has ``a_draw > b_draw`` the budget is unreachable at any
-        threshold; the returned policy carries
-        ``zero_secrecy=True`` and an infinite threshold, and allocates zero
+        threshold; the returned policy has threshold 0 (so ``zero_secrecy``
+        is true and the multiplier ``lam`` infinite), and allocates zero
         power everywhere.
 
     Raises
@@ -482,15 +487,14 @@ def calibrate_fading_lambda(ch, avg_budget, samples, seed):
 
     a, b = _compact_active(*_draw_states(ch, samples, seed))
     if not len(a):
-        return FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
+        return FadingPolicy(threshold=0.0)
     best_t, best_p, iterations = _solve_threshold(a, b, samples, avg_budget)
 
     if not abs(best_p - avg_budget) <= FADING_BUDGET_REL_TOL * avg_budget:
         raise NumericalError(
             f"calibrated mean power {best_p:.6g} misses the average budget "
             f"{avg_budget:.6g} by more than {FADING_BUDGET_REL_TOL:.0%}")
-    return FadingPolicy(lam=1.0 / best_t, channel=ch, avg_power=best_p,
-                        iterations=iterations)
+    return FadingPolicy(threshold=best_t, avg_power=best_p, iterations=iterations)
 
 
 def ergodic_secrecy_capacity(ch, policy, samples, seed):
@@ -527,12 +531,11 @@ def ergodic_secrecy_capacity(ch, policy, samples, seed):
     """
     _check_count("samples", samples)
     a, b = _compact_active(*_draw_states(ch, samples, seed))
-    t = 1.0 / policy.lam
     buffers = np.empty((6, min(len(a), _SLOT_BLOCK)))
     # The inactive slots are one group of zeros: mean 0, no squared deviation.
     count, estimate, m2, power = samples - len(a), 0.0, 0.0, 0.0
     for a, b in _slot_blocks(a, b):
-        p = _block_powers(t, a, b, buffers)[0]
+        p = _block_powers(policy.threshold, a, b, buffers)[0]
         power += _mean(p, samples)
         rates = _secrecy_rate(p, a, b)
         block_mean = float(rates.mean())

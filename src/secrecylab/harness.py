@@ -119,7 +119,7 @@ def _run_fading(command, entries, options):
     records = []
     for pos, sc in entries:
         policy = calibrate_fading_lambda(sc.channel, budget, samples, substream(seed, pos, 0))
-        # A report holds finite floats only: the zero-secrecy threshold is infinite.
+        # A report holds finite floats only: the zero-secrecy multiplier is infinite.
         outputs = {"lambda": "inf" if policy.zero_secrecy else policy.lam,
                    "zero_secrecy": policy.zero_secrecy, "power": policy.avg_power}
         if command == "ergodic":

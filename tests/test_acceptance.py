@@ -27,7 +27,7 @@ from secrecylab import (
     pr_picking_k,
 )
 from secrecylab import cli
-from secrecylab.allocation import _fading_power_array
+from secrecylab.allocation import _power_array
 
 
 def report(num, ok, detail):
@@ -141,7 +141,7 @@ def test_criterion_04_fading_policy():
     rng = np.random.default_rng(777)
     a = rng.exponential(FADING.a, samples)
     b = rng.exponential(FADING.b, samples)
-    budget_rel_err = abs(_fading_power_array(policy.lam, a, b).mean() - budget) / budget
+    budget_rel_err = abs(_power_array(policy.threshold, a, b).mean() - budget) / budget
 
     const_power = budget / (FADING.a / (FADING.a + FADING.b))
     wins = 0
@@ -149,7 +149,7 @@ def test_criterion_04_fading_policy():
         rng = np.random.default_rng(9000 + rep)
         a = rng.exponential(FADING.a, 20_000)
         b = rng.exponential(FADING.b, 20_000)
-        p = _fading_power_array(policy.lam, a, b)
+        p = _power_array(policy.threshold, a, b)
         opt = np.maximum(0.0, 0.5 * (np.log2(1 + p * a) - np.log2(1 + p * b))).mean()
         pb = np.where(a > b, const_power, 0.0)
         base = np.maximum(0.0, 0.5 * (np.log2(1 + pb * a) - np.log2(1 + pb * b))).mean()

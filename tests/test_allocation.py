@@ -1,5 +1,6 @@
 """Water-filling solver and fading power policy."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -31,11 +32,11 @@ from secrecylab.allocation import (
     _SLOT_BLOCK,
     _SUBSAMPLE_SLOTS,
     AWGN_BUDGET_TOL,
+    FADING_BUDGET_REL_TOL,
     _block_evaluator,
     _block_powers,
     _compact_active,
     _draw_states,
-    _fading_power_array,
     _power_array,
     _slot_blocks,
     _solve_threshold,
@@ -350,25 +351,41 @@ FADING = FadingWiretapChannel(a=2.0, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
 
 class TestFadingPower:
     def test_no_advantage_gives_zero(self):
-        policy = FadingPolicy(lam=0.25, channel=FADING)
+        policy = FadingPolicy(threshold=4.0)
         assert fading_power(policy, ChannelState(1.0, 1.0)) == 0.0
         assert fading_power(policy, ChannelState(0.5, 2.0)) == 0.0
 
     def test_hand_evaluated_root(self):
         # n_delta = 1/1 - 1/2 = 0.5, n_sum = 1.5
-        policy = FadingPolicy(lam=0.25, channel=FADING)
+        policy = FadingPolicy(threshold=4.0)
         expected = 0.5 * (math.sqrt(4.25) - 1.5)
         assert fading_power(policy, ChannelState(2.0, 1.0)) == pytest.approx(
             expected, rel=1e-12)
 
-    def test_large_threshold_kills_power(self):
+    def test_small_threshold_kills_power(self):
         state = ChannelState(5.0, 1.0)
-        assert fading_power(FadingPolicy(lam=1e9, channel=FADING), state) == 0.0
-        sentinel = FadingPolicy(lam=math.inf, channel=FADING, zero_secrecy=True)
-        assert fading_power(sentinel, state) == 0.0
+        assert fading_power(FadingPolicy(threshold=1e-9), state) == 0.0
+        assert fading_power(FadingPolicy(threshold=0.0), state) == 0.0
+
+    def test_the_policy_is_its_threshold(self):
+        assert [f.name for f in dataclasses.fields(FadingPolicy)] == [
+            "threshold", "avg_power", "iterations"]
+        policy = FadingPolicy(threshold=4.0)
+        assert (policy.lam, policy.zero_secrecy) == (0.25, False)
+        zero = FadingPolicy(threshold=0.0)
+        assert (zero.lam, zero.zero_secrecy) == (math.inf, True)
+        with pytest.raises(AttributeError):
+            zero.lam = 0.5
+        with pytest.raises(AttributeError):
+            zero.zero_secrecy = False
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True])
+    def test_rejects_a_threshold_that_is_not_a_finite_non_negative_number(self, bad):
+        with pytest.raises(InvalidInputError, match="^threshold: "):
+            FadingPolicy(threshold=bad)
 
     def test_power_vanishes_as_gains_meet(self):
-        policy = FadingPolicy(lam=0.05, channel=FADING)
+        policy = FadingPolicy(threshold=20.0)
         b = 1.0
         prev = math.inf
         for eps in (1.0, 0.5, 0.3, 0.2, 0.15, 0.12, 0.11, 0.101):
@@ -380,8 +397,8 @@ class TestFadingPower:
         assert fading_power(policy, ChannelState(b + 0.09, b)) == 0.0
 
     def test_zero_eavesdropper_gain_limit(self):
-        policy = FadingPolicy(lam=0.1, channel=FADING)
-        expected = 0.5 * (1.0 / 0.1 - 2.0 / 4.0)
+        policy = FadingPolicy(threshold=10.0)
+        expected = 0.5 * (10.0 - 2.0 / 4.0)
         assert fading_power(policy, ChannelState(4.0, 0.0)) == pytest.approx(
             expected, rel=1e-12)
 
@@ -390,13 +407,14 @@ class TestFadingPower:
         a = rng.exponential(2.0, 500)
         b = rng.exponential(1.0, 500)
         b[:3] = 0.0
-        for lam in (0.05, 0.4, 2.0):
-            vec = _fading_power_array(lam, a, b)
-            policy = FadingPolicy(lam=lam, channel=FADING)
+        for t in (20.0, 2.5, 0.5):
+            vec = _power_array(t, a, b)
+            policy = FadingPolicy(threshold=t)
             scalar = [fading_power(policy, ChannelState(x, y)) for x, y in zip(a, b)]
             np.testing.assert_array_equal(vec, scalar)
             # The textbook root 1/2 (sqrt(n_delta^2 + 2 n_delta/lam) - n_sum) at
             # the reciprocal gains; it cancels near activation, hence the atol.
+            lam = 1.0 / t
             textbook = np.zeros_like(a)
             for i, (x, y) in enumerate(zip(a, b)):
                 if x - y > 2.0 * lam:
@@ -442,16 +460,16 @@ class TestPowerOfTwoScaling:
 
     @settings(max_examples=300, deadline=None)
     @given(gains=st.lists(st.tuples(MODERATE, MODERATE), min_size=1, max_size=6),
-           lam=MODERATE, data=st.data())
-    def test_fading_power_rule(self, gains, lam, data):
+           t=MODERATE, data=st.data())
+    def test_fading_power_rule(self, gains, t, data):
         a, b = np.array(gains).T
         on = a > b
         u, v, k = whole_array_terms(a[on], b[on])
-        lo, hi = shifts(up=[*a, *b, *(a - b)[on], *k, 1.0 / lam], down=[*u, lam])
+        lo, hi = shifts(up=[*a, *b, *(a - b)[on], *k, t], down=[*u])
         assume(lo <= hi)
         j = data.draw(st.integers(lo, hi), label="j")
-        unscaled = _fading_power_array(math.ldexp(lam, -j), a, b)
-        scaled = _fading_power_array(lam, np.ldexp(a, j), np.ldexp(b, j))
+        unscaled = _power_array(math.ldexp(t, j), a, b)
+        scaled = _power_array(t, np.ldexp(a, j), np.ldexp(b, j))
         assume(normal_or_zero(unscaled) and normal_or_zero(scaled))
         np.testing.assert_array_equal(np.ldexp(scaled, j), unscaled)
 
@@ -518,7 +536,7 @@ class TestCalibration:
         rng = np.random.default_rng(5)
         a = rng.exponential(FADING.a, 20_000)
         b = rng.exponential(FADING.b, 20_000)
-        mean_power = _fading_power_array(policy.lam, a, b).mean()
+        mean_power = _power_array(policy.threshold, a, b).mean()
         assert mean_power == pytest.approx(1.0, rel=1e-6)
 
     def test_fresh_seed_reproduces_budget_within_2pct(self):
@@ -527,7 +545,7 @@ class TestCalibration:
         rng = np.random.default_rng(99)
         a = rng.exponential(FADING.a, 100_000)
         b = rng.exponential(FADING.b, 100_000)
-        mean_power = _fading_power_array(policy.lam, a, b).mean()
+        mean_power = _power_array(policy.threshold, a, b).mean()
         assert mean_power == pytest.approx(1.0, rel=0.02)
 
     def test_deterministic_given_seed(self):
@@ -535,14 +553,14 @@ class TestCalibration:
         p2 = calibrate_fading_lambda(FADING, 1.0, 10_000, seed=42)
         assert p1.lam == p2.lam
 
-    def test_tiny_budget_pushes_threshold_up(self):
+    def test_tiny_budget_lowers_the_threshold(self):
         small = calibrate_fading_lambda(FADING, 1e-6, 20_000, seed=3)
         large = calibrate_fading_lambda(FADING, 1.0, 20_000, seed=3)
-        assert small.lam > large.lam
+        assert small.threshold < large.threshold
         rng = np.random.default_rng(3)
         a = rng.exponential(FADING.a, 20_000)
         b = rng.exponential(FADING.b, 20_000)
-        assert _fading_power_array(small.lam, a, b).mean() <= 2e-6
+        assert _power_array(small.threshold, a, b).mean() <= 2e-6
 
     def test_swapped_channel_has_little_usable_power(self):
         """A channel whose eavesdropper fades better leaves most slots dark."""
@@ -551,13 +569,14 @@ class TestCalibration:
         rng = np.random.default_rng(8)
         a = rng.exponential(swapped.a, 50_000)
         b = rng.exponential(swapped.b, 50_000)
-        powers = _fading_power_array(policy.lam, a, b)
+        powers = _power_array(policy.threshold, a, b)
         assert powers.mean() < 0.5  # well under the budget the policy was built for
         assert (powers > 0).mean() < 0.35
 
     def test_zero_secrecy_sentinel(self):
         hopeless = FadingWiretapChannel(a=1e-9, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
         policy = calibrate_fading_lambda(hopeless, 1.0, 2_000, seed=0)
+        assert policy == FadingPolicy(threshold=0.0)
         assert policy.zero_secrecy
         assert policy.lam == math.inf
         assert fading_power(policy, ChannelState(2.0, 1.0)) == 0.0
@@ -576,7 +595,7 @@ class TestCalibration:
             policy = calibrate_fading_lambda(FADING, budget, 10_000, seed=5)
             assert 1 <= policy.iterations <= 20
             assert policy.avg_power == pytest.approx(
-                _fading_power_array(policy.lam, a, b).mean(), rel=1e-12)
+                _power_array(policy.threshold, a, b).mean(), rel=1e-12)
             assert policy.avg_power == pytest.approx(budget, rel=1e-12)
         sentinel = calibrate_fading_lambda(
             FadingWiretapChannel(a=1e-9, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0),
@@ -624,14 +643,25 @@ class TestCalibration:
             policy = calibrate_fading_lambda(FADING, budget, 2_000, seed=seed)
         except NumericalError:
             return
-        assert math.isfinite(policy.lam) and policy.lam > 0
+        assert policy.threshold > 0
         assert math.isfinite(policy.avg_power)
         assert abs(policy.avg_power - budget) <= 0.01 * budget
         rng = np.random.default_rng(seed)
         a = rng.exponential(FADING.a, 2_000)
         b = rng.exponential(FADING.b, 2_000)
-        assert _fading_power_array(policy.lam, a, b).mean() == pytest.approx(
-            policy.avg_power, rel=1e-9)
+        # abs=0: pytest.approx's default absolute tolerance of 1e-12 would pass
+        # any spend at budgets below about 1e-12.
+        assert _power_array(policy.threshold, a, b).mean() == pytest.approx(
+            policy.avg_power, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("budget, seed", [(1e-18, 1), (10 ** -18.756, 3391068437)])
+    def test_a_tiny_budget_policy_spends_the_power_it_reports(self, budget, seed):
+        # One ulp of t moves the spend by tenths of a percent at these budgets,
+        # and 1/lam can lie an ulp from the solved t: the policy spends the t itself.
+        policy = calibrate_fading_lambda(FADING, budget, 2_000, seed)
+        spent = _power_array(policy.threshold, *_draw_states(FADING, 2_000, seed)).mean()
+        assert spent == pytest.approx(policy.avg_power, rel=1e-9, abs=0.0)
+        assert abs(spent - budget) <= FADING_BUDGET_REL_TOL * budget
 
 
 def whole_array_terms(a, b):
@@ -691,7 +721,7 @@ class TestBlockedCalibration:
         policy = calibrate_fading_lambda(ch, budget, samples, seed=samples)
         assert abs(policy.avg_power - budget) <= _RESIDUAL_ULPS * math.ulp(budget)
         assert policy.avg_power == pytest.approx(
-            _fading_power_array(policy.lam, a, b).mean(), rel=1e-13)
+            _power_array(policy.threshold, a, b).mean(), rel=1e-13)
 
     @pytest.mark.parametrize("samples", BLOCK_EDGES)
     def test_compaction_keeps_the_active_slots_in_order(self, samples):
@@ -792,7 +822,7 @@ class TestBlockedCalibration:
 
 class TestErgodicCapacity:
     def test_zero_power_policy_estimates_zero(self):
-        sentinel = FadingPolicy(lam=math.inf, channel=FADING, zero_secrecy=True)
+        sentinel = FadingPolicy(threshold=0.0)
         estimate, stderr, power = ergodic_secrecy_capacity(FADING, sentinel, 5_000, seed=1)
         assert estimate == 0.0
         assert stderr == 0.0
@@ -801,12 +831,12 @@ class TestErgodicCapacity:
     def test_zero_power_on_an_infinite_gain_draw_estimates_zero(self):
         """Draws of a gain near the float limit overflow to inf; 0 * inf must not be nan."""
         ch = FadingWiretapChannel(a=1.0, b=1.7e308, sigma_m_sq=1.0, sigma_w_sq=1.0)
-        sentinel = FadingPolicy(lam=math.inf, channel=ch, zero_secrecy=True)
+        sentinel = FadingPolicy(threshold=0.0)
         assert ergodic_secrecy_capacity(ch, sentinel, 1_000, seed=1) == (0.0, 0.0, 0.0)
 
     def test_non_finite_estimate_is_a_numerical_error(self):
         ch = FadingWiretapChannel(a=1.7e308, b=1.0, sigma_m_sq=1.0, sigma_w_sq=1.0)
-        policy = FadingPolicy(lam=1.0, channel=ch)
+        policy = FadingPolicy(threshold=1.0)
         with pytest.raises(NumericalError, match="not finite"):
             ergodic_secrecy_capacity(ch, policy, 1_000, seed=1)
 
@@ -832,7 +862,7 @@ class TestErgodicCapacity:
             rng = np.random.default_rng(seed)
             a = rng.exponential(FADING.a, samples)
             b = rng.exponential(FADING.b, samples)
-            return math.fsum(_fading_power_array(policy.lam, a, b)) / samples
+            return math.fsum(_power_array(policy.threshold, a, b)) / samples
 
         for samples in (10_000, 100_000):    # one block of active slots, and several
             _rate, _stderr, power = ergodic_secrecy_capacity(FADING, policy, samples, seed=9)
@@ -851,7 +881,7 @@ class TestErgodicCapacity:
             rng = np.random.default_rng(1000 + rep)
             a = rng.exponential(FADING.a, 20_000)
             b = rng.exponential(FADING.b, 20_000)
-            p_opt = _fading_power_array(policy.lam, a, b)
+            p_opt = _power_array(policy.threshold, a, b)
             opt = np.maximum(0.0, 0.5 * (np.log2(1 + p_opt * a)
                                          - np.log2(1 + p_opt * b))).mean()
             p_base = np.where(a > b, const_power, 0.0)
@@ -861,10 +891,11 @@ class TestErgodicCapacity:
         assert wins == 20
 
 
-def whole_array_ergodic(lam, a, b):
-    """The ergodic estimate over whole arrays: the zero-padded power rule, the
-    rate kernel, and numpy's mean and sample standard deviation."""
-    p = _fading_power_array(lam, a, b)
+def whole_array_ergodic(t, a, b):
+    """The ergodic estimate at threshold ``t`` over whole arrays: the
+    zero-padded power rule, the rate kernel, and numpy's mean and sample
+    standard deviation."""
+    p = _power_array(t, a, b)
     rates = _secrecy_rate(p, a, b)
     stderr = rates.std(ddof=1) / math.sqrt(len(a)) if len(a) > 1 else 0.0
     return rates.mean(), stderr, p.mean()
@@ -889,32 +920,35 @@ class TestBlockedErgodic:
         # The estimator compacts its draws in place: hand it copies.
         monkeypatch.setattr(allocation, "_draw_states", lambda ch, samples, seed: (a.copy(), b.copy()))
         # At t = 2 the slots with a - b > 1 spend: most active ones, not all.
-        policy = FadingPolicy(lam=0.5, channel=FADING)
+        policy = FadingPolicy(threshold=2.0)
         got = ergodic_secrecy_capacity(FADING, policy, active + inactive, seed=0)
-        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+        want = whole_array_ergodic(policy.threshold, a, b)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("samples", [1, 2])
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_whole_arrays_on_one_or_two_samples(self, samples, seed):
-        policy = FadingPolicy(lam=0.05, channel=FADING)
+        policy = FadingPolicy(threshold=20.0)
         rng = np.random.default_rng(seed)
         a = rng.exponential(FADING.a, samples)
         b = rng.exponential(FADING.b, samples)
         got = ergodic_secrecy_capacity(FADING, policy, samples, seed)
-        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+        want = whole_array_ergodic(policy.threshold, a, b)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_matches_whole_arrays_where_the_rate_kernel_overflows(self):
         """``p a`` passes the float maximum, so the rate takes its overflow form."""
         ch = FadingWiretapChannel(a=1e10, b=1e-300, sigma_m_sq=1.0, sigma_w_sq=1.0)
-        policy = FadingPolicy(lam=1e-300, channel=ch)
+        policy = FadingPolicy(threshold=1e300)
         samples = _SLOT_BLOCK + 1000
         rng = np.random.default_rng(4)
         a = rng.exponential(ch.a, samples)
         b = rng.exponential(ch.b, samples)
         with np.errstate(over="ignore"):
-            assert not np.isfinite(_fading_power_array(policy.lam, a, b) * a).all()
+            assert not np.isfinite(_power_array(policy.threshold, a, b) * a).all()
         got = ergodic_secrecy_capacity(ch, policy, samples, seed=4)
-        assert got == pytest.approx(whole_array_ergodic(policy.lam, a, b), rel=1e-13, abs=0)
+        want = whole_array_ergodic(policy.threshold, a, b)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("gains", LINKS, ids=LINK_IDS)
     def test_ergodic_peak_memory(self, gains):

@@ -17,7 +17,7 @@ from secrecylab import (
     awgn_waterfill,
     calibrate_fading_lambda,
 )
-from secrecylab.allocation import FADING_BUDGET_REL_TOL, _fading_power_array
+from secrecylab.allocation import FADING_BUDGET_REL_TOL, _power_array
 
 THRESHOLD_SOLVE = pytest.mark.xfail(strict=True, reason="ROADMAP item 1a")
 
@@ -73,15 +73,5 @@ def test_calibration_meets_a_tiny_budget(seed):
     policy = calibrate_fading_lambda(ch, budget, 10_000, seed)
     assert abs(policy.avg_power - budget) <= FADING_BUDGET_REL_TOL * budget
     # The threshold the policy carries spends the budget too.
-    spent = _fading_power_array(policy.lam, *calibration_draws(ch, 10_000, seed)).mean()
+    spent = _power_array(policy.threshold, *calibration_draws(ch, 10_000, seed)).mean()
     assert abs(spent - budget) <= FADING_BUDGET_REL_TOL * budget
-
-
-@THRESHOLD_SOLVE
-def test_a_tiny_budget_policy_spends_the_power_it_reports():
-    # Today 1/lam lies one ulp above the solved t, so the policy's lam spends
-    # 1.00432e-18 on its own calibration draws, where avg_power says 1.00091e-18.
-    budget, ch = 1e-18, FadingWiretapChannel(2.0, 1.0, 1.0, 1.0)
-    policy = calibrate_fading_lambda(ch, budget, 2_000, 1)
-    spent = _fading_power_array(policy.lam, *calibration_draws(ch, 2_000, 1)).mean()
-    assert spent == pytest.approx(policy.avg_power, rel=1e-9, abs=0.0)

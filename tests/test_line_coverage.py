@@ -91,3 +91,13 @@ def test_restores_the_tracer_and_environment(tmp_path):
     before = sys.gettrace(), dict(os.environ)
     missed_lines(tool, package, lambda: None)
     assert (sys.gettrace(), dict(os.environ)) == before
+
+
+def test_runs_the_tests_without_pythonpath():
+    """The tool puts the checkout's ``src`` on the path itself, for pytest and its children."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(TOOL), "-q", "-p", "no:cacheprovider",
+                           "tests/test_errors.py"],
+                          cwd=TOOL.parent.parent, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

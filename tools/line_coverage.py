@@ -15,8 +15,12 @@ A child that ends by ``os._exit`` or a signal, or that is started with
 tests run two to three times slower.  Uses the standard library beside
 pytest.
 
+The checkout's ``src`` goes first on ``sys.path`` and on the ``PYTHONPATH``
+the children inherit, so the tests import this checkout's package without
+``PYTHONPATH=src``.
+
 Usage: ``python tools/line_coverage.py [PYTEST_ARGS...]``, from the root of
-this checkout, e.g. ``PYTHONPATH=src python tools/line_coverage.py -q``.
+this checkout, e.g. ``python tools/line_coverage.py -q``.
 """
 
 import ast
@@ -150,6 +154,9 @@ def unrun(package, ran):
 def main(argv):
     import pytest
 
+    src = str(PACKAGE.parent)
+    sys.path.insert(0, src)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code, ran = run_traced(PACKAGE, lambda: pytest.main(argv))
     missed = unrun(PACKAGE, ran)
     root = PACKAGE.parent.parent
