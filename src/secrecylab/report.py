@@ -26,7 +26,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from json.encoder import encode_basestring_ascii
 
 from .errors import InvalidInputError, NumericalError, _one_per_id
@@ -89,11 +89,9 @@ class ColumnReport(Sequence):
         report.order = list(order)
         if sorted(report.order) != [s for s, (ids, *_) in enumerate(report.shapes) for _ in ids]:
             raise InvalidInputError("order: expected each shape once for each of its ids")
-        # Each report row's place in its shape, and each shape's report rows.
-        report.places, report.shape_rows = [], [[] for _ in report.shapes]
-        for i, shape in enumerate(report.order):
-            report.places.append(len(report.shape_rows[shape]))
-            report.shape_rows[shape].append(i)
+        # Each report row's place in its shape.
+        places = [count() for _ in report.shapes]
+        report.places = [next(places[shape]) for shape in report.order]
         return report
 
     @staticmethod
@@ -133,10 +131,6 @@ class ColumnReport(Sequence):
 
     def __radd__(self, other):
         return list(other) + list(self)
-
-    def _report_row(self, shape, row):
-        """The report row number of a shape's row ``row``."""
-        return row if self.order is None else self.shape_rows[shape][row]
 
     def _rows(self, id_text, column_texts, template_parts):
         """The texts of each row, as a tuple, in report order, then those of each tail record.
@@ -279,18 +273,17 @@ def _check_columns(report):
     """:func:`_check_finite` for each row of a :class:`ColumnReport`.
 
     The first row, which holds the shared metadata, is walked as a record;
-    each float column is then checked once, and the first row, in report
-    order, holding a non-finite float is walked to name its field.  The
-    other columns hold no float.
+    each float column is then checked once.  Only where one holds a
+    non-finite float are the rows walked, in report order, so the first
+    row holding one names its field.  The other columns hold no float.
     """
-    if len(report) > len(report.tail):
+    rows = len(report) - len(report.tail)
+    if rows:
         _check_finite(report[0])
-    bad = [report._report_row(shape, [*map(math.isfinite, column)].index(False))
-           for shape, (_ids, inputs, outputs) in enumerate(report.shapes)
-           for column in (*inputs.values(), *outputs.values())
-           if type(column) is _Floats and not all(map(math.isfinite, column))]
-    if bad:
-        _check_finite(report[min(bad)])
+    if not all(all(map(math.isfinite, column)) for _ids, inputs, outputs in report.shapes
+               for column in (*inputs.values(), *outputs.values()) if type(column) is _Floats):
+        for i in range(1, rows):
+            _check_finite(report[i])
 
 
 #: Where the value of a column sits in a JSON report: in the inputs or

@@ -181,11 +181,16 @@ def _file_entry(pos, sc):
 
     Holds ``type``, ``id`` and each field of :data:`CHANNEL_SCHEMA` that the
     channel has, so the loader names a missing one.  A type that is no
-    known one has no fields, and gets the loader's error for it.
+    known one has no fields, and gets the loader's error for it.  A channel
+    that carries its own ``id`` (an :class:`AgentChannel`) must carry the
+    entry's, or the loaded channel would take the entry's in its place.
     """
     if not isinstance(sc, ScenarioChannel):
         raise ScenarioValidationError(f"<scenario>.channels[{pos}]: expected a ScenarioChannel, "
                                       f"got {type(sc).__name__}")
+    if getattr(sc.channel, "id", sc.id) != sc.id:
+        raise ScenarioValidationError(f"<scenario>.channels[{pos}].id: {sc.id!r} differs from "
+                                      f"its channel's id {sc.channel.id!r}")
     known = isinstance(sc.kind, str) and sc.kind in CHANNEL_SCHEMA
     fields = CHANNEL_SCHEMA[sc.kind][1] if known else ()
     return {"type": sc.kind, "id": sc.id,

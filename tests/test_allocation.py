@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from secrecylab import (
+    AllocationResult,
     ChannelState,
     FadingPolicy,
     FadingWiretapChannel,
@@ -164,9 +165,32 @@ class TestWaterfill:
     def test_no_eligible_channels_returns_zeros(self):
         bank = [GaussianWiretapChannel(2.0, 1.0), GaussianWiretapChannel(3.0, 3.0)]
         result = awgn_waterfill(bank, budget=5.0)
-        np.testing.assert_array_equal(result.powers, [0.0, 0.0])
+        # No link spends at any threshold: the answer sits at t = inf, lam 0.
+        assert result.threshold == math.inf
         assert result.lam == 0.0
+        np.testing.assert_array_equal(result.powers, [0.0, 0.0])
+        np.testing.assert_array_equal(result.rates, [0.0, 0.0])
+        assert not np.signbit([*result.powers, *result.rates, result.sum_rate]).any()
         assert result.sum_rate == 0.0
+
+    def test_the_result_is_its_threshold(self):
+        assert [f.name for f in dataclasses.fields(AllocationResult)] == [
+            "threshold", "powers", "sum_rate", "rates"]
+        # Both answers share the one multiplier rule.
+        assert AllocationResult.lam is FadingPolicy.lam
+        with pytest.raises(AttributeError):
+            awgn_waterfill([GaussianWiretapChannel(1.0, 3.0)], 1.0).lam = 0.5
+
+    def test_the_threshold_reproduces_the_powers(self):
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            sigma_m_sq = np.exp(rng.uniform(-2.0, 2.0, rng.integers(1, 5)))
+            sigma_w_sq = sigma_m_sq * rng.uniform(1.01, 4.0, len(sigma_m_sq))
+            bank = [GaussianWiretapChannel(m, w) for m, w in zip(sigma_m_sq, sigma_w_sq)]
+            result = awgn_waterfill(bank, 10.0 ** rng.uniform(-12.0, 3.0))
+            assert result.lam == 1.0 / result.threshold
+            for ch, p in zip(bank, result.powers):
+                assert fading_power(result, ChannelState(*ch.gains)) == p
 
     def test_budget_exactness(self):
         rng = np.random.default_rng(13)
@@ -498,6 +522,7 @@ class TestPowerOfTwoScaling:
             math.ldexp(budget, j))
         np.testing.assert_array_equal(scaled.powers, np.ldexp(base.powers, j))
         np.testing.assert_array_equal(scaled.rates, base.rates)
+        assert scaled.threshold == math.ldexp(base.threshold, j)
         assert scaled.lam == math.ldexp(base.lam, -j)
         assert scaled.sum_rate == base.sum_rate
 

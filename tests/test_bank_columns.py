@@ -37,7 +37,7 @@ from secrecylab import (
 from secrecylab.channels import GaussianBank
 from secrecylab.cooperation import AgentBank
 from secrecylab.report import ColumnReport, emit, render
-from secrecylab.scenario import CHANNEL_SCHEMA, Scenario, ScenarioChannel, parse_scenario
+from secrecylab.scenario import _BANKS, CHANNEL_SCHEMA, Scenario, ScenarioChannel, parse_scenario
 
 
 def per_entry_channels(raw_channels, source):
@@ -295,11 +295,33 @@ class TestScenarioChannels:
          "<scenario>.channels[0].a: missing required field"),
         ([ScenarioChannel("gaussian", 1, GaussianWiretapChannel(1.0, 3.0)),
           GaussianWiretapChannel(2.0, 3.0)],
-         "<scenario>.channels[1]: expected a ScenarioChannel, got GaussianWiretapChannel")])
+         "<scenario>.channels[1]: expected a ScenarioChannel, got GaussianWiretapChannel"),
+        ([ScenarioChannel("agent-snr", 1, AgentChannel(2, 1.0, 2.0)),
+          ScenarioChannel("agent-snr", 2, AgentChannel(2, 3.0, 2.0))],
+         "<scenario>.channels[0].id: 1 differs from its channel's id 2")])
     def test_a_scenario_built_in_code_is_checked_as_a_file_is(self, channels, message):
         with pytest.raises(ScenarioValidationError) as caught:
             Scenario(channels=channels)
         assert str(caught.value) == message
+
+    def test_a_column_failure_that_no_entry_shows_is_an_assertion(self, monkeypatch):
+        # The banks and the entry checks must agree; a bank that fails alone is a defect.
+        def failing_bank(*_args):
+            raise InvalidInputError("every column fails")
+
+        monkeypatch.setitem(_BANKS, "gaussian", failing_bank)
+        with pytest.raises(AssertionError) as caught:
+            parse_scenario({"schema_version": 1, "channels": [
+                {"type": "gaussian", "sigma_m_sq": 1.0, "sigma_w_sq": 3.0}]})
+        assert str(caught.value) == (
+            "<scenario>.channels: the column checks fail where no entry does")
+
+    def test_an_agent_keeps_its_own_id(self):
+        channels = [ScenarioChannel("agent-snr", 2, AgentChannel(2, 1.0, 2.0)),
+                    ScenarioChannel("agent-snr", 1, AgentChannel(1, 3.0, 2.0))]
+        built = Scenario(channels=channels)
+        assert list(built.channels) == channels
+        assert built.agents()[1].ids == [2, 1]
 
     def test_any_dict_is_an_entry(self):
         doc = {"schema_version": 1, "channels": [*self.DOC["channels"], *OTHERS]}
